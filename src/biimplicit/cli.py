@@ -62,6 +62,11 @@ class InputSpec:
     seed: int = 0
     minors: int = 1
 
+    def __post_init__(self):
+        # every source of nu (the JSON field and --nu) ends up here
+        if self.nu is not None and min(self.nu) < 0:
+            raise InputError(f"nu must be nonnegative, got {tuple(self.nu)}")
+
 
 @dataclass
 class OutputReport:
@@ -166,10 +171,10 @@ def load_input(path: str) -> InputSpec:
         raise InputError("'polynomials' must be a list of 4 expression strings")
     nu = _parse_pair(raw["nu"], "nu") if raw.get("nu") is not None else None
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise InputError("'seed' must be an integer")
     minors = raw.get("minors", 1)
-    if not isinstance(minors, int) or minors < 1:
+    if not _is_int(minors) or minors < 1:
         raise InputError("'minors' must be a positive integer")
     return InputSpec(
         bidegree=bidegree,
@@ -180,11 +185,16 @@ def load_input(path: str) -> InputSpec:
     )
 
 
+def _is_int(value) -> bool:
+    """JSON integer; bool is a subclass of int, so true/false must be excluded."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_pair(value, name: str) -> Bidegree:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(x, int) for x in value)
+        or not all(_is_int(x) for x in value)
     ):
         raise InputError(f"'{name}' must be a pair of integers")
     return Bidegree(value[0], value[1])

@@ -5,8 +5,9 @@ linear forms in T1..T4 over the monomial basis of the degree-nu graded piece.
 A maximal square minor (random evaluation to pick candidate columns, then a
 symbolic certificate) feeds a fraction-free Bareiss determinant over Q[T];
 the gcd of several such determinants, made primitive, is the reported
-implicit equation, cross-checkable by substitution, by rank drops at surface
-points, and by a fully independent interpolation oracle.
+implicit equation, certified by exact evaluation of eq(f1..f4) on a grid,
+and cross-checkable by rank drops at surface points and by a fully
+independent interpolation oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .poly import (
     _format_terms,
     as_bidegree,
     exact,
-    substitute_T,
+    # unused here; kept because perfbench/spans.py wraps matrixrep.substitute_T
+    substitute_T,  # noqa: F401
 )
 from .polygcd import exact_div, tpoly_gcd
 
@@ -62,9 +64,6 @@ class LinTForm:
 
     def is_zero(self) -> bool:
         return not any(self.coefficients)
-
-    def num_terms(self) -> int:
-        return sum(1 for c in self.coefficients if c)
 
     def to_tpoly(self) -> TPoly:
         terms = {}
@@ -356,8 +355,31 @@ def reduce_equation(dets) -> TPoly:
 
 
 def verify_substitution(eq: TPoly, F: Parametrization) -> bool:
-    """True iff eq(f1, f2, f3, f4) expands to the zero polynomial."""
-    return substitute_T(eq, F.polys).is_zero()
+    """True iff eq(f1, f2, f3, f4) is the zero polynomial, without expanding it.
+
+    The degree-n part eq_n of eq composes to a bihomogeneous polynomial of
+    bidegree (n*e1, n*e2), which is zero exactly when its dehomogenization
+    g(s, t) = eq_n(f)(s, 1, t, 1) is.  g has degree at most n*e1 in s and
+    n*e2 in t, so it is zero exactly when it vanishes on the integer grid
+    {0..n*e1} x {0..n*e2} (Alon, Combinatorial Nullstellensatz, Lemma 2.1).
+    Parts of different degree are checked separately: dehomogenizing first
+    would let them cancel.
+    """
+    parts: dict[int, dict[Monomial, object]] = {}
+    for mono, coeff in eq.terms.items():
+        parts.setdefault(sum(mono), {})[mono] = coeff
+    if not parts:
+        return True
+    forms = {n: TPoly(terms) for n, terms in parts.items()}
+    e1, e2 = F.bidegree
+    top = max(forms)
+    for s in range(top * e1 + 1):
+        for t in range(top * e2 + 1):
+            values = [f.evaluate((s, 1, t, 1)) for f in F.polys]
+            for n, form in forms.items():
+                if s <= n * e1 and t <= n * e2 and form.evaluate(values):
+                    return False
+    return True
 
 
 def _sample_point(rng: random.Random):

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from .poly import BigradedPoly, TPoly, _SparsePoly
 
+# str.isdigit also accepts superscripts and non-ASCII decimal digits
+_DIGITS = frozenset("0123456789")
+
 
 class ParseError(ValueError):
     """Malformed expression; `position` is the 0-based offset in the input."""
@@ -93,7 +96,7 @@ class _Parser:
             inner = self._expression()
             self._expect(")")
             return inner
-        if ch.isdigit():
+        if ch in _DIGITS:
             return self.cls.constant(self._integer("integer literal"))
         if ch.isalpha():
             start = self.pos
@@ -112,7 +115,7 @@ class _Parser:
     def _integer(self, what: str) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             raise ParseError(f"expected {what}", start)

@@ -85,10 +85,6 @@ def mono_bidegree(m: Monomial) -> Bidegree:
     return Bidegree(m[0] + m[1], m[2] + m[3])
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-
-
 def _format_terms(items, names) -> str:
     """Canonical rendering: descending lex term order, explicit signs,
     '^' for powers, '*' between factors, no implicit multiplication."""
@@ -285,14 +281,6 @@ class BigradedPoly(_SparsePoly):
                     f"mixed bidegrees: {deg} and {mono_bidegree(mono)}"
                 )
         return deg
-
-    def is_bihomogeneous_of(self, deg: Bidegree) -> bool:
-        if not self.terms:
-            return True
-        try:
-            return self.bidegree() == deg
-        except NotBihomogeneousError:
-            return False
 
     def evaluate(self, point) -> Fraction | int:
         s, u, t, v = (exact(x) for x in point)

@@ -230,6 +230,40 @@ class TestCommands:
         code, _, err = run_main(capsys, ["implicitize", path])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"bidegree": [True, 1]},
+            {"nu": [1, False]},
+            {"seed": True},
+            {"minors": True},
+        ],
+    )
+    def test_json_booleans_rejected(self, capsys, tmp_path, field):
+        code, out, err = run_main(
+            capsys, ["implicitize", write_input(tmp_path, **field)]
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert out == ""
+
+    def test_negative_nu_in_input_rejected(self, capsys, tmp_path):
+        code, out, err = run_main(
+            capsys, ["implicitize", write_input(tmp_path, nu=[-1, 0])]
+        )
+        assert code == 1
+        assert err.startswith("error:") and "nonnegative" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["implicitize", "hilbert", "matrix"])
+    def test_negative_nu_flag_rejected(self, capsys, tmp_path, command):
+        code, out, err = run_main(
+            capsys, [command, write_input(tmp_path), "--nu=0,-1"]
+        )
+        assert code == 1
+        assert err.startswith("error:") and "nonnegative" in err
+        assert out == ""
+
     def test_verify_command(self, capsys, tmp_path):
         eq_path = tmp_path / "equation.txt"
         eq_path.write_text("T1*T4 - T2*T3\n")

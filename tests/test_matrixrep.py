@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from biimplicit.complexes import suggested_nu
 from biimplicit.linalg import coeff_vector, exact_rank, graded_basis
@@ -24,9 +26,9 @@ from biimplicit.matrixrep import (
     verify_substitution,
 )
 from biimplicit.parser import parse_poly, parse_tpoly
-from biimplicit.poly import Bidegree, Parametrization, TPoly
+from biimplicit.poly import Bidegree, BigradedPoly, Parametrization, TPoly, substitute_T
 
-from conftest import random_parametrization
+from conftest import random_bipoly, random_parametrization
 
 
 def tp(text):
@@ -225,6 +227,80 @@ class TestReduceEquation:
             reduce_equation([TPoly.zero(), TPoly.zero()])
 
 
+_T_MONOMIALS = [
+    (a, b, c, n - a - b - c)
+    for n in range(4)
+    for a in range(n + 1)
+    for b in range(n - a + 1)
+    for c in range(n - a - b + 1)
+]
+
+
+def tpolys(max_degree):
+    """Random, usually non-homogeneous forms of degree <= max_degree."""
+    monos = [m for m in _T_MONOMIALS if sum(m) <= max_degree]
+    return st.dictionaries(
+        st.sampled_from(monos), st.integers(-3, 3), max_size=4
+    ).map(TPoly)
+
+
+@st.composite
+def random_maps(draw, unit_f4=False):
+    """Random map of bidegree <= (2,2); with `unit_f4`, f4 = u^e1*v^e2."""
+    e = Bidegree(draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = draw(st.sampled_from([0.3, 0.8]))  # sparse maps hit monomial maps
+    polys = [random_bipoly(rng, e, density=density, bound=3) for _ in range(4)]
+    if unit_f4:
+        polys[3] = BigradedPoly.monomial((0, e.d1, 0, e.d2))
+    return Parametrization.from_polys(polys)
+
+
+@st.composite
+def segre_type_maps(draw):
+    """(g1*h1, g1*h2, g2*h1, g2*h2), on which T1*T4 - T2*T3 vanishes."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g_deg = Bidegree(draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+    g1, g2 = (random_bipoly(rng, g_deg, bound=3) for _ in range(2))
+    h1, h2 = (random_bipoly(rng, Bidegree(1, 1), bound=3) for _ in range(2))
+    return Parametrization.from_polys((g1 * h1, g1 * h2, g2 * h1, g2 * h2))
+
+
+@st.composite
+def pipeline_cases(draw):
+    """A random (1,1) map and the equation the pipeline computes for it."""
+    F = random_parametrization(
+        random.Random(draw(st.integers(0, 2**32))), Bidegree(1, 1)
+    )
+    M = build_matrix(F, suggested_nu((1, 1)))
+    try:
+        cols = select_max_minor(M, seed=0)
+    except RankDeficientError:
+        assume(False)
+    return F, reduce_equation([bareiss_det(M.submatrix(cols))])
+
+
+@st.composite
+def verify_cases(draw):
+    """(F, eq, expected): the known verdict, or None for an arbitrary form."""
+    kind = draw(st.sampled_from(["random", "parts", "segre", "pipeline"]))
+    if kind == "random":
+        return draw(random_maps()), draw(tpolys(3)), None
+    if kind == "parts":
+        # f4 is 1 wherever u = v = 1, so c*(T4 - T4^2) vanishes there; it
+        # vanishes on the image only for c = 0
+        c = draw(tpolys(2))
+        return draw(random_maps(unit_f4=True)), c * tp("T4-T4^2"), c.is_zero()
+    if kind == "segre":
+        F, H = draw(segre_type_maps()), tp("T1*T4-T2*T3")
+    else:
+        F, H = draw(pipeline_cases())
+    eq = draw(tpolys(2)) * H
+    if draw(st.booleans()):
+        return F, eq + draw(tpolys(2)), None
+    return F, eq, True
+
+
 class TestVerifySubstitution:
     def test_single_variable_fails(self, golden_F):
         assert not verify_substitution(tp("T1"), golden_F)
@@ -232,9 +308,34 @@ class TestVerifySubstitution:
     def test_zero_is_vacuously_true(self, golden_F):
         assert verify_substitution(TPoly.zero(), golden_F)
 
+    def test_nonzero_constant_fails(self, segre_F):
+        assert not verify_substitution(TPoly.constant(5), segre_F)
+
     def test_segre(self, segre_F):
         assert verify_substitution(tp("T1*T4-T2*T3"), segre_F)
         assert not verify_substitution(tp("T1*T4+T2*T3"), segre_F)
+
+    def test_grid_reaches_the_degree_bound(self, segre_F):
+        # T1(f) = s*t vanishes on every grid row or column short of the bound
+        assert not verify_substitution(tp("T1"), segre_F)
+        assert not verify_substitution(tp("T1^3"), segre_F)
+
+    def test_parts_of_different_degree_checked_separately(self):
+        # f1 = u*v is 1 wherever u = v = 1, so T1 - T1^2 vanishes on the
+        # dehomogenized grid; its degree-1 part T1 does not vanish on the image
+        F = Parametrization.from_polys(
+            parse_poly(text) for text in ("u*v", "s*t", "s*v", "u*t")
+        )
+        assert not verify_substitution(tp("T1-T1^2"), F)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(verify_cases())
+    def test_agrees_with_expansion(self, case):
+        F, eq, expected = case
+        verdict = verify_substitution(eq, F)
+        assert verdict == substitute_T(eq, F.polys).is_zero()
+        if expected is not None:
+            assert verdict == expected
 
 
 class TestRankDrop:

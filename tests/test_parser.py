@@ -52,6 +52,14 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_poly("s^")
 
+    def test_superscript_exponent_rejected(self):
+        with pytest.raises(ParseError):
+            parse_poly("s^²")
+
+    def test_non_ascii_digit_rejected(self):
+        with pytest.raises(ParseError):
+            parse_poly("١*s*t")
+
     def test_whitespace_tolerated(self):
         assert parse_poly(" s * t  +  u * v ") == parse_poly("s*t+u*v")
 
