@@ -19,6 +19,7 @@ from .linalg import (
     GradedBasis,
     QMatrix,
     coeff_vector,
+    exact_rank,
     graded_basis,
     multiplication_matrix,
     poly_from_vector,
@@ -118,13 +119,13 @@ def koszul_slice(F: Parametrization, p: int, target_degree) -> KoszulSlice:
 
 def z_dim(F: Parametrization, p: int, nu) -> int:
     """Dimension of the kernel of the p-th Koszul differential on the slice
-    whose column components have bidegree nu (module degree nu + p*d)."""
+    whose column components have bidegree nu (module degree nu + p*d), by
+    rank-nullity: no nullspace basis is built."""
     if not 1 <= p <= 3:
         raise ValueError("kernel dimensions are exposed for p in 1..3")
     nu = as_bidegree(nu)
-    sl = koszul_slice(F, p, nu + p * F.bidegree)
-    _, nullbasis = rref_nullspace(sl.matrix)
-    return len(nullbasis)
+    M = koszul_slice(F, p, nu + p * F.bidegree).matrix
+    return M.cols - exact_rank(M)
 
 
 def syzygy_basis(F: Parametrization, nu) -> SyzygyBasis:
@@ -164,18 +165,14 @@ def region(e) -> RegionSpec:
 
 def suggested_nu(e) -> Bidegree:
     """Default evaluation bidegree: the corner (2*e1-1, e2-1)."""
-    e = as_bidegree(e)
-    return Bidegree(2 * e.d1 - 1, e.d2 - 1)
+    return region(e).corners[0]
 
 
 def in_good_region(e, nu) -> bool:
     """True iff nu dominates one of the two corners, i.e. the degree-nu slice
     is outside the torsion-affected region."""
-    e = as_bidegree(e)
     nu = as_bidegree(nu)
-    c1 = Bidegree(2 * e.d1 - 1, e.d2 - 1)
-    c2 = Bidegree(e.d1 - 1, 2 * e.d2 - 1)
-    return nu.dominates(c1) or nu.dominates(c2)
+    return any(nu.dominates(c) for c in region(e).corners)
 
 
 def complex_summary(F: Parametrization, nu) -> ComplexSummary:

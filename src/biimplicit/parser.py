@@ -4,6 +4,7 @@ Grammar (CAS-style): integer literals, a fixed variable set, binary + - * ^
 with the usual precedence, unary minus, parentheses.  Multiplication must be
 written explicitly ("s*t", never "st"); exponents are non-negative integer
 literals.  The same grammar serves both k[s,u,t,v] and k[T1..T4].
+Parentheses and unary minus signs may nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -12,6 +13,11 @@ from .poly import BigradedPoly, TPoly, _SparsePoly
 
 # str.isdigit also accepts superscripts and non-ASCII decimal digits
 _DIGITS = frozenset("0123456789")
+
+# Deepest nesting of parentheses and unary minus signs accepted.  Each level
+# costs the descent a few stack frames, so deeper input would otherwise end
+# in RecursionError instead of ParseError.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -32,6 +38,7 @@ class _Parser:
         self.pos = 0
         self.cls = poly_cls
         self.vars = {name: i for i, name in enumerate(var_names)}
+        self.depth = 0
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -45,6 +52,14 @@ class _Parser:
         if self._peek() != ch:
             raise ParseError(f"expected '{ch}'", self.pos)
         self.pos += 1
+
+    def _nested(self, parse):
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.pos)
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def parse(self):
         result = self._expression()
@@ -78,7 +93,7 @@ class _Parser:
     def _factor(self):
         if self._peek() == "-":
             self.pos += 1
-            return -self._factor()
+            return -self._nested(self._factor)
         return self._power()
 
     def _power(self):
@@ -93,7 +108,7 @@ class _Parser:
         ch = self._peek()
         if ch == "(":
             self.pos += 1
-            inner = self._expression()
+            inner = self._nested(self._expression)
             self._expect(")")
             return inner
         if ch in _DIGITS:

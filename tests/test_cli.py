@@ -247,6 +247,14 @@ class TestCommands:
         assert err.startswith("error:")
         assert out == ""
 
+    def test_deep_nesting_rejected(self, capsys, tmp_path):
+        deep = "(" * 3000 + "s*t" + ")" * 3000
+        path = write_input(tmp_path, polynomials=[deep, "s*v", "u*t", "u*v"])
+        code, out, err = run_main(capsys, ["implicitize", path])
+        assert code == 1
+        assert err.startswith("error:") and "nesting" in err
+        assert out == ""
+
     def test_negative_nu_in_input_rejected(self, capsys, tmp_path):
         code, out, err = run_main(
             capsys, ["implicitize", write_input(tmp_path, nu=[-1, 0])]

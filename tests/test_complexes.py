@@ -13,7 +13,13 @@ from biimplicit.complexes import (
     syzygy_basis,
     z_dim,
 )
-from biimplicit.linalg import QMatrix, coeff_vector, graded_basis, multiplication_matrix
+from biimplicit.linalg import (
+    QMatrix,
+    coeff_vector,
+    graded_basis,
+    multiplication_matrix,
+    rref_nullspace,
+)
 from biimplicit.parser import parse_poly
 from biimplicit.poly import Bidegree, BigradedPoly, Parametrization
 
@@ -70,6 +76,25 @@ class TestZDim:
     def test_index_range(self, segre_F):
         with pytest.raises(ValueError):
             z_dim(segre_F, 4, (1, 1))
+
+    @pytest.mark.parametrize(
+        "name, nus",
+        [
+            ("golden_F", [(0, 0), (1, 1), (2, 1), (3, 2), (1, 5), (4, 3)]),
+            ("segre_F", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 3)]),
+        ],
+    )
+    def test_rank_nullity_matches_nullspace(self, request, name, nus):
+        F = request.getfixturevalue(name)
+        assert any(not in_good_region(F.bidegree, nu) for nu in nus)
+        dims = []
+        for nu in nus:
+            for p in (1, 2, 3):
+                sl = koszul_slice(F, p, Bidegree(*nu) + p * F.bidegree)
+                expected = len(rref_nullspace(sl.matrix)[1])
+                assert z_dim(F, p, nu) == expected, (nu, p)
+                dims.append(expected)
+        assert any(dims[1::3]) and any(dims[2::3])
 
 
 class TestSyzygyBasis:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biimplicit.linalg import (
     DegreeMismatchError,
@@ -171,7 +173,7 @@ class TestRrefNullspace:
 def _pivots_of(M):
     from biimplicit.linalg import _rref
 
-    return _rref(M.copy_data(), M.rows, M.cols)
+    return _rref(M.data, M.cols)
 
 
 def test_exact_rank_matches_nullspace():
@@ -180,3 +182,73 @@ def test_exact_rank_matches_nullspace():
         M = random_qmatrix(rng, rng.randint(1, 7), rng.randint(1, 7))
         rank, basis = rref_nullspace(M)
         assert exact_rank(M) == rank
+
+
+entries = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    st.integers(-10**12, 10**12),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Matrices up to 8x8 over Q, empty shapes included, with zero rows and
+    duplicated (possibly rescaled) rows mixed in."""
+    rows = draw(st.integers(0, 8))
+    cols = draw(st.integers(0, 8))
+    data = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    for i in range(rows):
+        kind = draw(st.sampled_from(("keep", "keep", "zero", "copy")))
+        if kind == "zero":
+            data[i] = [0] * cols
+        elif kind == "copy" and i:
+            scale = draw(st.sampled_from((1, -1, 3, Fraction(2, 5))))
+            data[i] = [scale * x for x in data[draw(st.integers(0, i - 1))]]
+    return QMatrix(rows, cols, data)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rational_matrices())
+def test_kernel_agrees_with_sympy_rref(M):
+    sympy = pytest.importorskip("sympy")
+    reduced, pivots = sympy.Matrix(
+        M.rows, M.cols, [sympy.Rational(x.numerator, x.denominator) for row in M.data for x in row]
+    ).rref()
+    expected = []
+    for fc in range(M.cols):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * M.cols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            r = reduced[i, fc]
+            vec[pc] = -Fraction(int(r.p), int(r.q))
+        expected.append(vec)
+    rank, basis = rref_nullspace(M)
+    assert rank == len(pivots)
+    assert exact_rank(M) == len(pivots)
+    assert basis == expected
+    assert all(type(x) in (int, Fraction) for vec in basis for x in vec)
+    assert all(not isinstance(x, Fraction) or x.denominator > 1 for vec in basis for x in vec)
+    assert _pivots_of(M)[1] == list(pivots)
+
+
+@pytest.mark.parametrize("deficient", [False, True])
+def test_dense_large_entries(deficient):
+    """Coefficient growth: dense 40x40 integer matrices with entries up to
+    10^6 in size, of full rank and of rank 39."""
+    rng = random.Random(40)
+    data = [[rng.randint(-10**6, 10**6) for _ in range(40)] for _ in range(40)]
+    if deficient:
+        # row 17 = row 4 - row 9, all three still within 10^6
+        for i in (4, 9):
+            data[i] = [rng.randint(-5 * 10**5, 5 * 10**5) for _ in range(40)]
+        data[17] = [a - b for a, b in zip(data[4], data[9])]
+    M = QMatrix(40, 40, data)
+    rank, basis = rref_nullspace(M)
+    assert rank == exact_rank(M) == (39 if deficient else 40)
+    assert len(basis) == 40 - rank
+    for vec in basis:
+        assert M.matvec(vec) == [0] * 40

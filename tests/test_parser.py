@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from biimplicit.parser import ParseError, UnknownVariableError, parse_poly, parse_tpoly
+from biimplicit.parser import (
+    MAX_NESTING,
+    ParseError,
+    UnknownVariableError,
+    parse_poly,
+    parse_tpoly,
+)
 from biimplicit.poly import Bidegree, BigradedPoly
 
 from conftest import GOLDEN_STRINGS, random_bipoly
@@ -59,6 +65,27 @@ class TestParse:
     def test_non_ascii_digit_rejected(self):
         with pytest.raises(ParseError):
             parse_poly("١*s*t")
+
+    def test_nesting_up_to_the_limit(self):
+        deepest = "(" * MAX_NESTING + "s" + ")" * MAX_NESTING
+        assert parse_poly(deepest) == parse_poly("s")
+        assert parse_poly("-" * MAX_NESTING + "s") == parse_poly("s")
+        half = MAX_NESTING // 2
+        assert parse_poly("-(" * half + "s" + ")" * half) == parse_poly("-" * half + "s")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * (MAX_NESTING + 1) + "s" + ")" * (MAX_NESTING + 1),
+            "-" * (MAX_NESTING + 1) + "s",
+            "(" * 3000 + "s" + ")" * 3000,
+            "(" * 3000,
+            "-(" * 1500 + "s" + ")" * 1500,
+        ],
+    )
+    def test_nesting_beyond_the_limit_rejected(self, text):
+        with pytest.raises(ParseError, match="nesting"):
+            parse_poly(text)
 
     def test_whitespace_tolerated(self):
         assert parse_poly(" s * t  +  u * v ") == parse_poly("s*t+u*v")
