@@ -422,34 +422,20 @@ def _degree_monomials(degree: int) -> list[Monomial]:
     return monos
 
 
-def _monomial_values(values, degree: int) -> dict[Monomial, int]:
-    """Values of every degree <= `degree` monomial at a 4-tuple of integers,
-    by single-multiplication dynamic programming."""
-    cache: dict[Monomial, int] = {(0, 0, 0, 0): 1}
-    for total in range(1, degree + 1):
-        for a in range(total, -1, -1):
-            for b in range(total - a, -1, -1):
-                for c in range(total - a - b, -1, -1):
-                    m = (a, b, c, total - a - b - c)
-                    i = next(k for k in range(4) if m[k])
-                    parent = list(m)
-                    parent[i] -= 1
-                    cache[m] = cache[tuple(parent)] * values[i]
-    return cache
-
-
 def interpolation_oracle(F: Parametrization, degree: int, seed: int = 0) -> TPoly:
     """Independent reconstruction of the implicit equation of the image.
 
-    Samples random parameter points away from base points, evaluates every
-    degree-`degree` monomial in T at the image points, and extracts the
-    one-dimensional nullspace of that evaluation matrix.  The nullspace
-    search runs modulo word-sized primes with CRT plus rational
-    reconstruction; the answer is certified by exact integer arithmetic
-    before being returned, so the only probabilistic ingredient is running
-    time.  A nullity >= 2 can mean either an unlucky point configuration or a
-    genuinely fat solution space, so the sample is enlarged a few times (rank
-    only ever grows with more points) before giving up.
+    Samples random parameter points away from base points and keeps each
+    one as its image point T = (f1..f4)(pt).  For each word-sized prime the
+    matrix of every degree-`degree` monomial in T at the image points is
+    formed modulo that prime and its nullspace found by forward elimination
+    and back substitution; one-dimensional nullspaces are combined by CRT
+    and rational reconstruction.  The resulting form is returned only if it
+    vanishes exactly at every sample, so the only probabilistic ingredient
+    is running time.  A nullity >= 2 can mean either an unlucky point
+    configuration or a genuinely fat solution space, so the sample is
+    enlarged a few times (rank only ever grows with more points) before
+    giving up.
 
     Raises NoEquationError when the nullspace is certified trivial (degree
     too small) and AmbiguousNullspaceError when a one-dimensional nullspace
@@ -458,15 +444,14 @@ def interpolation_oracle(F: Parametrization, degree: int, seed: int = 0) -> TPol
     if degree < 1:
         raise ValueError("degree must be >= 1")
     monos = _degree_monomials(degree)
-    ncols = len(monos)
-    assert ncols == comb(degree + 3, 3)
+    assert len(monos) == comb(degree + 3, 3)
 
     rng = random.Random(seed)
     seen: set[tuple] = set()
-    exact_rows: list[list[int]] = []
+    images: list[tuple[int, ...]] = []
 
-    def extend_rows(target: int) -> None:
-        while len(exact_rows) < target:
+    def extend_images(target: int) -> None:
+        while len(images) < target:
             pt = _sample_point(rng)
             if pt in seen:
                 continue
@@ -474,29 +459,41 @@ def interpolation_oracle(F: Parametrization, degree: int, seed: int = 0) -> TPol
             values = tuple(f.evaluate(pt) for f in F.polys)
             if not any(values):
                 continue  # base point
-            cache = _monomial_values(values, degree)
-            exact_rows.append([cache[m] for m in monos])
+            images.append(values)
 
     primes = prime_stream()
-    target = ncols + 60
+    target = len(monos) + 60
     for _ in range(4):
-        extend_rows(target)
-        equation = _oracle_attempt(exact_rows, monos, primes, degree)
+        extend_images(target)
+        equation = _oracle_attempt(images, monos, primes, degree)
         if equation is not None:
             return equation
-        target += max(150, ncols // 2)
+        target += max(150, len(monos) // 2)
     raise AmbiguousNullspaceError(
         f"could not certify a one-dimensional space of degree-{degree} forms "
         "from the samples (degree too large or degenerate sampling)"
     )
 
 
-def _oracle_attempt(exact_rows, monos, primes, degree):
+def _sample_matrix_mod_p(images, exponents: np.ndarray, degree: int, p: int):
+    """Monomial values at the image points modulo p, one row per point, one
+    column per row of `exponents`; every product stays below 2^62."""
+    V = np.array([[x % p for x in T] for T in images], dtype=np.int64)
+    P = np.ones((len(images), 4, degree + 1), dtype=np.int64)
+    for k in range(1, degree + 1):
+        P[:, :, k] = P[:, :, k - 1] * V % p
+    A = P[:, 0, exponents[:, 0]]
+    for i in range(1, 4):
+        A = A * P[:, i, exponents[:, i]] % p
+    return A
+
+
+def _oracle_attempt(images, monos, primes, degree):
     """One pass over the current sample: gather nullity-1 primes, CRT, and
-    verify exactly.  Returns the equation, raises NoEquationError on a
+    certify exactly.  Returns the equation, raises NoEquationError on a
     certified empty nullspace, or returns None when the sample looks too thin
     (persistent nullity >= 2) or the prime budget runs out."""
-    ncols = len(monos)
+    exponents = np.array(monos, dtype=np.intp)
     used: list[tuple[int, tuple[int, ...], np.ndarray]] = []
     fat_primes = 0
     batch = 4
@@ -508,9 +505,7 @@ def _oracle_attempt(exact_rows, monos, primes, degree):
                 return None
             p = next(primes)
             consumed += 1
-            A = np.array(
-                [[x % p for x in row] for row in exact_rows], dtype=np.int64
-            )
+            A = _sample_matrix_mod_p(images, exponents, degree, p)
             pivots, basis = nullspace_mod_p(A, p)
             if len(basis) == 0:
                 raise NoEquationError(
@@ -527,14 +522,11 @@ def _oracle_attempt(exact_rows, monos, primes, degree):
             pattern_counts[piv] = pattern_counts.get(piv, 0) + 1
         pivot_pattern = max(pattern_counts, key=pattern_counts.get)
         group = [(p, vec) for p, piv, vec in used if piv == pivot_pattern]
-        candidate = _reconstruct_vector(group, ncols)
+        candidate = _reconstruct_vector(group, len(monos))
         if candidate is not None:
-            vec = _primitive_integer_vector(candidate)
-            if all(
-                sum(a * v for a, v in zip(row, vec) if v) == 0 for row in exact_rows
-            ):
-                terms = {m: c for m, c in zip(monos, vec) if c}
-                return TPoly(terms).primitive()
+            equation = TPoly(dict(zip(monos, candidate))).primitive()
+            if all(equation.evaluate(T) == 0 for T in images):
+                return equation
         if batch >= max_primes:
             return None
         batch = min(batch * 2, max_primes)
@@ -553,21 +545,3 @@ def _reconstruct_vector(group, ncols):
             return None
         out.append(f)
     return out
-
-
-def _primitive_integer_vector(coords) -> list[int]:
-    """Clear denominators, divide by the content, and normalize the sign of
-    the first nonzero coordinate to positive."""
-    denom = 1
-    for f in coords:
-        denom = lcm(denom, Fraction(f).denominator)
-    ints = [int(f * denom) for f in coords]
-    content = 0
-    for x in ints:
-        content = gcd(content, abs(x))
-    if content > 1:
-        ints = [x // content for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return ints

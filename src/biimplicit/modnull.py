@@ -1,6 +1,7 @@
-"""Modular search primitives behind the interpolation cross-check: reduced
-row echelon form over a word-sized prime field (vectorized with numpy),
-Chinese remaindering, and rational reconstruction.
+"""Modular search primitives behind the interpolation cross-check: the
+nullspace of a matrix over a word-sized prime field (forward elimination to
+row echelon form, then back substitution, vectorized with numpy), Chinese
+remaindering, and rational reconstruction.
 
 Only the search runs modulo primes; callers certify every answer with exact
 integer arithmetic, so a bad prime can cost time but never correctness.
@@ -50,11 +51,13 @@ def prime_stream():
         n -= 2
 
 
-def rref_mod_p(A: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
-    """Reduced row echelon form of an int64 matrix over Z/p.
+def _echelon_mod_p(A: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """Row echelon form of an int64 matrix over Z/p with unit pivots.
 
-    Returns (pivot column indices, reduced matrix).  Entries of A must
-    already lie in [0, p).
+    Returns (pivot column indices, the nonzero rows of the echelon form).
+    Each pivot clears only the rows below it, from its column rightwards;
+    the pivots are the ones Gauss-Jordan elimination would pick.  Entries of
+    A must already lie in [0, p), so every product stays below 2^62.
     """
     M = A.copy()
     rows, cols = M.shape
@@ -63,42 +66,41 @@ def rref_mod_p(A: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     for c in range(cols):
         if r >= rows:
             break
-        col = M[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.flatnonzero(M[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             M[[r, i]] = M[[i, r]]
         inv = pow(int(M[r, c]), p - 2, p)
-        M[r] = (M[r] * inv) % p
-        factors = M[:, c].copy()
-        factors[r] = 0
-        nzrows = np.nonzero(factors)[0]
-        if nzrows.size:
-            M[nzrows] = (M[nzrows] - np.outer(factors[nzrows], M[r])) % p
+        M[r, c:] = M[r, c:] * inv % p
+        below = r + 1 + np.flatnonzero(M[r + 1 :, c])
+        if below.size:
+            M[below, c:] = (M[below, c:] - np.outer(M[below, c], M[r, c:])) % p
         pivots.append(c)
         r += 1
-    return pivots, M
+    return pivots, M[:r]
 
 
 def nullspace_mod_p(A: np.ndarray, p: int) -> tuple[list[int], list[np.ndarray]]:
-    """Pivot columns and a basis of the nullspace of A over Z/p, one vector
-    per free column (its own coordinate set to 1)."""
-    pivots, R = rref_mod_p(A, p)
-    pivot_set = set(pivots)
+    """Pivot columns and the canonical basis of the nullspace of A over Z/p:
+    one vector per free column, 1 there and 0 in the other free columns.
+
+    The pivot coordinates come from back substitution on the echelon form,
+    for all free columns at once: `rhs` holds, row by row, the value the
+    pivot variable of that row must take given the pivots solved so far.
+    """
+    pivots, U = _echelon_mod_p(A, p)
     cols = A.shape[1]
-    basis = []
-    for fc in range(cols):
-        if fc in pivot_set:
-            continue
-        vec = np.zeros(cols, dtype=np.int64)
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            if R[i, fc]:
-                vec[pc] = (-int(R[i, fc])) % p
-        basis.append(vec)
-    return pivots, basis
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
+    X = np.zeros((cols, len(free)), dtype=np.int64)
+    X[free, range(len(free))] = 1
+    rhs = (-U[:, free]) % p
+    for k in range(len(pivots) - 1, -1, -1):
+        X[pivots[k]] = rhs[k]
+        rhs[:k] = (rhs[:k] - np.outer(U[:k, pivots[k]], rhs[k])) % p
+    return pivots, list(X.T)
 
 
 def crt_combine(residues, moduli) -> tuple[int, int]:

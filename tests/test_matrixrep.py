@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from biimplicit import matrixrep
+from biimplicit.cli import InputSpec, run_implicitize
 from biimplicit.complexes import suggested_nu
 from biimplicit.linalg import coeff_vector, exact_rank, graded_basis
 from biimplicit.matrixrep import (
@@ -403,6 +406,58 @@ class TestInterpolationOracle:
     def test_invalid_degree(self, segre_F):
         with pytest.raises(ValueError):
             interpolation_oracle(segre_F, 0)
+
+    def test_sample_matrix_matches_exact_values(self):
+        images = [(3, -7, 0, 1), (-(10**30), 2**70, 5, -1), (2**31 - 2, 1, -1, 9)]
+        for degree in (1, 3, 12):
+            monos = matrixrep._degree_monomials(degree)
+            exponents = np.array(monos, dtype=np.intp)
+            for p in (7, 101, 2**31 - 1):
+                A = matrixrep._sample_matrix_mod_p(images, exponents, degree, p)
+                assert A.tolist() == [
+                    [t1**a * t2**b * t3**c * t4**d % p for a, b, c, d in monos]
+                    for t1, t2, t3, t4 in images
+                ]
+
+    def test_wrong_reconstruction_is_never_returned(self, segre_F, monkeypatch):
+        # every coordinate off by one: no candidate vanishes on the samples,
+        # so the exact certificate must reject them all
+        real = matrixrep.rational_reconstruct
+
+        def off_by_one(a, m):
+            f = real(a, m)
+            return None if f is None else f + 1
+
+        monkeypatch.setattr(matrixrep, "rational_reconstruct", off_by_one)
+        with pytest.raises(AmbiguousNullspaceError):
+            interpolation_oracle(segre_F, 2, seed=5)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([(1, 1), (1, 2), (2, 1)]),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+    )
+    def test_agrees_with_pipeline(self, e, map_seed, oracle_seed):
+        # An irreducible pipeline equation of degree 2*e1*e2 is the image's
+        # equation H, the only form of its degree vanishing on the image, so
+        # the oracle must find it.  A reducible one is H times base-point
+        # factors (a (1,1) map with a base point has a plane as its image),
+        # where the degree-2*e1*e2 forms through the image are not unique.
+        sympy = pytest.importorskip("sympy")
+        F = random_parametrization(random.Random(map_seed), e)
+        spec = InputSpec(
+            bidegree=Bidegree(*e), polynomials=tuple(str(f) for f in F.polys)
+        )
+        report = run_implicitize(spec)
+        degree = 2 * e[0] * e[1]
+        assume(report.equation_degree == degree)
+        _, factors = sympy.Poly.from_dict(
+            {m: int(c) for m, c in report.equation.terms.items()},
+            sympy.symbols("T1:5"),
+        ).factor_list()
+        assume([k for _, k in factors] == [1])
+        assert interpolation_oracle(F, degree, oracle_seed) == report.equation
 
 
 class TestImplicitEquation:

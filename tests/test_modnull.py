@@ -1,0 +1,154 @@
+from fractions import Fraction
+from math import isqrt, prod
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from biimplicit.modnull import (
+    _is_prime,
+    crt_combine,
+    nullspace_mod_p,
+    prime_stream,
+    rational_reconstruct,
+)
+
+PRIMES = (7, 101, 2**31 - 1)
+
+
+def _sieve(n: int) -> list[bool]:
+    flags = [True] * n
+    flags[0] = flags[1] = False
+    for i in range(2, isqrt(n - 1) + 1):
+        if flags[i]:
+            flags[i * i :: i] = [False] * len(range(i * i, n, i))
+    return flags
+
+
+def _reference_nullspace(rows: list[list[int]], cols: int, p: int):
+    """Pivots and canonical nullspace basis by Gauss-Jordan elimination over
+    Z/p on Python ints."""
+    M = [[x % p for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if i is None:
+            continue
+        M[r], M[i] = M[i], M[r]
+        inv = pow(M[r][c], -1, p)
+        M[r] = [x * inv % p for x in M[r]]
+        for j in range(len(M)):
+            if j != r and M[j][c]:
+                f = M[j][c]
+                M[j] = [(a - f * b) % p for a, b in zip(M[j], M[r])]
+        pivots.append(c)
+    basis = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        vec = [0] * cols
+        vec[fc] = 1
+        for i, pc in enumerate(pivots):
+            vec[pc] = -M[i][fc] % p
+        basis.append(vec)
+    return pivots, basis
+
+
+def _check_against_reference(rows: list[list[int]], cols: int, p: int) -> list:
+    A = np.array(rows, dtype=np.int64).reshape(len(rows), cols)
+    pivots, basis = nullspace_mod_p(A, p)
+    ref_pivots, ref_basis = _reference_nullspace(rows, cols, p)
+    assert pivots == ref_pivots
+    assert [[int(x) for x in v] for v in basis] == ref_basis
+    assert len(pivots) + len(basis) == cols
+    for v in basis:
+        for row in rows:
+            assert sum(a * int(x) for a, x in zip(row, v)) % p == 0
+    return basis
+
+
+@st.composite
+def matrices_mod_p(draw):
+    p = draw(st.sampled_from(PRIMES))
+    nrows = draw(st.integers(0, 8))
+    cols = draw(st.integers(0, 8))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    rows: list[list[int]] = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["random", "random", "zero", "duplicate"]))
+        if kind == "zero":
+            rows.append([0] * cols)
+        elif kind == "duplicate" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append(draw(st.lists(entry, min_size=cols, max_size=cols)))
+    return rows, cols, p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(matrices_mod_p())
+def test_nullspace_agrees_with_gauss_jordan(case):
+    rows, cols, p = case
+    _check_against_reference(rows, cols, p)
+
+
+def test_all_zero_matrix():
+    pivots, basis = nullspace_mod_p(np.zeros((3, 4), dtype=np.int64), 101)
+    assert pivots == []
+    assert [list(v) for v in basis] == [
+        [1, 0, 0, 0],
+        [0, 1, 0, 0],
+        [0, 0, 1, 0],
+        [0, 0, 0, 1],
+    ]
+
+
+def test_large_entries_do_not_overflow():
+    # entries just below 2^31 - 1: every product of two is close to 2^62
+    p = 2**31 - 1
+    rng = np.random.default_rng(7)
+    A = p - 1 - rng.integers(0, 1000, size=(60, 60))
+    A[58] = A[0]
+    A[59] = A[1]
+    assert len(_check_against_reference(A.tolist(), 60, p)) == 2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.data())
+def test_crt_and_rational_reconstruction_round_trip(k, data):
+    moduli = [p for p, _ in zip(prime_stream(), range(k))]
+    m = prod(moduli)
+    bound = isqrt(m // 2)
+    # Wang's bound: |num| and den up to isqrt(m/2), the extremes included
+    num = data.draw(
+        st.one_of(st.sampled_from([-bound, 0, bound]), st.integers(-bound, bound))
+    )
+    den = data.draw(st.one_of(st.just(bound), st.integers(1, bound)))
+    residues = [num * pow(den, -1, q) % q for q in moduli]
+    value, modulus = crt_combine(residues, moduli)
+    assert modulus == m
+    assert value == num * pow(den, -1, m) % m
+    assert rational_reconstruct(value, modulus) == Fraction(num, den)
+
+
+def test_is_prime_matches_sieve():
+    flags = _sieve(10**5)
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n, is_p in enumerate(flags) if is_p
+    ]
+
+
+def test_is_prime_rejects_carmichael_numbers():
+    for n in (561, 41041, 825265):
+        assert not _is_prime(n)
+
+
+def test_prime_stream():
+    small = [n for n, is_p in enumerate(_sieve(isqrt(2**31) + 1)) if is_p]
+    primes = [p for p, _ in zip(prime_stream(), range(40))]
+    assert len(primes) == 40
+    assert all(2**30 < p < 2**31 for p in primes)
+    assert all(a > b for a, b in zip(primes, primes[1:]))
+    for p in primes:
+        assert all(p % q for q in small)
