@@ -3,8 +3,8 @@
 Given four bihomogeneous polynomials of bidegree (e1, e2) in k[s,u,t,v], the
 package assembles, over exact rational arithmetic, the matrix of linear forms
 in T1..T4 whose maximal minors vanish on the image surface in P3, computes
-its determinant by fraction-free elimination, and reduces and verifies the
-resulting implicit equation.
+its determinant exactly by evaluation modulo primes up to a proven
+coefficient bound, and reduces and verifies the resulting implicit equation.
 """
 
 from .cli import InputSpec, OutputReport, run_implicitize

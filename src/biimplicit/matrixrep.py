@@ -3,25 +3,34 @@
 The degree-nu syzygies of the parametrization are rewritten as a matrix of
 linear forms in T1..T4 over the monomial basis of the degree-nu graded piece.
 A maximal square minor (random evaluation to pick candidate columns, then a
-symbolic certificate) feeds a fraction-free Bareiss determinant over Q[T];
-the gcd of several such determinants, made primitive, is the reported
-implicit equation, certified by exact evaluation of eq(f1..f4) on a grid,
-and cross-checkable by rank drops at surface points and by a fully
-independent interpolation oracle.
+symbolic certificate) has its determinant computed exactly: rows and columns
+with a single nonzero entry are peeled off, and the rest is evaluated on a
+grid modulo primes, interpolated, and recombined by CRT up to a proven
+coefficient bound.  The gcd of several such determinants, made primitive,
+is the reported implicit equation, certified by exact evaluation of
+eq(f1..f4) on a grid, and cross-checkable by rank drops at surface points
+and by a fully independent interpolation oracle.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, lcm, prod
 
 import numpy as np
 
 from .complexes import SyzygyBasis, syzygy_basis
 from .linalg import GradedBasis, QMatrix, coeff_vector, exact_rank, graded_basis
-from .modnull import crt_combine, nullspace_mod_p, prime_stream, rational_reconstruct
+from .modnull import (
+    crt_combine,
+    det_mod_p,
+    nullspace_mod_p,
+    prime_stream,
+    rational_reconstruct,
+)
 from .poly import (
     Bidegree,
     BigradedPoly,
@@ -31,10 +40,11 @@ from .poly import (
     _format_terms,
     as_bidegree,
     exact,
+    rational_content,
     # unused here; kept because perfbench/spans.py wraps matrixrep.substitute_T
     substitute_T,  # noqa: F401
 )
-from .polygcd import exact_div, tpoly_gcd
+from .polygcd import tpoly_gcd
 
 RANDOM_COORD_BOUND = 10  # sampling box [-10, 10] keeps evaluated entries small
 
@@ -113,8 +123,36 @@ class MatrixRep:
     def submatrix(self, columns) -> list[list[LinTForm]]:
         return [[row[j] for j in columns] for row in self.entries]
 
+    @cached_property
+    def _integer_entries(self) -> tuple[tuple[tuple, ...], ...]:
+        """Coefficients of every entry, column j multiplied by the lcm of the
+        denominators in column j."""
+        scales = [
+            lcm(*(Fraction(c).denominator for row in self.entries for c in row[j].coefficients))
+            for j in range(self.cols)
+        ]
+        return tuple(
+            tuple(
+                tuple(exact(c * d) for c in entry.coefficients)
+                for entry, d in zip(row, scales)
+            )
+            for row in self.entries
+        )
+
     def evaluate(self, values) -> QMatrix:
-        data = [[entry.evaluate(values) for entry in row] for row in self.entries]
+        """The matrix at T = values with each column j multiplied by the
+        positive integer d_j, the lcm of the denominators in column j.
+
+        Column scaling keeps the rank and which sets of columns are
+        independent, which is all that rank queries and minor selection read.
+        The scaled coefficients are integers, computed once per matrix, so
+        integer values give an integer matrix.
+        """
+        t1, t2, t3, t4 = values
+        data = [
+            [a * t1 + b * t2 + c * t3 + d * t4 for a, b, c, d in row]
+            for row in self._integer_entries
+        ]
         return QMatrix(self.rows, self.cols, data)
 
 
@@ -143,85 +181,223 @@ def build_matrix(F: Parametrization, nu) -> MatrixRep:
     return MatrixRep(nu=nu, row_basis=basis, syzygies=syz, entries=entries)
 
 
-def _as_tpoly(entry) -> TPoly:
+def _linear_coefficients(entry) -> tuple:
+    """(c1, c2, c3, c4) of a linear form given as LinTForm or TPoly."""
     if isinstance(entry, LinTForm):
-        return entry.to_tpoly()
-    if isinstance(entry, TPoly):
-        return entry
-    raise TypeError(f"matrix entries must be LinTForm or TPoly, got {type(entry)!r}")
+        return entry.coefficients
+    if isinstance(entry, TPoly) and all(sum(mono) == 1 for mono in entry.terms):
+        coeffs = [0, 0, 0, 0]
+        for mono, c in entry.terms.items():
+            coeffs[mono.index(1)] = c
+        return tuple(coeffs)
+    raise ValueError(f"matrix entries must be linear forms in T1..T4, got {entry!r}")
 
 
-def _row_content(row: list[TPoly]) -> Fraction:
-    nums = 0
-    dens = 1
-    for entry in row:
-        for c in entry.terms.values():
-            f = Fraction(c)
-            nums = gcd(nums, abs(f.numerator))
-            dens = lcm(dens, f.denominator)
-    return Fraction(nums, dens)
+def _divide_exactly(c, content: Fraction) -> int:
+    """c / content for a coefficient c of a row with that rational content."""
+    if isinstance(c, int):
+        return c * content.denominator // content.numerator
+    return c.numerator * (content.denominator // c.denominator) // content.numerator
 
 
-def _tpoly_exact_div(a: TPoly, b: TPoly) -> TPoly:
-    return TPoly._raw(exact_div(a.terms, b.terms))
+def _peel(grid: list[dict], n: int):
+    """Laplace expansion along rows and columns with one nonzero entry.
+
+    `grid` holds each row as {column: integer coefficients}.  Returns the
+    sign, the peeled entries and the rows and columns of the remaining core,
+    in which every row and column has at least two nonzero entries; None
+    when a row or column is zero.
+    """
+    rows, cols = list(range(n)), list(range(n))
+    sign, peeled = 1, []
+    while rows:
+        position = {j: b for b, j in enumerate(cols)}
+        row_support = [[position[j] for j in grid[i] if j in position] for i in rows]
+        col_support = [[] for _ in cols]
+        for a, support in enumerate(row_support):
+            for b in support:
+                col_support[b].append(a)
+        if not all(row_support) or not all(col_support):
+            return None
+        hit = next(((a, s[0]) for a, s in enumerate(row_support) if len(s) == 1), None)
+        if hit is None:
+            hit = next(((s[0], b) for b, s in enumerate(col_support) if len(s) == 1), None)
+        if hit is None:
+            break
+        a, b = hit
+        peeled.append(grid[rows[a]][cols[b]])
+        if (a + b) % 2:
+            sign = -sign
+        del rows[a], cols[b]
+    return sign, peeled, rows, cols
+
+
+@lru_cache(maxsize=1024)
+def _inverse_vandermonde_mod_p(size: int, p: int) -> np.ndarray:
+    """W with W @ (g(1), .., g(size)) = coefficients of g mod p for every
+    polynomial g of degree < size.
+
+    Row k of the inverse Vandermonde matrix on the nodes 1..size holds the
+    x^k coefficients of the Lagrange basis L_i = Q_i / Q_i(i), where Q_i is
+    prod_(j != i) (x - j); the integers Q_i and Q_i(i) are reduced mod p.
+    The nodes avoid 0, where entries vanish and pivots would be zero.
+    """
+    nodes = range(1, size + 1)
+    master = [1]  # prod_j (x - j), ascending coefficients
+    for j in nodes:
+        master = [
+            (master[k - 1] if k else 0) - (j * master[k] if k < len(master) else 0)
+            for k in range(len(master) + 1)
+        ]
+    W = np.empty((size, size), dtype=np.int64)
+    for column, i in enumerate(nodes):
+        q, carry = [0] * size, 0
+        for k in range(size, 0, -1):
+            carry = master[k] + i * carry
+            q[k - 1] = carry
+        inv = pow(prod(i - j for j in nodes if j != i) % p, p - 2, p)
+        W[:, column] = [c % p * inv % p for c in q]
+    W.flags.writeable = False
+    return W
+
+
+@lru_cache(maxsize=1024)
+def _primes_above(bits: int) -> tuple[int, ...]:
+    """The shortest run of prime_stream() whose product is at least 2^bits."""
+    primes, modulus = [], 1
+    for p in prime_stream():
+        if modulus >> bits:
+            break
+        primes.append(p)
+        modulus *= p
+    return tuple(primes)
+
+
+def _interpolate(values: np.ndarray, p: int) -> np.ndarray:
+    """Coefficients mod p of the polynomial whose values on the grid of
+    nodes 1..size along each axis are `values`, one axis at a time; each
+    product is reduced before the next is added, so sums stay below 2^63."""
+    for axis, size in enumerate(values.shape):
+        W = _inverse_vandermonde_mod_p(size, p)
+        moved = np.moveaxis(values, axis, 0)
+        out = np.zeros_like(moved)
+        for i in range(size):
+            out += W[:, i, None, None] * moved[i]
+            out %= p
+        values = np.moveaxis(out, 0, axis)
+    return values
+
+
+# matrices of one evaluation batch hold about this many int64 entries
+_BATCH_ENTRIES = 2**13
+
+
+def _core_det(core: list[list[tuple]], n: int) -> TPoly:
+    """Determinant of an n x n matrix of integer linear forms, given as
+    coefficient 4-tuples (None for zero), by evaluation and interpolation
+    modulo primes; see bareiss_det for the two bounds this relies on."""
+    degree_bounds = [
+        min(
+            sum(any(e and e[t] for e in row) for row in core),
+            sum(any(row[b] and row[b][t] for row in core) for b in range(n)),
+        )
+        for t in range(4)
+    ]
+    h = degree_bounds.index(max(degree_bounds))
+    axes = [t for t in range(4) if t != h]
+    exponents = np.indices([degree_bounds[t] + 1 for t in axes]).reshape(3, -1)
+    points = exponents + 1
+
+    bound = prod(sum(abs(c) for e in row if e for c in e) for row in core)
+    primes = _primes_above((2 * bound).bit_length())
+    coefficients = [[e or (0, 0, 0, 0) for e in row] for row in core]
+    batch = max(1, _BATCH_ENTRIES // (n * n))
+    residues = np.empty((len(primes), points.shape[1]), dtype=np.int64)
+    for q, p in enumerate(primes):
+        reduced = np.array(
+            [[[c % p for c in e] for e in row] for row in coefficients], dtype=np.int64
+        )
+        linear, constant = reduced[:, :, axes], reduced[:, :, h, None]
+        chunks = (
+            (linear @ points[:, start : start + batch] + constant) % p
+            for start in range(0, points.shape[1], batch)
+        )
+        values = det_mod_p(chunks, p).reshape([degree_bounds[t] + 1 for t in axes])
+        residues[q] = _interpolate(values, p).reshape(-1)
+
+    if residues[:, exponents.sum(axis=0) > n].any():
+        raise ArithmeticError("interpolated determinant exceeds its total degree")
+    support = np.flatnonzero(residues.any(axis=0))
+    combined, modulus = crt_combine(list(residues[:, support].astype(object)), primes)
+    terms = {}
+    for flat, c in zip(support, combined):
+        mono = [0, 0, 0, 0]
+        for t, e in zip(axes, exponents[:, flat]):
+            mono[t] = int(e)
+        mono[h] = n - sum(mono)
+        terms[tuple(mono)] = c - modulus if 2 * c > modulus else c
+    return TPoly(terms)
 
 
 def bareiss_det(matrix) -> TPoly:
-    """Exact determinant of a square matrix of LinTForm/TPoly entries.
+    """Exact determinant of a square matrix of linear forms in T1..T4.
 
-    Fraction-free Bareiss elimination: each row's rational content is pulled
-    out first so the sweep runs over Z[T], where every division by the
-    previous pivot is exact.  Pivots are chosen with full row/column swaps by
-    fewest terms.  An n x n matrix of linear forms yields 0 or a homogeneous
-    polynomial of total degree n.
+    Entries are LinTForm or linear TPoly; anything else raises ValueError.
+    Each row's rational content is pulled out first, leaving integer
+    coefficients.  Rows and columns with a single nonzero entry are peeled
+    off by Laplace expansion (a zero row or column gives 0), and the
+    remaining core is evaluated modulo primes and interpolated:
+
+    * degree bound: deg_Tt det <= min(rows, columns of the core holding Tt),
+      since each term of the permutation expansion takes one entry from
+      every row and every column.  The variable with the largest bound is
+      set to 1 (the core's determinant is homogeneous of degree its size,
+      which restores that exponent) and each other one runs over
+      {1..bound+1}; the determinant at every grid point comes from
+      `modnull.det_mod_p` and the coefficients from the exact inverse
+      Vandermonde matrix reduced mod p.
+    * coefficient bound: every coefficient is at most
+      B = prod_i sum_j ||a_ij||_1 in absolute value, since the coefficients
+      of the permutation expansion sum in absolute value to at most the
+      permanent of (||a_ij||_1), which is at most the product of its row
+      sums.  Primes are taken until their product exceeds 2B, so CRT into
+      the symmetric range recovers every coefficient exactly.
+
+    The result for an n x n matrix is 0 or homogeneous of degree n; an
+    interpolated coefficient above the core's size in total degree raises
+    ArithmeticError.  The name is kept because it is part of the public
+    API.
     """
-    grid = [[_as_tpoly(entry) for entry in row] for row in matrix]
-    n = len(grid)
-    if any(len(row) != n for row in grid):
+    rows = [[_linear_coefficients(entry) for entry in row] for row in matrix]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return TPoly.constant(1)
 
     scale = Fraction(1)
-    for i, row in enumerate(grid):
-        content = _row_content(row)
+    grid: list[dict] = []
+    for row in rows:
+        content = rational_content(c for coeffs in row for c in coeffs)
         if not content:
             return TPoly.zero()
         scale *= content
-        inv = 1 / content
-        grid[i] = [entry * inv for entry in row]
+        grid.append(
+            {
+                j: tuple(_divide_exactly(c, content) for c in coeffs)
+                for j, coeffs in enumerate(row)
+                if any(coeffs)
+            }
+        )
 
-    sign = 1
-    prev = TPoly.constant(1)
-    for k in range(n - 1):
-        best = None
-        best_terms = None
-        for i in range(k, n):
-            for j in range(k, n):
-                nterms = len(grid[i][j].terms)
-                if nterms and (best is None or nterms < best_terms):
-                    best, best_terms = (i, j), nterms
-        if best is None:
-            return TPoly.zero()
-        bi, bj = best
-        if bi != k:
-            grid[k], grid[bi] = grid[bi], grid[k]
-            sign = -sign
-        if bj != k:
-            for row in grid:
-                row[k], row[bj] = row[bj], row[k]
-            sign = -sign
-        piv = grid[k][k]
-        for i in range(k + 1, n):
-            left = grid[i][k]
-            row = grid[i]
-            prow = grid[k]
-            for j in range(k + 1, n):
-                num = piv * row[j] - left * prow[j]
-                row[j] = _tpoly_exact_div(num, prev) if num else TPoly.zero()
-            row[k] = TPoly.zero()
-        prev = piv
-    det = grid[n - 1][n - 1]
+    peeled = _peel(grid, n)
+    if peeled is None:
+        return TPoly.zero()
+    sign, factors, core_rows, core_cols = peeled
+    det = TPoly.constant(1)
+    if core_rows:
+        core = [[grid[i].get(j) for j in core_cols] for i in core_rows]
+        det = _core_det(core, len(core))
+    for coeffs in factors:
+        det = det * LinTForm(coeffs).to_tpoly()
     return det * (scale * sign)
 
 

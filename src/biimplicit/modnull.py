@@ -1,10 +1,13 @@
-"""Modular search primitives behind the interpolation cross-check: the
-nullspace of a matrix over a word-sized prime field (forward elimination to
-row echelon form, then back substitution, vectorized with numpy), Chinese
+"""Arithmetic modulo word-sized primes, vectorized with numpy: the
+nullspace of a matrix over a prime field (forward elimination to row echelon
+form, then back substitution) behind the interpolation cross-check,
+determinants of batches of matrices behind the minor determinants, Chinese
 remaindering, and rational reconstruction.
 
-Only the search runs modulo primes; callers certify every answer with exact
-integer arithmetic, so a bad prime can cost time but never correctness.
+Callers stay exact: the interpolation oracle certifies every answer with
+integer arithmetic, so a bad prime can cost time but never correctness, and
+the determinant takes primes until their product exceeds a proven bound on
+the coefficients it reconstructs.
 """
 
 from __future__ import annotations
@@ -103,8 +106,68 @@ def nullspace_mod_p(A: np.ndarray, p: int) -> tuple[list[int], list[np.ndarray]]
     return pivots, list(X.T)
 
 
+def _pow_mod(base: np.ndarray, exponent: int, p: int) -> np.ndarray:
+    """Elementwise base^exponent mod p by square and multiply; p < 2^31."""
+    result = np.ones_like(base)
+    base = base % p
+    while exponent:
+        if exponent & 1:
+            result = result * base % p
+        base = base * base % p
+        exponent >>= 1
+    return result
+
+
+def det_mod_p(chunks, p: int) -> np.ndarray:
+    """Determinants modulo the prime p < 2^31 of square int64 matrices,
+    given in chunks, in input order.
+
+    Each chunk A has shape (m, m, batch), one matrix per index of the last
+    axis, and is overwritten; its entries must lie in [0, p), so every
+    product stays below 2^62.  The elimination is division-free: step k
+    swaps in the first row with a nonzero entry in column k when the pivot
+    is zero, then replaces each row i below the pivot row by
+    piv * row_i - a_ik * row_k, which multiplies the determinant by
+    piv^(m-1-k).  With P_k the product of the first k + 1 pivots the
+    determinant is +-P_(m-1) / (P_0 * ... * P_(m-2)), so one Fermat inverse
+    per matrix, taken for all chunks at once, undoes the scaling.  A zero
+    pivot after the swap makes P_(m-1), and so the result, zero.
+    """
+    tops, bottoms, signs = [], [], []
+    for A in chunks:
+        m, _, batch = A.shape
+        prefix = np.ones(batch, dtype=np.int64)
+        scaling = np.ones(batch, dtype=np.int64)
+        negate = np.zeros(batch, dtype=bool)
+        for k in range(m):
+            if not A[k, k].all():
+                r = k + (A[k:, k] != 0).argmax(axis=0)
+                swap = np.flatnonzero(r != k)
+                held = A[k, :, swap]
+                A[k, :, swap] = A[r[swap], :, swap]
+                A[r[swap], :, swap] = held
+                negate[swap] ^= True
+            piv = A[k, k].copy()
+            prefix = prefix * piv % p
+            if k < m - 1:
+                scaling = scaling * prefix % p
+                rest = A[k + 1 :, k + 1 :]
+                rest *= piv
+                rest -= A[k + 1 :, k, None] * A[k, None, k + 1 :]
+                rest %= p
+        tops.append(prefix)
+        bottoms.append(scaling)
+        signs.append(negate)
+    det = np.concatenate(tops) * _pow_mod(np.concatenate(bottoms), p - 2, p) % p
+    return np.where(np.concatenate(signs) & (det != 0), p - det, det)
+
+
 def crt_combine(residues, moduli) -> tuple[int, int]:
-    """Combine residues into a single residue modulo the product."""
+    """Combine residues into a single residue modulo the product.
+
+    Each residue may also be an integer array (dtype object when the values
+    outgrow int64) of one common shape; the combination is then elementwise.
+    """
     value, modulus = 0, 1
     for r, m in zip(residues, moduli):
         # solve x = value (mod modulus), x = r (mod m)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 Rational = Fraction
@@ -40,6 +41,20 @@ def exact(c):
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     raise TypeError(f"exact coefficient expected, got {type(c).__name__}")
+
+
+def rational_content(coefficients: Iterable) -> Fraction:
+    """Positive rational content of exact coefficients: the gcd of their
+    numerators over the lcm of their denominators; 0 when all are zero."""
+    nums = 0
+    dens = 1
+    for c in coefficients:
+        if isinstance(c, int):
+            nums = gcd(nums, c)
+        else:
+            nums = gcd(nums, c.numerator)
+            dens = lcm(dens, c.denominator)
+    return Fraction(nums, dens)
 
 
 @dataclass(frozen=True)
@@ -314,17 +329,7 @@ class TPoly(_SparsePoly):
 
     def content(self) -> Fraction:
         """Positive rational content: gcd of numerators / lcm of denominators."""
-        if not self.terms:
-            return Fraction(0)
-        from math import gcd, lcm
-
-        nums = 0
-        dens = 1
-        for c in self.terms.values():
-            f = Fraction(c)
-            nums = gcd(nums, abs(f.numerator))
-            dens = lcm(dens, f.denominator)
-        return Fraction(nums, dens)
+        return rational_content(self.terms.values())
 
     def primitive(self) -> "TPoly":
         """Divide by the content and normalize the sign so the canonical

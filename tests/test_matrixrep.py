@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from biimplicit import matrixrep
 from biimplicit.cli import InputSpec, run_implicitize
 from biimplicit.complexes import suggested_nu
-from biimplicit.linalg import coeff_vector, exact_rank, graded_basis
+from biimplicit.linalg import QMatrix, coeff_vector, exact_rank, graded_basis
 from biimplicit.matrixrep import (
     AllZeroError,
     AmbiguousNullspaceError,
@@ -18,6 +19,7 @@ from biimplicit.matrixrep import (
     MatrixRep,
     NoEquationError,
     RankDeficientError,
+    _greedy_independent_columns,
     bareiss_det,
     build_matrix,
     implicit_equation,
@@ -64,6 +66,77 @@ def naive_det(matrix) -> TPoly:
             term = term * grid[i][perm[i]]
         total = total + term
     return total
+
+
+def _sympy_det(matrix) -> TPoly:
+    """Determinant by sympy's matrices over QQ[T1..T4], independent of the
+    package's arithmetic."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    ring, *T = sympy.ring("T1:5", sympy.QQ)
+    rows = [
+        [sum((c * t for c, t in zip(_coefficients(e), T)), ring.zero) for e in row]
+        for row in matrix
+    ]
+    det = DomainMatrix(rows, (len(rows), len(rows)), ring.to_domain()).det()
+    return TPoly({m: Fraction(int(c.numerator), int(c.denominator)) for m, c in det.terms()})
+
+
+def _coefficients(entry) -> tuple:
+    if isinstance(entry, LinTForm):
+        return entry.coefficients
+    return tuple(entry.coefficient(tuple(int(i == t) for i in range(4))) for t in range(4))
+
+
+@st.composite
+def linear_matrices(draw):
+    """Square matrices of linear forms, up to 7x7: dense, sparse, triangular
+    (peeled to nothing), singular (a row combining two others), or with a
+    zero row; rows may miss variables, entries may be Fractions or linear
+    TPolys, and rows and columns come in random order."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(0, 7))
+    shape = draw(st.sampled_from(["dense", "sparse", "triangular", "singular", "zero_row"]))
+    fractions = draw(st.booleans())
+
+    def coeff():
+        c = rng.randint(-6, 6)
+        return Fraction(c, rng.randint(1, 5)) if fractions and c else c
+
+    density = 1.0 if shape in ("dense", "singular") else 0.4
+    rows = []
+    for i in range(n):
+        variables = rng.sample(range(4), rng.randint(1, 4))
+        row = []
+        for j in range(n):
+            if shape == "triangular" and j < i:
+                entry = (0, 0, 0, 0)
+            elif rng.random() < density or (shape == "triangular" and j == i):
+                entry = tuple(coeff() if t in variables else 0 for t in range(4))
+                if shape == "triangular" and j == i and not any(entry):
+                    entry = tuple(int(t == variables[0]) for t in range(4))
+            else:
+                entry = (0, 0, 0, 0)
+            row.append(entry)
+        rows.append(row)
+    if shape == "singular" and n >= 2:
+        a, b = coeff(), coeff()
+        rows[-1] = [
+            tuple(a * x + b * y for x, y in zip(e0, e1)) for e0, e1 in zip(rows[0], rows[1])
+        ]
+    if shape == "zero_row" and n:
+        rows[rng.randrange(n)] = [(0, 0, 0, 0)] * n
+    row_order, col_order = list(range(n)), list(range(n))
+    rng.shuffle(row_order)
+    rng.shuffle(col_order)
+    return [
+        [
+            LinTForm(rows[i][j]) if rng.random() < 0.7 else LinTForm(rows[i][j]).to_tpoly()
+            for j in col_order
+        ]
+        for i in row_order
+    ]
 
 
 class TestLinTForm:
@@ -214,6 +287,40 @@ class TestBareissDet:
         with pytest.raises(ValueError):
             bareiss_det([[tp("T1"), tp("T2")]])
 
+    @pytest.mark.parametrize("entry", ["T1^2", "T1+1", "3", "T1*T2"])
+    def test_non_linear_entry_rejected(self, entry):
+        with pytest.raises(ValueError):
+            bareiss_det([[tp(entry), tp("T2")], [tp("T3"), tp("T4")]])
+
+    def test_peeled_sign(self):
+        M = [[lin(), lin(), lin(c1=1)], [lin(), lin(c2=1), lin()], [lin(c3=1), lin(), lin()]]
+        assert bareiss_det(M) == -tp("T1*T2*T3")
+        M = [[lin(c1=1), lin(c2=1), lin()], [lin(c3=1), lin(c4=1), lin()], [lin(), lin(), lin(c1=2)]]
+        assert bareiss_det(M) == tp("2*T1^2*T4-2*T1*T2*T3")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(linear_matrices())
+    def test_agrees_with_reference(self, M):
+        det = bareiss_det(M)
+        assert det == (naive_det(M) if len(M) <= 4 else _sympy_det(M))
+        assert det.is_zero() or (det.is_homogeneous() and det.total_degree() == len(M))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_coefficient_bound_is_tight(self, sign):
+        # diag(c*T1, sign*c*T2) has the coefficient sign*c^2 = +-B, the bound
+        # itself; c^2 lies between half the product of four primes and that
+        # product, so the symmetric range needs the fifth prime.  bareiss_det
+        # would peel a diagonal matrix, so the core goes in directly.
+        from biimplicit.matrixrep import _core_det
+        from biimplicit.modnull import prime_stream
+
+        stream = prime_stream()
+        four = prod(next(stream) for _ in range(4))
+        c = isqrt(four // 2) + 1
+        assert four // 2 < c * c < four and 2**61 < c < 2**62
+        core = [[(c, 0, 0, 0), None], [None, (0, sign * c, 0, 0)]]
+        assert _core_det(core, 2) == TPoly({(1, 1, 0, 0): sign * c * c})
+
 
 class TestReduceEquation:
     def test_content_removal(self):
@@ -339,6 +446,38 @@ class TestVerifySubstitution:
         assert verdict == substitute_T(eq, F.polys).is_zero()
         if expected is not None:
             assert verdict == expected
+
+
+class TestMatrixEvaluate:
+    @pytest.mark.parametrize("nu", [(3, 2), (4, 3)])
+    def test_column_scaled_integers_keep_rank_and_columns(self, golden_F, nu):
+        M = build_matrix(golden_F, nu)
+        assert any(
+            isinstance(c, Fraction) for row in M.entries for e in row for c in e.coefficients
+        )
+        rng = random.Random(3)
+        points = [[rng.randint(-10, 10) for _ in range(4)] for _ in range(4)]
+        # image points, where the rank drops
+        points += [[f.evaluate((2, -1, 3, 5)) for f in golden_F.polys]]
+        scales = None
+        for tau in points:
+            exact_values = [[e.evaluate(tau) for e in row] for row in M.entries]
+            reference = QMatrix(M.rows, M.cols, exact_values)
+            numeric = M.evaluate(tau)
+            assert all(type(x) is int for row in numeric.data for x in row)
+            # each column is the exact column times one positive integer
+            for j in range(M.cols):
+                pairs = [(row[j], ref[j]) for row, ref in zip(numeric.data, exact_values)]
+                ratios = {Fraction(a) / b for a, b in pairs if b}
+                assert all(a == 0 for a, b in pairs if not b)
+                assert len(ratios) <= 1 and all(r > 0 and r.denominator == 1 for r in ratios)
+            assert exact_rank(numeric) == exact_rank(reference)
+            order = list(range(M.cols))
+            rng.shuffle(order)
+            for scan in (None, order):
+                assert _greedy_independent_columns(
+                    numeric, M.rows, scan
+                ) == _greedy_independent_columns(reference, M.rows, scan)
 
 
 class TestRankDrop:
@@ -480,6 +619,14 @@ class TestImplicitEquation:
         assert result.verified is True
         # the gcd over distinct minors strips the extraneous factor
         assert result.equation == tp("T1-T2")
+
+    def test_minor_determinants_in_worker_processes(self):
+        F = random_parametrization(random.Random(7), Bidegree(1, 1))
+        M = build_matrix(F, (3, 1))
+        assert M.rows < M.cols
+        serial = minor_determinants(M, seed=0, count=3, jobs=1)
+        assert len(serial[1]) == 3
+        assert minor_determinants(M, seed=0, count=3, jobs=2) == serial
 
     def test_minor_determinants_dedupes(self, segre_F):
         M = build_matrix(segre_F, suggested_nu((1, 1)))

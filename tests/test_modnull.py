@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from biimplicit.modnull import (
     _is_prime,
     crt_combine,
+    det_mod_p,
     nullspace_mod_p,
     prime_stream,
     rational_reconstruct,
@@ -152,3 +153,57 @@ def test_prime_stream():
     assert all(a > b for a, b in zip(primes, primes[1:]))
     for p in primes:
         assert all(p % q for q in small)
+
+
+def _reference_det(rows: list[list[int]], p: int) -> int:
+    """Determinant over Z/p by Gaussian elimination on Python ints."""
+    M = [[x % p for x in row] for row in rows]
+    det = 1
+    for c in range(len(M)):
+        i = next((i for i in range(c, len(M)) if M[i][c]), None)
+        if i is None:
+            return 0
+        if i != c:
+            M[c], M[i] = M[i], M[c]
+            det = -det
+        det = det * M[c][c] % p
+        inv = pow(M[c][c], -1, p)
+        for j in range(c + 1, len(M)):
+            f = M[j][c] * inv % p
+            M[j] = [(a - f * b) % p for a, b in zip(M[j], M[c])]
+    return det % p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(PRIMES),
+    st.integers(1, 7).flatmap(
+        lambda m: st.lists(
+            st.lists(
+                st.lists(st.sampled_from([0, 0, 1, 2, -1, 2**31 - 2, 10**6]), min_size=m, max_size=m),
+                min_size=m,
+                max_size=m,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    ),
+    st.integers(1, 6),
+)
+def test_det_mod_p_agrees_with_gaussian_elimination(p, matrices, split):
+    # zero entries force row swaps and singular matrices; the batch is cut
+    # into two chunks
+    A = np.array([[[x % p for x in row] for row in rows] for rows in matrices], dtype=np.int64)
+    A = np.ascontiguousarray(A.transpose(1, 2, 0))
+    got = det_mod_p([A[:, :, :split], A[:, :, split:]], p)
+    assert [int(d) for d in got] == [_reference_det(rows, p) for rows in matrices]
+    assert all(0 <= int(d) < p for d in got)
+
+
+def test_det_mod_p_needs_no_headroom():
+    # entries just below 2^31 - 1: every product stays below 2^62
+    p = 2**31 - 1
+    rng = np.random.default_rng(5)
+    A = rng.integers(p - 1000, p, size=(20, 9, 9), dtype=np.int64)
+    want = [_reference_det(m.tolist(), p) for m in A]
+    assert det_mod_p([np.ascontiguousarray(A.transpose(1, 2, 0))], p).tolist() == want
