@@ -35,19 +35,16 @@ from .linalg import (
 from .matrixrep import (
     AllZeroError,
     AmbiguousNullspaceError,
-    ImplicitResult,
     LinTForm,
     MatrixRep,
     NoEquationError,
     RankDeficientError,
     bareiss_det,
     build_matrix,
-    implicit_equation,
     interpolation_oracle,
     minor_determinants,
     rank_drop_check,
     reduce_equation,
-    select_max_minor,
     verify_substitution,
 )
 from .parser import ParseError, UnknownVariableError, parse_poly, parse_tpoly
@@ -73,7 +70,6 @@ __all__ = [
     "ComplexSummary",
     "DegreeMismatchError",
     "GradedBasis",
-    "ImplicitResult",
     "InputSpec",
     "InvalidBidegreeError",
     "KoszulSlice",
@@ -97,7 +93,6 @@ __all__ = [
     "coeff_vector",
     "complex_summary",
     "graded_basis",
-    "implicit_equation",
     "in_good_region",
     "interpolation_oracle",
     "koszul_slice",
@@ -111,7 +106,6 @@ __all__ = [
     "region",
     "rref_nullspace",
     "run_implicitize",
-    "select_max_minor",
     "substitute_T",
     "suggested_nu",
     "syzygy_basis",

@@ -1,20 +1,20 @@
 """Command-line interface and pipeline orchestration.
 
 Input is a JSON document with the fields `bidegree`, `polynomials` (four
-expression strings), and optional `nu`, `seed`, `minors`.  Reports are JSON
-on stdout; exit code 0 on success, 1 on input errors, 2 on pipeline errors.
-The environment variable BIIMPLICIT_JOBS (default 1) bounds the number of
-worker processes used for the determinants of extra minors.
+expression strings), and optional `nu`, `seed`, `minors`; the options
+`--nu`, `--seed` and `--minors` override the document's values.
+`run_implicitize` is the one pipeline behind every equation.  Reports are
+JSON on stdout; exit code 0 on success, 1 on input errors, 2 on pipeline
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 
@@ -63,9 +63,12 @@ class InputSpec:
     minors: int = 1
 
     def __post_init__(self):
-        # every source of nu (the JSON field and --nu) ends up here
+        # every source of nu and minors (the JSON fields and the options)
+        # ends up here
         if self.nu is not None and min(self.nu) < 0:
             raise InputError(f"nu must be nonnegative, got {tuple(self.nu)}")
+        if self.minors < 1:
+            raise InputError(f"minors must be a positive integer, got {self.minors}")
 
 
 @dataclass
@@ -174,8 +177,8 @@ def load_input(path: str) -> InputSpec:
     if not _is_int(seed):
         raise InputError("'seed' must be an integer")
     minors = raw.get("minors", 1)
-    if not _is_int(minors) or minors < 1:
-        raise InputError("'minors' must be a positive integer")
+    if not _is_int(minors):
+        raise InputError("'minors' must be an integer")
     return InputSpec(
         bidegree=bidegree,
         polynomials=tuple(polys),
@@ -214,12 +217,8 @@ def build_parametrization(spec: InputSpec) -> Parametrization:
     return Parametrization(tuple(polys), spec.bidegree)
 
 
-def _worker_jobs() -> int:
-    value = os.environ.get("BIIMPLICIT_JOBS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
+def _nu_used(spec: InputSpec) -> Bidegree:
+    return spec.nu if spec.nu is not None else suggested_nu(spec.bidegree)
 
 
 def _region_warning(bidegree: Bidegree, nu_used: Bidegree) -> str | None:
@@ -245,7 +244,7 @@ def run_implicitize(
     reg = region(spec.bidegree)
 
     start = time.perf_counter()
-    nu_used = spec.nu if spec.nu is not None else suggested_nu(spec.bidegree)
+    nu_used = _nu_used(spec)
     region_note = _region_warning(spec.bidegree, nu_used)
     if region_note:
         warnings.append(region_note)
@@ -259,26 +258,27 @@ def run_implicitize(
     M = build_matrix(F, nu_used)
     timings["matrix_ms"] = _ms(start)
 
+    report = OutputReport(
+        bidegree=spec.bidegree,
+        region=reg,
+        nu_used=nu_used,
+        summary=summary,
+        matrix=M,
+        minor_columns=None,
+        equation=None,
+        equation_degree=None,
+        verified=None,
+        seed=spec.seed,
+        warnings=warnings,
+        timings=timings,
+    )
     if matrix_only:
         timings["total_ms"] = _ms(total_start)
         warnings.append("determinant and verification skipped (matrix only)")
-        return OutputReport(
-            bidegree=spec.bidegree,
-            region=reg,
-            nu_used=nu_used,
-            summary=summary,
-            matrix=M,
-            minor_columns=None,
-            equation=None,
-            equation_degree=None,
-            verified=None,
-            seed=spec.seed,
-            warnings=warnings,
-            timings=timings,
-        )
+        return report
 
     start = time.perf_counter()
-    minor_columns, dets = minor_determinants(M, spec.seed, spec.minors, _worker_jobs())
+    minor_columns, dets = minor_determinants(M, spec.seed, spec.minors)
     if spec.minors > 1 and len(dets) == 1 and M.rows == M.cols:
         warnings.append(
             "matrix is square; extra minors coincide with the full matrix"
@@ -288,10 +288,16 @@ def run_implicitize(
     start = time.perf_counter()
     equation = reduce_equation(dets)
     timings["reduce_ms"] = _ms(start)
-    if equation.total_degree() < summary.macrae_degree:
+    degree = equation.total_degree()
+    if degree < summary.macrae_degree:
         warnings.append(
             "gcd over minors removed an extraneous factor; the reported "
             "equation may still be a power of the irreducible one"
+        )
+    elif degree > summary.macrae_degree:
+        warnings.append(
+            f"equation degree {degree} exceeds the MacRae degree "
+            f"{summary.macrae_degree}: the minor carries an extraneous factor"
         )
 
     start = time.perf_counter()
@@ -301,20 +307,9 @@ def run_implicitize(
         warnings.append("substitution check FAILED: equation does not vanish")
 
     timings["total_ms"] = _ms(total_start)
-    return OutputReport(
-        bidegree=spec.bidegree,
-        region=reg,
-        nu_used=nu_used,
-        summary=summary,
-        matrix=M,
-        minor_columns=minor_columns,
-        equation=equation,
-        equation_degree=equation.total_degree(),
-        verified=verified,
-        seed=spec.seed,
-        warnings=warnings,
-        timings=timings,
-    )
+    report.minor_columns, report.equation = minor_columns, equation
+    report.equation_degree, report.verified = degree, verified
+    return report
 
 
 def _ms(start: float) -> float:
@@ -346,89 +341,47 @@ def _emit(document: dict) -> None:
 
 def _cmd_region(args) -> int:
     e = _pair_argument(args.bidegree, "--bidegree")
-    spec = region(e)
-    _emit(
-        {
-            "bidegree": list(spec.e),
-            "corners": [list(c) for c in spec.corners],
-            "suggested_nu": list(suggested_nu(e)),
-        }
-    )
+    _emit({**region_dict(region(e)), "suggested_nu": list(suggested_nu(e))})
     return 0
 
 
-def _load_common(args) -> tuple[InputSpec, Parametrization, Bidegree, list[str]]:
-    spec = load_input(args.input)
-    if getattr(args, "nu", None):
-        spec = InputSpec(
-            bidegree=spec.bidegree,
-            polynomials=spec.polynomials,
-            nu=_pair_argument(args.nu, "--nu"),
-            seed=spec.seed,
-            minors=spec.minors,
-        )
-    F = build_parametrization(spec)
-    nu_used = spec.nu if spec.nu is not None else suggested_nu(spec.bidegree)
-    note = _region_warning(spec.bidegree, nu_used)
-    return spec, F, nu_used, [note] if note else []
-
-
-def _cmd_hilbert(args) -> int:
-    spec, F, nu_used, warnings = _load_common(args)
-    reg = region(spec.bidegree)
-    summary = complex_summary(F, nu_used)
-    _emit(
-        {
-            "bidegree": list(spec.bidegree),
-            "region": region_dict(reg),
-            "nu_used": list(nu_used),
-            "summary": summary_dict(summary),
-            "warnings": warnings,
-        }
-    )
-    return 0
-
-
-def _cmd_matrix(args) -> int:
-    spec, F, nu_used, warnings = _load_common(args)
-    reg = region(spec.bidegree)
-    summary = complex_summary(F, nu_used)
-    M = build_matrix(F, nu_used)
-    _emit(
-        {
-            "bidegree": list(spec.bidegree),
-            "region": region_dict(reg),
-            "nu_used": list(nu_used),
-            "summary": summary_dict(summary),
-            "matrix": matrix_dict(M),
-            "warnings": warnings,
-        }
-    )
-    return 0
-
-
-def _cmd_implicitize(args) -> int:
+def _load_spec(args) -> InputSpec:
+    """The input document with the values given by --nu, --seed and
+    --minors put in place of its own."""
     spec = load_input(args.input)
     overrides = {}
     if args.nu:
         overrides["nu"] = _pair_argument(args.nu, "--nu")
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.minors is not None:
-        if args.minors < 1:
-            raise InputError("--minors must be a positive integer")
-        overrides["minors"] = args.minors
-    if overrides:
-        spec = InputSpec(
-            bidegree=spec.bidegree,
-            polynomials=spec.polynomials,
-            nu=overrides.get("nu", spec.nu),
-            seed=overrides.get("seed", spec.seed),
-            minors=overrides.get("minors", spec.minors),
-        )
+    for name in ("seed", "minors"):
+        if getattr(args, name, None) is not None:
+            overrides[name] = getattr(args, name)
+    return replace(spec, **overrides)
+
+
+def _cmd_summary(args) -> int:
+    """`hilbert` and `matrix`: the slice summary at the degree in use;
+    `matrix` adds the matrix representation."""
+    spec = _load_spec(args)
+    F = build_parametrization(spec)
+    nu_used = _nu_used(spec)
+    note = _region_warning(spec.bidegree, nu_used)
+    document = {
+        "bidegree": list(spec.bidegree),
+        "region": region_dict(region(spec.bidegree)),
+        "nu_used": list(nu_used),
+        "summary": summary_dict(complex_summary(F, nu_used)),
+    }
+    if args.command == "matrix":
+        document["matrix"] = matrix_dict(build_matrix(F, nu_used))
+    document["warnings"] = [note] if note else []
+    _emit(document)
+    return 0
+
+
+def _cmd_implicitize(args) -> int:
+    spec = _load_spec(args)
     # emit the degree warning before the pipeline so it survives failures
-    nu_used = spec.nu if spec.nu is not None else suggested_nu(spec.bidegree)
-    region_note = _region_warning(spec.bidegree, nu_used)
+    region_note = _region_warning(spec.bidegree, _nu_used(spec))
     if region_note:
         print(f"warning: {region_note}", file=sys.stderr)
     report = run_implicitize(spec, matrix_only=args.matrix_only, verify=args.verify)
@@ -481,12 +434,12 @@ def _build_parser() -> _ArgumentParser:
     )
     p_hilbert.add_argument("input")
     p_hilbert.add_argument("--nu", metavar="A,B")
-    p_hilbert.set_defaults(func=_cmd_hilbert)
+    p_hilbert.set_defaults(func=_cmd_summary)
 
     p_matrix = sub.add_parser("matrix", help="assemble the matrix representation")
     p_matrix.add_argument("input")
     p_matrix.add_argument("--nu", metavar="A,B")
-    p_matrix.set_defaults(func=_cmd_matrix)
+    p_matrix.set_defaults(func=_cmd_summary)
 
     p_impl = sub.add_parser("implicitize", help="full implicitization pipeline")
     p_impl.add_argument("input")

@@ -7,10 +7,11 @@ so the rank and the reduced row echelon form are those of the rational
 matrix.  At each column the pivot is the waiting row with the fewest nonzeros, and
 every other row with an entry there becomes the primitive part of an
 integer combination of itself and the pivot row, which bounds its entries
-by minors of the input (Bareiss, Math. Comp. 1968).  `exact_rank` stops
-after this forward phase; `rref_nullspace` also clears each pivot column
-above its pivot and reads the unique RREF off as exact rationals.  No
-floats and no modular arithmetic are involved.
+by minors of the input (Bareiss, Math. Comp. 1968).  `exact_rank` and
+`independent_columns` stop after this forward phase and read off the
+number of pivots and the pivot columns; `rref_nullspace` also clears each
+pivot column above its pivot and reads the unique RREF off as exact
+rationals.  No floats and no modular arithmetic are involved.
 """
 
 from __future__ import annotations
@@ -277,6 +278,21 @@ def rref_nullspace(M: QMatrix) -> tuple[int, list[list]]:
 def exact_rank(M: QMatrix) -> int:
     """Exact rank of M over Q, from the forward phase alone."""
     return len(_echelon(M.data, M.cols)[1])
+
+
+def independent_columns(M: QMatrix, order=None) -> list[int]:
+    """Ascending indices of the columns of M that are independent of every
+    column scanned before them, scanning left to right or in `order`.
+
+    These are the pivot columns of the forward phase run on M with its
+    columns in scan order: a column gets a pivot exactly when it is not a
+    combination of the columns before it.
+    """
+    if order is None:
+        return _echelon(M.data, M.cols)[1]
+    order = list(order)
+    permuted = [[row[j] for j in order] for row in M.data]
+    return sorted(order[k] for k in _echelon(permuted, len(order))[1])
 
 
 def multiplication_matrix(f: BigradedPoly, src) -> QMatrix:

@@ -2,14 +2,15 @@
 
 The degree-nu syzygies of the parametrization are rewritten as a matrix of
 linear forms in T1..T4 over the monomial basis of the degree-nu graded piece.
-A maximal square minor (random evaluation to pick candidate columns, then a
-symbolic certificate) has its determinant computed exactly: rows and columns
-with a single nonzero entry are peeled off, and the rest is evaluated on a
-grid modulo primes, interpolated, and recombined by CRT up to a proven
-coefficient bound.  The gcd of several such determinants, made primitive,
-is the reported implicit equation, certified by exact evaluation of
-eq(f1..f4) on a grid, and cross-checkable by rank drops at surface points
-and by a fully independent interpolation oracle.
+A maximal square minor is proposed by evaluating the matrix at a random
+point and taking the pivot columns of the integer elimination in `linalg`;
+its determinant, which certifies the proposal when nonzero, is computed
+exactly: rows and columns with a single nonzero entry are peeled off, and
+the rest is evaluated on a grid modulo primes, interpolated, and recombined
+by CRT up to a proven coefficient bound.  The gcd of several such
+determinants, made primitive, is the reported implicit equation, certified
+by exact evaluation of eq(f1..f4) on a grid, and cross-checkable by rank
+drops at surface points and by a fully independent interpolation oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +24,14 @@ from math import comb, lcm, prod
 import numpy as np
 
 from .complexes import SyzygyBasis, syzygy_basis
-from .linalg import GradedBasis, QMatrix, coeff_vector, exact_rank, graded_basis
+from .linalg import (
+    GradedBasis,
+    QMatrix,
+    coeff_vector,
+    exact_rank,
+    graded_basis,
+    independent_columns,
+)
 from .modnull import (
     crt_combine,
     det_mod_p,
@@ -33,11 +41,9 @@ from .modnull import (
 )
 from .poly import (
     Bidegree,
-    BigradedPoly,
     Monomial,
     Parametrization,
     TPoly,
-    _format_terms,
     as_bidegree,
     exact,
     rational_content,
@@ -47,6 +53,7 @@ from .poly import (
 from .polygcd import tpoly_gcd
 
 RANDOM_COORD_BOUND = 10  # sampling box [-10, 10] keeps evaluated entries small
+MAX_TRIES = 25  # random evaluation points per minor proposal
 
 
 class RankDeficientError(RuntimeError):
@@ -92,13 +99,7 @@ class LinTForm:
         return acc
 
     def __str__(self) -> str:
-        items = [
-            ((1 if i == 0 else 0, 1 if i == 1 else 0, 1 if i == 2 else 0, 1 if i == 3 else 0), c)
-            for i, c in enumerate(self.coefficients)
-            if c
-        ]
-        items.sort(key=lambda kv: kv[0], reverse=True)
-        return _format_terms(items, ("T1", "T2", "T3", "T4"))
+        return str(self.to_tpoly())
 
 
 @dataclass(frozen=True)
@@ -154,14 +155,6 @@ class MatrixRep:
             for row in self._integer_entries
         ]
         return QMatrix(self.rows, self.cols, data)
-
-
-@dataclass(frozen=True)
-class ImplicitResult:
-    equation: TPoly
-    degree: int
-    minor_columns: tuple[int, ...]
-    verified: bool
 
 
 def build_matrix(F: Parametrization, nu) -> MatrixRep:
@@ -401,122 +394,53 @@ def bareiss_det(matrix) -> TPoly:
     return det * (scale * sign)
 
 
-def _greedy_independent_columns(numeric: QMatrix, target: int, order=None) -> list[int]:
-    """Greedy pick of columns that stay linearly independent, scanned in the
-    given order (left-to-right by default), by incremental exact elimination;
-    stops after `target` columns.  Returned indices are sorted ascending."""
-    rows = numeric.rows
-    reduced: list[tuple[int, list]] = []  # (pivot row, reduced column)
-    chosen: list[int] = []
-    for j in order if order is not None else range(numeric.cols):
-        vec = [numeric.data[i][j] for i in range(rows)]
-        for pivot_row, basis_vec in reduced:
-            f = vec[pivot_row]
-            if f:
-                vec = [a - f * b for a, b in zip(vec, basis_vec)]
-        pivot_row = next((i for i, x in enumerate(vec) if x), None)
-        if pivot_row is None:
-            continue
-        inv = Fraction(1) / Fraction(vec[pivot_row])
-        vec = [exact(x * inv) if x else 0 for x in vec]
-        reduced.append((pivot_row, vec))
-        chosen.append(j)
-        if len(chosen) == target:
-            break
-    return sorted(chosen)
-
-
-def _certified_minor(M: MatrixRep, seed: int, max_tries: int = 25):
-    """Column indices of a certified nonsingular maximal minor plus its exact
-    determinant.  Random evaluation proposes columns; bareiss_det certifies.
-    """
-    if M.rows == 0:
-        return [], TPoly.constant(1)
-    if all(entry.is_zero() for row in M.entries for entry in row):
-        raise RankDeficientError("matrix of linear forms is zero")
+def _proposals(M: MatrixRep, seed: int, shuffle: bool = False):
+    """Column sets of full row size, independent at a random evaluation
+    point, from up to MAX_TRIES points drawn from random.Random(seed).
+    With shuffle=True the columns are scanned in a random order, drawn after
+    each point, so that different seeds explore different minors."""
     rng = random.Random(seed)
-    for _ in range(max_tries):
-        tau = [rng.randint(-RANDOM_COORD_BOUND, RANDOM_COORD_BOUND) for _ in range(4)]
-        numeric = M.evaluate(tau)
-        chosen = _greedy_independent_columns(numeric, M.rows)
-        if len(chosen) < M.rows:
-            continue
-        det = bareiss_det(M.submatrix(chosen))
-        if not det.is_zero():
-            return chosen, det
-    raise RankDeficientError(
-        f"no nonsingular {M.rows}x{M.rows} minor found in {max_tries} attempts"
-    )
-
-
-def select_max_minor(M: MatrixRep, seed: int = 0) -> list[int]:
-    """Columns of a square minor of full row size with certified nonzero
-    symbolic determinant; raises RankDeficientError when none exists."""
-    columns, _ = _certified_minor(M, seed)
-    return columns
-
-
-def propose_minor_columns(M: MatrixRep, seed: int, max_tries: int = 25, shuffle: bool = False):
-    """Numeric-only candidate column set of full row size (no certificate);
-    None when random evaluations keep coming up short.  With shuffle=True the
-    scan order is randomized so different seeds explore different minors."""
-    rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         tau = [rng.randint(-RANDOM_COORD_BOUND, RANDOM_COORD_BOUND) for _ in range(4)]
         order = None
         if shuffle:
             order = list(range(M.cols))
             rng.shuffle(order)
-        chosen = _greedy_independent_columns(M.evaluate(tau), M.rows, order)
+        chosen = independent_columns(M.evaluate(tau), order)
         if len(chosen) == M.rows:
-            return chosen
-    return None
+            yield chosen
 
 
-def minor_determinants(M: MatrixRep, seed: int, count: int, jobs: int = 1):
+def minor_determinants(M: MatrixRep, seed: int, count: int):
     """Column sets and determinants for up to `count` distinct maximal
-    minors.  The first minor is certified; extra minors with zero determinant
-    are dropped.  Extra determinants run in a process pool when jobs > 1.
-    Returns (columns of the first minor, list of determinants)."""
-    first_cols, first_det = _certified_minor(M, seed)
-    column_sets = [first_cols]
-    seen = {tuple(first_cols)}
-    for i in range(1, count):
-        candidate = propose_minor_columns(M, seed + 1000 * i, shuffle=True)
-        if candidate is not None and tuple(candidate) not in seen:
-            seen.add(tuple(candidate))
-            column_sets.append(candidate)
+    minors; returns (columns of the first minor, list of determinants).
 
-    extra = [M.submatrix(cols) for cols in column_sets[1:]]
-    if extra and jobs > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=min(jobs, len(extra))) as pool:
-                extra_dets = list(pool.map(bareiss_det, extra))
-        except OSError:
-            extra_dets = [bareiss_det(sub) for sub in extra]
+    The first minor is the first proposal whose determinant is nonzero, and
+    RankDeficientError is raised when there is none.  Each extra minor is
+    the first proposal of a shuffled scan under its own seed; repeated
+    column sets are skipped and zero determinants dropped.
+    """
+    if M.rows == 0:
+        return [], [TPoly.constant(1)]
+    if all(entry.is_zero() for row in M.entries for entry in row):
+        raise RankDeficientError("matrix of linear forms is zero")
+    for columns in _proposals(M, seed):
+        det = bareiss_det(M.submatrix(columns))
+        if not det.is_zero():
+            break
     else:
-        extra_dets = [bareiss_det(sub) for sub in extra]
-
-    dets = [first_det] + [d for d in extra_dets if not d.is_zero()]
-    return column_sets[0], dets
-
-
-def implicit_equation(
-    M: MatrixRep, F: Parametrization, seed: int = 0, minors: int = 1, jobs: int = 1
-) -> ImplicitResult:
-    """Equation of the image from a matrix representation: certified maximal
-    minor, fraction-free determinant (gcd over extra minors when requested),
-    primitive reduction, and substitution check."""
-    columns, dets = minor_determinants(M, seed, minors, jobs)
-    equation = reduce_equation(dets)
-    return ImplicitResult(
-        equation=equation,
-        degree=equation.total_degree(),
-        minor_columns=tuple(columns),
-        verified=verify_substitution(equation, F),
-    )
+        raise RankDeficientError(
+            f"no nonsingular {M.rows}x{M.rows} minor found in {MAX_TRIES} attempts"
+        )
+    column_sets, dets = [columns], [det]
+    for i in range(1, count):
+        candidate = next(_proposals(M, seed + 1000 * i, shuffle=True), None)
+        if candidate is not None and candidate not in column_sets:
+            column_sets.append(candidate)
+            det = bareiss_det(M.submatrix(candidate))
+            if not det.is_zero():
+                dets.append(det)
+    return columns, dets
 
 
 def reduce_equation(dets) -> TPoly:

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -15,7 +16,7 @@ from biimplicit.cli import (
 from biimplicit.parser import parse_tpoly
 from biimplicit.poly import Bidegree, TPoly
 
-from conftest import GOLDEN_STRINGS, SEGRE_STRINGS
+from conftest import GOLDEN_STRINGS, SEGRE_STRINGS, random_parametrization
 
 
 def write_input(tmp_path, name="input.json", **overrides):
@@ -102,9 +103,43 @@ class TestRunImplicitize:
             polynomials=SEGRE_STRINGS,
             nu=Bidegree(1, 1),
         )
-        # (1,1) dominates (1,0): still in the good region, no warning
+        # (1,1) dominates (1,0): still in the good region, so no region
+        # warning; but the minor picks up the factor T1^2
         report = run_implicitize(spec)
-        assert report.warnings == []
+        assert report.equation == parse_tpoly("T1^3*T4-T1^2*T2*T3")
+        assert report.warnings == [
+            "equation degree 4 exceeds the MacRae degree 2: "
+            "the minor carries an extraneous factor"
+        ]
+
+    @pytest.mark.parametrize(
+        "nu, degree, warnings",
+        [
+            (None, 4, []),
+            (
+                Bidegree(2, 2),
+                9,
+                [
+                    "equation degree 9 exceeds the MacRae degree 4: "
+                    "the minor carries an extraneous factor"
+                ],
+            ),
+        ],
+    )
+    def test_macrae_degree_warning(self, nu, degree, warnings):
+        # rand12: the first (1,2) map drawn from random.Random(7); its MacRae
+        # degree is 4 at both nu
+        F = random_parametrization(random.Random(7), Bidegree(1, 2))
+        spec = InputSpec(
+            bidegree=Bidegree(1, 2),
+            polynomials=tuple(str(f) for f in F.polys),
+            nu=nu,
+        )
+        report = run_implicitize(spec)
+        assert report.summary.macrae_degree == 4
+        assert report.equation_degree == degree
+        assert report.verified is True
+        assert report.warnings == warnings
 
     def test_matrix_only(self):
         spec = InputSpec(bidegree=Bidegree(1, 1), polynomials=SEGRE_STRINGS)
@@ -272,6 +307,17 @@ class TestCommands:
         assert err.startswith("error:") and "nonnegative" in err
         assert out == ""
 
+    @pytest.mark.parametrize("where", ["input", "flag"])
+    def test_minors_below_one_rejected(self, capsys, tmp_path, where):
+        if where == "input":
+            argv = ["implicitize", write_input(tmp_path, minors=0)]
+        else:
+            argv = ["implicitize", write_input(tmp_path), "--minors", "0"]
+        code, out, err = run_main(capsys, argv)
+        assert code == 1
+        assert err == "error: minors must be a positive integer, got 0\n"
+        assert out == ""
+
     def test_verify_command(self, capsys, tmp_path):
         eq_path = tmp_path / "equation.txt"
         eq_path.write_text("T1*T4 - T2*T3\n")
@@ -313,23 +359,22 @@ class TestDeterminism:
             outputs.append(json.dumps(doc, sort_keys=False))
         assert outputs[0] == outputs[1]
 
-    def test_parallel_minors_same_equation(self, capsys, tmp_path, monkeypatch):
+    def test_extra_minors_same_equation(self, capsys, tmp_path):
         # duplicated polynomial: the matrix is 2x3, so several distinct
-        # maximal minors exist and their determinants run in worker processes
-        monkeypatch.setenv("BIIMPLICIT_JOBS", "2")
-        path = write_input(
-            tmp_path,
-            polynomials=["s*t", "s*t", "u*t", "u*v"],
-            minors=3,
-        )
+        # maximal minors exist; --minors gives what the input's field gives
+        polynomials = ["s*t", "s*t", "u*t", "u*v"]
+        path = write_input(tmp_path, polynomials=polynomials, minors=3)
         code, out, _ = run_main(capsys, ["implicitize", path])
         assert code == 0
         doc = json.loads(out)
         assert doc["matrix"]["cols"] == 3
         assert doc["verified"] is True
-        monkeypatch.delenv("BIIMPLICIT_JOBS")
-        serial = json.loads(run_main(capsys, ["implicitize", path])[1])
-        assert serial["equation"] == doc["equation"]
+        assert doc["equation"] == "T1 - T2"
+        plain = write_input(tmp_path, name="plain.json", polynomials=polynomials)
+        flag = json.loads(run_main(capsys, ["implicitize", plain, "--minors", "3"])[1])
+        flag.pop("timings")
+        doc.pop("timings")
+        assert flag == doc
 
 
 def test_console_script_runs():

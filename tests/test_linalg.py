@@ -11,6 +11,7 @@ from biimplicit.linalg import (
     coeff_vector,
     exact_rank,
     graded_basis,
+    independent_columns,
     multiplication_matrix,
     poly_from_vector,
     rref_nullspace,
@@ -252,3 +253,63 @@ def test_dense_large_entries(deficient):
     assert len(basis) == 40 - rank
     for vec in basis:
         assert M.matvec(vec) == [0] * 40
+
+
+def greedy_independent_columns(M: QMatrix, order=None) -> list[int]:
+    """Reference scan: keep each column that stays independent of the kept
+    ones, by incremental elimination over Fraction, stopping once as many
+    columns as rows are kept; returns the kept indices sorted."""
+    reduced: list[tuple[int, list]] = []  # (pivot row, reduced column)
+    chosen: list[int] = []
+    for j in order if order is not None else range(M.cols):
+        vec = [M.data[i][j] for i in range(M.rows)]
+        for pivot_row, basis_vec in reduced:
+            f = vec[pivot_row]
+            if f:
+                vec = [a - f * b for a, b in zip(vec, basis_vec)]
+        pivot_row = next((i for i, x in enumerate(vec) if x), None)
+        if pivot_row is None:
+            continue
+        inv = Fraction(1) / Fraction(vec[pivot_row])
+        reduced.append((pivot_row, [x * inv for x in vec]))
+        chosen.append(j)
+        if len(chosen) == M.rows:
+            break
+    return sorted(chosen)
+
+
+@st.composite
+def column_matrices(draw):
+    """Matrices up to 6x9 over Q, empty, wide and tall shapes included, with
+    zero columns, duplicated (possibly rescaled) columns and combinations of
+    two earlier columns mixed in; and a scan order, default or shuffled."""
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 9))
+    columns = []
+    for j in range(cols):
+        kind = draw(st.sampled_from(("keep", "keep", "zero", "copy", "combine")))
+        if kind == "zero":
+            column = [0] * rows
+        elif kind == "copy" and j:
+            scale = draw(st.sampled_from((1, -1, 3, Fraction(2, 5))))
+            column = [scale * x for x in columns[draw(st.integers(0, j - 1))]]
+        elif kind == "combine" and j >= 2:
+            a, b = draw(st.integers(-3, 3)), draw(st.fractions(-3, 3, max_denominator=4))
+            first, second = (columns[draw(st.integers(0, j - 1))] for _ in range(2))
+            column = [a * x + b * y for x, y in zip(first, second)]
+        else:
+            column = draw(st.lists(entries, min_size=rows, max_size=rows))
+        columns.append(column)
+    data = [[columns[j][i] for j in range(cols)] for i in range(rows)]
+    order = draw(st.none() | st.permutations(range(cols)))
+    return QMatrix(rows, cols, data), order
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(column_matrices())
+def test_independent_columns_matches_greedy_scan(case):
+    M, order = case
+    chosen = independent_columns(M, order)
+    assert chosen == greedy_independent_columns(M, order)
+    assert len(chosen) == exact_rank(M)
+

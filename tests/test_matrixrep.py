@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from biimplicit import matrixrep
 from biimplicit.cli import InputSpec, run_implicitize
 from biimplicit.complexes import suggested_nu
-from biimplicit.linalg import QMatrix, coeff_vector, exact_rank, graded_basis
+from biimplicit.linalg import (
+    QMatrix,
+    coeff_vector,
+    exact_rank,
+    graded_basis,
+    independent_columns,
+)
 from biimplicit.matrixrep import (
     AllZeroError,
     AmbiguousNullspaceError,
@@ -19,15 +25,12 @@ from biimplicit.matrixrep import (
     MatrixRep,
     NoEquationError,
     RankDeficientError,
-    _greedy_independent_columns,
     bareiss_det,
     build_matrix,
-    implicit_equation,
     interpolation_oracle,
     minor_determinants,
     rank_drop_check,
     reduce_equation,
-    select_max_minor,
     verify_substitution,
 )
 from biimplicit.parser import parse_poly, parse_tpoly
@@ -185,7 +188,7 @@ class TestBuildMatrix:
 
 class TestSelectMaxMinor:
     def test_golden_full_square(self, golden_matrix):
-        assert select_max_minor(golden_matrix, seed=0) == list(range(12))
+        assert minor_determinants(golden_matrix, 0, 1)[0] == list(range(12))
 
     def test_duplicate_column_not_selected_twice(self):
         entries = (
@@ -198,7 +201,7 @@ class TestSelectMaxMinor:
             syzygies=None,
             entries=entries,
         )
-        cols = select_max_minor(M, seed=1)
+        cols = minor_determinants(M, 1, 1)[0]
         assert len(cols) == len(set(cols)) == 2
         assert cols == [0, 2]
         assert not bareiss_det(M.submatrix(cols)).is_zero()
@@ -212,7 +215,7 @@ class TestSelectMaxMinor:
             entries=entries,
         )
         with pytest.raises(RankDeficientError):
-            select_max_minor(M, seed=0)
+            minor_determinants(M, 0, 1)
 
     def test_rank_deficient_rectangular(self):
         # two proportional rows: symbolic rank 1 < 2 rows
@@ -227,7 +230,7 @@ class TestSelectMaxMinor:
             entries=entries,
         )
         with pytest.raises(RankDeficientError):
-            select_max_minor(M, seed=0)
+            minor_determinants(M, 0, 1)
 
 
 class TestBareissDet:
@@ -384,7 +387,7 @@ def pipeline_cases(draw):
     )
     M = build_matrix(F, suggested_nu((1, 1)))
     try:
-        cols = select_max_minor(M, seed=0)
+        cols = minor_determinants(M, 0, 1)[0]
     except RankDeficientError:
         assume(False)
     return F, reduce_equation([bareiss_det(M.submatrix(cols))])
@@ -475,9 +478,9 @@ class TestMatrixEvaluate:
             order = list(range(M.cols))
             rng.shuffle(order)
             for scan in (None, order):
-                assert _greedy_independent_columns(
-                    numeric, M.rows, scan
-                ) == _greedy_independent_columns(reference, M.rows, scan)
+                assert independent_columns(numeric, scan) == independent_columns(
+                    reference, scan
+                )
 
 
 class TestRankDrop:
@@ -507,9 +510,8 @@ class TestRankDrop:
 
 
 def _golden_det(golden_matrix):
-    from biimplicit.matrixrep import _certified_minor
-
-    return _certified_minor(golden_matrix, 0)
+    cols, dets = minor_determinants(golden_matrix, 0, 1)
+    return cols, dets[0]
 
 
 def M_eval(M, tau):
@@ -602,11 +604,12 @@ class TestInterpolationOracle:
 class TestImplicitEquation:
     def test_segre(self, segre_F):
         M = build_matrix(segre_F, suggested_nu((1, 1)))
-        result = implicit_equation(M, segre_F)
-        assert result.equation == tp("T1*T4-T2*T3")
-        assert result.degree == 2
-        assert result.minor_columns == (0, 1)
-        assert result.verified is True
+        cols, dets = minor_determinants(M, 0, 1)
+        equation = reduce_equation(dets)
+        assert equation == tp("T1*T4-T2*T3")
+        assert equation.total_degree() == 2
+        assert cols == [0, 1]
+        assert verify_substitution(equation, segre_F) is True
 
     def test_rectangular_with_extra_minors(self):
         # duplicated first polynomial: image is the plane T1 = T2, matrix 2x3
@@ -615,18 +618,36 @@ class TestImplicitEquation:
         )
         M = build_matrix(F, suggested_nu((1, 1)))
         assert (M.rows, M.cols) == (2, 3)
-        result = implicit_equation(M, F, minors=3)
-        assert result.verified is True
+        _, dets = minor_determinants(M, 0, 3)
+        equation = reduce_equation(dets)
+        assert verify_substitution(equation, F) is True
         # the gcd over distinct minors strips the extraneous factor
-        assert result.equation == tp("T1-T2")
+        assert equation == tp("T1-T2")
 
-    def test_minor_determinants_in_worker_processes(self):
+    def test_minor_determinants_three_distinct(self):
         F = random_parametrization(random.Random(7), Bidegree(1, 1))
         M = build_matrix(F, (3, 1))
         assert M.rows < M.cols
-        serial = minor_determinants(M, seed=0, count=3, jobs=1)
-        assert len(serial[1]) == 3
-        assert minor_determinants(M, seed=0, count=3, jobs=2) == serial
+        cols, dets = minor_determinants(M, seed=0, count=3)
+        assert len(dets) == 3 and not any(d.is_zero() for d in dets)
+
+        # minor i is the first full-size scan under seed 1000*i: its random
+        # point is drawn first, then (for extra minors) the column order
+        def scan(seed, shuffle):
+            rng = random.Random(seed)
+            while True:
+                tau = [rng.randint(-10, 10) for _ in range(4)]
+                order = list(range(M.cols))
+                if shuffle:
+                    rng.shuffle(order)
+                chosen = independent_columns(M.evaluate(tau), order)
+                if len(chosen) == M.rows:
+                    return chosen
+
+        column_sets = [scan(1000 * i, i > 0) for i in range(3)]
+        assert cols == column_sets[0]
+        assert len({tuple(c) for c in column_sets}) == 3
+        assert dets == [bareiss_det(M.submatrix(c)) for c in column_sets]
 
     def test_minor_determinants_dedupes(self, segre_F):
         M = build_matrix(segre_F, suggested_nu((1, 1)))
@@ -640,7 +661,7 @@ class TestEndToEndSmall:
         nu = suggested_nu((1, 1))
         M = build_matrix(segre_F, nu)
         assert (M.rows, M.cols) == (2, 2)
-        cols = select_max_minor(M, seed=0)
+        cols = minor_determinants(M, 0, 1)[0]
         eq = reduce_equation([bareiss_det(M.submatrix(cols))])
         assert eq == tp("T1*T4-T2*T3")
         assert verify_substitution(eq, segre_F)
@@ -674,7 +695,7 @@ class TestEndToEndSmall:
             nu = suggested_nu((1, 1))
             M = build_matrix(F, nu)
             try:
-                cols = select_max_minor(M, seed=checked)
+                cols = minor_determinants(M, checked, 1)[0]
             except RankDeficientError:
                 continue
             det = bareiss_det(M.submatrix(cols))
