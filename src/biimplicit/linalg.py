@@ -108,13 +108,6 @@ class QMatrix:
         return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
     @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
-
-    @classmethod
     def from_rows(cls, rows: list[list]) -> "QMatrix":
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
@@ -123,33 +116,6 @@ class QMatrix:
     def __getitem__(self, key):
         i, j = key
         return self.data[i][j]
-
-    def matmul(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError("incompatible shapes")
-        out = QMatrix.zeros(self.rows, other.cols)
-        for i, row in enumerate(self.data):
-            orow = out.data[i]
-            for k, a in enumerate(row):
-                if not a:
-                    continue
-                brow = other.data[k]
-                for j, b in enumerate(brow):
-                    if b:
-                        orow[j] += a * b
-        return out
-
-    def matvec(self, vec: list) -> list:
-        if self.cols != len(vec):
-            raise ValueError("incompatible shapes")
-        out = []
-        for row in self.data:
-            acc = 0
-            for a, x in zip(row, vec):
-                if a and x:
-                    acc += a * x
-            out.append(acc)
-        return out
 
     def is_zero(self) -> bool:
         return all(not x for row in self.data for x in row)

@@ -4,6 +4,17 @@ form, then back substitution) behind the interpolation cross-check,
 determinants of batches of matrices behind the minor determinants, Chinese
 remaindering, and rational reconstruction.
 
+The forward elimination takes the columns in panels.  Pivots inside a panel
+touch only the panel's columns and record their multipliers; the rest of
+the matrix then catches up once per panel, the rows below the panel's
+pivots through one matrix product L21 @ U12 mod p.  That product runs as
+two float64 BLAS products on 16-bit halves of L21, whose partial sums stay
+below 2^53 and so are exact, taken over chunks of rows to bound the float
+temporaries.  This is the delayed reduction of Dumas, Giorgi and Pernet
+(FFLAS-FFPACK, ACM TOMS 2008); taking the first nonzero of each column as
+pivot keeps the column rank profile, so the pivots and echelon rows are
+those of elimination pivot by pivot.
+
 Callers stay exact: the interpolation oracle certifies every answer with
 integer arithmetic, so a bad prime can cost time but never correctness, and
 the determinant takes primes until their product exceeds a proven bound on
@@ -54,34 +65,95 @@ def prime_stream():
         n -= 2
 
 
+# Columns eliminated per panel, and rows per trailing-update product; the
+# chunk bounds the float64 temporaries of `_split_matmul_mod_p`.
+PANEL = 32
+ROW_CHUNK = 128
+
+
+def _split_matmul_mod_p(L: np.ndarray, U: np.ndarray, p: int) -> np.ndarray:
+    """L @ U mod p for int64 matrices with entries in [0, p), p < 2^31, and
+    at most 64 columns in L, from two float64 (BLAS) products.
+
+    L is split into 16-bit halves, L = Lhi * 2^16 + Llo.  Each term of
+    Lhi @ U and Llo @ U is below 2^16 * 2^31 = 2^47, so every partial sum of
+    at most 64 terms stays below 2^53: both products are exact in any
+    summation order, with or without fused multiply-add.  They are combined
+    in int64 as (Lhi @ U mod p) * 2^16 + Llo @ U < 2^47 + 2^53.
+    """
+    Uf = U.astype(np.float64)
+    out = ((L >> 16).astype(np.float64) @ Uf).astype(np.int64)
+    out %= p
+    out <<= 16
+    out += ((L & 0xFFFF).astype(np.float64) @ Uf).astype(np.int64)
+    out %= p
+    return out
+
+
 def _echelon_mod_p(A: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     """Row echelon form of an int64 matrix over Z/p with unit pivots.
 
-    Returns (pivot column indices, the nonzero rows of the echelon form).
-    Each pivot clears only the rows below it, from its column rightwards;
-    the pivots are the ones Gauss-Jordan elimination would pick.  Entries of
-    A must already lie in [0, p), so every product stays below 2^62.
+    Returns (pivot column indices, the nonzero rows of the echelon form):
+    the rows and pivots of pivot-by-pivot elimination in which each pivot is
+    the first nonzero at or below the current row and clears only the rows
+    below it, from its column rightwards.  The pivots are the column rank
+    profile, the ones Gauss-Jordan elimination would pick.  Entries of A
+    must already lie in [0, p), so every product stays below 2^62.
+
+    The columns are taken in panels of PANEL, c0 <= c < c1, starting at row
+    r0.  The panel's rows from r0 down are copied out (to their left, M is
+    zero there) and eliminated in the panel's columns only: each pivot
+    swaps rows, scales its row and clears the rows below.  The multiplier
+    of every row it clears, and its own inverse on the pivot row, go into a
+    rows x PANEL array L whose rows swap with the panel's and with M's
+    trailing columns.  Those columns then catch up: each pivot row by
+    forward substitution with its recorded multipliers and the pivot rows
+    above it, and the rows below all at once, M[r:, c1:] -= L21 @ U12 mod p,
+    as one exact `_split_matmul_mod_p` product per ROW_CHUNK rows.
     """
     M = A.copy()
     rows, cols = M.shape
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c0 in range(0, cols, PANEL):
         if r >= rows:
             break
-        nz = np.flatnonzero(M[r:, c])
-        if nz.size == 0:
+        c1 = min(c0 + PANEL, cols)
+        r0 = r
+        P = M[r0:, c0:c1].copy()
+        L = np.zeros_like(P)
+        k = 0
+        for c in range(c1 - c0):
+            if k == len(P):
+                break
+            nz = np.flatnonzero(P[k:, c])
+            if nz.size == 0:
+                continue
+            i = k + int(nz[0])
+            if i != k:
+                P[[k, i]] = P[[i, k]]
+                L[[k, i]] = L[[i, k]]
+                M[[r0 + k, r0 + i], c1:] = M[[r0 + i, r0 + k], c1:]
+            inv = pow(int(P[k, c]), -1, p)
+            L[k, k] = inv
+            P[k, c:] = P[k, c:] * inv % p
+            L[k + 1 :, k] = P[k + 1 :, c]
+            P[k + 1 :, c:] -= np.outer(L[k + 1 :, k], P[k, c:])
+            P[k + 1 :, c:] %= p
+            pivots.append(c0 + c)
+            k += 1
+        M[r0:, c0:c1] = P
+        r = r0 + k
+        if k == 0 or c1 == cols:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        inv = pow(int(M[r, c]), p - 2, p)
-        M[r, c:] = M[r, c:] * inv % p
-        below = r + 1 + np.flatnonzero(M[r + 1 :, c])
-        if below.size:
-            M[below, c:] = (M[below, c:] - np.outer(M[below, c], M[r, c:])) % p
-        pivots.append(c)
-        r += 1
+        U = M[r0:r, c1:]
+        for j in range(k):
+            U[j] -= _split_matmul_mod_p(L[j : j + 1, :j], U[:j], p)[0]
+            U[j] = U[j] % p * L[j, j] % p
+        for i in range(r, rows, ROW_CHUNK):
+            block = M[i : i + ROW_CHUNK, c1:]
+            block -= _split_matmul_mod_p(L[i - r0 : i - r0 + ROW_CHUNK, :k], U, p)
+            block %= p
     return pivots, M[:r]
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from biimplicit.parser import parse_poly
 from biimplicit.poly import BigradedPoly, Parametrization
-from biimplicit.linalg import graded_basis
+from biimplicit.linalg import QMatrix, graded_basis
 
 # one-line descriptions registered by test_acceptance, printed per criterion
 ACCEPTANCE_LINES: dict[str, str] = {}
@@ -75,3 +75,34 @@ def random_parametrization(rng: random.Random, deg) -> Parametrization:
     return Parametrization.from_polys(
         random_bipoly(rng, deg) for _ in range(4)
     )
+
+
+def identity(n: int) -> QMatrix:
+    """The n x n identity matrix."""
+    m = QMatrix.zeros(n, n)
+    for i in range(n):
+        m.data[i][i] = 1
+    return m
+
+
+def matmul(A: QMatrix, B: QMatrix) -> QMatrix:
+    """The exact product A B."""
+    if A.cols != B.rows:
+        raise ValueError("incompatible shapes")
+    out = QMatrix.zeros(A.rows, B.cols)
+    for i, row in enumerate(A.data):
+        orow = out.data[i]
+        for k, a in enumerate(row):
+            if not a:
+                continue
+            for j, b in enumerate(B.data[k]):
+                if b:
+                    orow[j] += a * b
+    return out
+
+
+def matvec(M: QMatrix, vec: list) -> list:
+    """The exact product M vec."""
+    if M.cols != len(vec):
+        raise ValueError("incompatible shapes")
+    return [sum(a * x for a, x in zip(row, vec) if a and x) for row in M.data]

@@ -573,6 +573,27 @@ class TestInterpolationOracle:
         with pytest.raises(AmbiguousNullspaceError):
             interpolation_oracle(segre_F, 2, seed=5)
 
+    @pytest.mark.parametrize(
+        "instance, degree, primes", [("golden", 12, 4), ((2, 2), 8, 8), ((1, 4), 8, 8)]
+    )
+    def test_prime_use(self, golden_F, monkeypatch, instance, degree, primes):
+        # one nullspace per prime: a faster elimination must not change how
+        # many primes the oracle consumes
+        if instance == "golden":
+            F = golden_F
+        else:
+            F = random_parametrization(random.Random(7), instance)
+        real = matrixrep.nullspace_mod_p
+        calls = []
+
+        def counting(A, p):
+            calls.append(p)
+            return real(A, p)
+
+        monkeypatch.setattr(matrixrep, "nullspace_mod_p", counting)
+        interpolation_oracle(F, degree, seed=0)
+        assert len(calls) == primes
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         st.sampled_from([(1, 1), (1, 2), (2, 1)]),

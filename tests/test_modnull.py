@@ -1,12 +1,18 @@
 from fractions import Fraction
 from math import isqrt, prod
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biimplicit import modnull
 from biimplicit.modnull import (
+    PANEL,
+    ROW_CHUNK,
+    _echelon_mod_p,
     _is_prime,
+    _split_matmul_mod_p,
     crt_combine,
     det_mod_p,
     nullspace_mod_p,
@@ -113,6 +119,126 @@ def test_large_entries_do_not_overflow():
     A[58] = A[0]
     A[59] = A[1]
     assert len(_check_against_reference(A.tolist(), 60, p)) == 2
+
+
+def _reference_echelon_mod_p(A: np.ndarray, p: int):
+    """Row echelon form over Z/p pivot by pivot: each pivot is the first
+    nonzero at or below the current row and clears the rows below it across
+    the whole remaining width, reducing every entry after each pivot."""
+    M = A.copy()
+    rows, cols = M.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.flatnonzero(M[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            M[[r, i]] = M[[i, r]]
+        inv = pow(int(M[r, c]), p - 2, p)
+        M[r, c:] = M[r, c:] * inv % p
+        below = r + 1 + np.flatnonzero(M[r + 1 :, c])
+        if below.size:
+            M[below, c:] = (M[below, c:] - np.outer(M[below, c], M[r, c:])) % p
+        pivots.append(c)
+        r += 1
+    return pivots, M[:r]
+
+
+def _check_against_reference_echelon(A: np.ndarray, p: int) -> list:
+    """The panel elimination against the pivot-by-pivot reference: the same
+    pivots and echelon rows, and the same nullspace basis when the reference
+    stands in for it inside `nullspace_mod_p`."""
+    pivots, U = _echelon_mod_p(A, p)
+    ref_pivots, ref_U = _reference_echelon_mod_p(A, p)
+    assert pivots == ref_pivots
+    assert U.tolist() == ref_U.tolist()
+    got = nullspace_mod_p(A, p)
+    with mock.patch.object(modnull, "_echelon_mod_p", _reference_echelon_mod_p):
+        want = nullspace_mod_p(A, p)
+    assert got[0] == want[0]
+    assert [v.tolist() for v in got[1]] == [v.tolist() for v in want[1]]
+    return got[1]
+
+
+# panel boundaries and the sizes on either side of them
+EDGES = [b + d for b in (PANEL, 2 * PANEL, 3 * PANEL) for d in (-1, 0, 1)]
+
+
+@st.composite
+def panel_matrices(draw):
+    """Matrices of up to three full panels and a ragged fourth, drawn as a
+    seed plus the structure imposed on the random entries."""
+    p = draw(st.sampled_from(PRIMES))
+    size = st.one_of(st.integers(0, 110), st.sampled_from(EDGES))
+    nrows, cols = draw(size), draw(size)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.one_of(st.none(), st.integers(0, 110), st.sampled_from(EDGES)))
+    if rank is None:
+        A = rng.integers(0, p, size=(nrows, cols))
+    else:
+        # rank at most `rank`; the small right factor keeps the product in int64
+        left = rng.integers(0, p, size=(nrows, rank))
+        A = left @ rng.integers(0, 4, size=(rank, cols)) % p
+    # sparse rows force row swaps after earlier pivots of the same panel
+    density = draw(st.sampled_from([1.0, 1.0, 0.3, 0.05]))
+    A = A * (rng.random((nrows, cols)) < density)
+    if cols > 2 and draw(st.booleans()):
+        # a run of dependent columns across a panel boundary
+        edge = draw(st.sampled_from([b for b in EDGES if 2 < b < cols] or [cols - 1]))
+        first = max(1, edge - draw(st.integers(0, 4)))
+        for c in range(first, min(edge + draw(st.integers(1, 4)), cols)):
+            a, b = rng.integers(0, c, size=2)
+            A[:, c] = (A[:, a] * int(rng.integers(0, p)) + A[:, b]) % p
+    if draw(st.booleans()):
+        # zero columns at the first and last column of each panel
+        A[:, [c for c in range(cols) if c % PANEL in (0, PANEL - 1)]] = 0
+    for _ in range(draw(st.integers(0, 3))):
+        if nrows:
+            A[rng.integers(0, nrows)] = 0
+    for _ in range(draw(st.integers(0, 3))):
+        if nrows:
+            A[rng.integers(0, nrows)] = A[rng.integers(0, nrows)]
+    return A.astype(np.int64).reshape(nrows, cols), p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(panel_matrices())
+def test_panel_elimination_agrees_with_pivot_by_pivot(case):
+    A, p = case
+    _check_against_reference_echelon(A, p)
+
+
+def test_split_matmul_at_its_limit():
+    # 64 columns of p - 1 at p = 2^31 - 1: every partial sum of the split
+    # products is just below 2^53
+    p = 2**31 - 1
+    L = np.full((3, 64), p - 1, dtype=np.int64)
+    U = np.full((64, 5), p - 1, dtype=np.int64)
+    assert _split_matmul_mod_p(L, U, p).tolist() == [[64 * (p - 1) ** 2 % p] * 5] * 3
+    rng = np.random.default_rng(3)
+    L = rng.integers(p - 1000, p, size=(40, 64))
+    U = rng.integers(p - 1000, p, size=(64, 30))
+    want = [[sum(int(a) * int(b) for a, b in zip(row, col)) % p for col in U.T] for row in L]
+    assert _split_matmul_mod_p(L, U, p).tolist() == want
+
+
+def test_large_entries_across_panels_and_row_chunks():
+    # entries within 1000 of 2^31 - 1, over several panels and more than
+    # one chunk of rows below the first panel
+    p = 2**31 - 1
+    rng = np.random.default_rng(11)
+    A = p - 1 - rng.integers(0, 1000, size=(300, 260))
+    A[:, 100] = A[:, 37]
+    A[:, 259] = A[:, 200]
+    assert A.shape[0] - PANEL > ROW_CHUNK and A.shape[1] > 3 * PANEL
+    basis = _check_against_reference_echelon(A, p)
+    assert len(basis) == 2
+    for v in basis:
+        assert not any(sum(int(a) * int(x) for a, x in zip(row, v)) % p for row in A)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
