@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 
 import numpy as np
 
@@ -491,6 +491,17 @@ def _sample_point(rng: random.Random):
             return pt
 
 
+def _projective_point(pt):
+    """The canonical representative of a point of P1 x P1 given by integer
+    coordinates (s, u, t, v): each pair divided by its gcd, with its first
+    nonzero entry made positive."""
+    out = []
+    for x, y in (pt[:2], pt[2:]):
+        g = gcd(x, y) if x > 0 or (x == 0 and y > 0) else -gcd(x, y)
+        out += [x // g, y // g]
+    return tuple(out)
+
+
 def rank_drop_check(
     M: MatrixRep, F: Parametrization, trials: int = 100, seed: int = 0
 ) -> bool:
@@ -525,12 +536,13 @@ def _degree_monomials(degree: int) -> list[Monomial]:
 def interpolation_oracle(F: Parametrization, degree: int, seed: int = 0) -> TPoly:
     """Independent reconstruction of the implicit equation of the image.
 
-    Samples random parameter points away from base points and keeps each
-    one as its image point T = (f1..f4)(pt).  For each word-sized prime the
-    matrix of every degree-`degree` monomial in T at the image points is
-    formed modulo that prime and its nullspace found by forward elimination
-    and back substitution; one-dimensional nullspaces are combined by CRT
-    and rational reconstruction.  The resulting form is returned only if it
+    Samples random parameter points, distinct in P1 x P1 and away from base
+    points, and keeps each one as its image point T = (f1..f4)(pt).  For
+    each word-sized prime the matrix of every degree-`degree` monomial in T
+    at the image points is formed modulo that prime and its nullspace found
+    by forward elimination and back substitution; one-dimensional
+    nullspaces are combined by CRT and rational reconstruction.  The
+    resulting form is returned only if it
     vanishes exactly at every sample, so the only probabilistic ingredient
     is running time.  A nullity >= 2 can mean either an unlucky point
     configuration or a genuinely fat solution space, so the sample is
@@ -552,7 +564,9 @@ def interpolation_oracle(F: Parametrization, degree: int, seed: int = 0) -> TPol
 
     def extend_images(target: int) -> None:
         while len(images) < target:
-            pt = _sample_point(rng)
+            # projectively equal points have proportional images, which
+            # give dependent rows
+            pt = _projective_point(_sample_point(rng))
             if pt in seen:
                 continue
             seen.add(pt)

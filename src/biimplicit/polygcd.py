@@ -1,192 +1,139 @@
-"""Exact gcd of multivariate polynomials over Q, by primitive polynomial
-remainder sequences with content recursion, one variable at a time.
+"""Exact gcd of multivariate polynomials over Z by heuristic evaluation
+(GCDHEU: Char, Geddes and Gonnet, J. Symb. Comp. 1989; Geddes, Czapor and
+Labahn, *Algorithms for Computer Algebra*, section 7.7).
 
-Polynomials are handled as plain dicts mapping exponent tuples to integer
-coefficients; rational inputs are cleared to primitive integer form first,
-which only changes the gcd by a unit.  Results are primitive with a positive
-leading coefficient in descending lex order.
+Polynomials are plain dicts mapping exponent tuples to integer coefficients.
+For nonzero primitive f, g in Z[x1..xk] the last variable is evaluated at
+an integer xi >= 2*min(|f|, |g|) + 2 (|.| the largest absolute coefficient),
+and the gcd gamma of f(xi), g(xi) in Z[x1..x(k-1)] is found the same way,
+down to the integer gcd.  The xi-adic expansion of gamma with digits in the
+symmetric range is a polynomial h with h(xi) = gamma exactly.  Its primitive
+part is accepted only when it divides both f and g exactly over Z, and by
+GCL Theorem 7.7 that trial division alone proves it is the gcd: the xi bound
+is what makes any common divisor of f, g that passes it the greatest one.
+
+Otherwise xi grows and the attempt is repeated.  This ends: with f = G*u and
+g = G*v for coprime u, v, gamma = G(xi)*E where E = gcd(u(xi), v(xi)).  A
+nonconstant E survives only at the finitely many xi where a nonzero
+resultant of u and v vanishes, and otherwise E is an integer dividing a
+fixed integer of u and v alone (the univariate resultant when k = 1).  Once
+xi also exceeds 2*|E*G|, the expansion of gamma is E*G itself, whose
+primitive part is G.
+
+The evaluations are large integers (their size multiplies with each
+variable), but one gcd of those integers replaces the polynomial remainder
+sequences of a classical method; the only polynomial arithmetic left is the
+trial division.  Results are primitive with a positive leading coefficient
+in descending lex order.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd, isqrt
 
-from .poly import TPoly, exact
-
-
-def _is_zero(p: dict) -> bool:
-    return not p
-
-
-def _mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            mono = tuple(x + y for x, y in zip(ma, mb))
-            val = out.get(mono, 0) + ca * cb
-            if val:
-                out[mono] = val
-            else:
-                del out[mono]
-    return out
-
-
-def _sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for m, c in b.items():
-        val = out.get(m, 0) - c
-        if val:
-            out[m] = val
-        else:
-            out.pop(m, None)
-    return out
+from .poly import TPoly
 
 
 def exact_div(a: dict, b: dict) -> dict:
-    """Exact division of term dicts; raises ArithmeticError when b does not
-    divide a.  Works for int or Fraction coefficients."""
-    if _is_zero(b):
+    """Quotient of integer term dicts by trial division in descending lex
+    order; raises ArithmeticError when b does not divide a over Z."""
+    if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if _is_zero(a):
-        return {}
     rem = dict(a)
     quo: dict = {}
     lead_b = max(b)
     lb = b[lead_b]
+    rest = [(m, c) for m, c in b.items() if m != lead_b]
     while rem:
-        lead_r = max(rem)
-        mono = tuple(x - y for x, y in zip(lead_r, lead_b))
-        if any(e < 0 for e in mono):
+        lead = max(rem)
+        mono = tuple(x - y for x, y in zip(lead, lead_b))
+        c, r = divmod(rem.pop(lead), lb)
+        if r or min(mono) < 0:
             raise ArithmeticError("inexact polynomial division")
-        c = exact(Fraction(rem[lead_r]) / Fraction(lb))
         quo[mono] = c
-        for mb, cb in b.items():
+        for mb, cb in rest:
             m = tuple(x + y for x, y in zip(mono, mb))
             val = rem.get(m, 0) - c * cb
             if val:
                 rem[m] = val
             else:
-                rem.pop(m, None)
+                del rem[m]
     return quo
 
 
-def _normalize_sign(p: dict) -> dict:
-    if p and p[max(p)] < 0:
-        return {m: -c for m, c in p.items()}
-    return p
+def _primitive(p: dict) -> tuple[int, dict]:
+    cont = gcd(*p.values())
+    return cont, {m: c // cont for m, c in p.items()}
 
 
-def _to_univariate(p: dict, var: int) -> dict[int, dict]:
-    """View an n-variable dict as univariate in `var` with dict coefficients
-    in the remaining variables (exponent tuples keep their length)."""
-    out: dict[int, dict] = {}
-    for mono, c in p.items():
-        d = mono[var]
-        inner = list(mono)
-        inner[var] = 0
-        out.setdefault(d, {})[tuple(inner)] = c
-    return out
-
-
-def _from_univariate(u: dict[int, dict], var: int) -> dict:
+def _evaluate_last(p: dict, xi: int, degree: int) -> dict:
+    """p with its last variable set to xi, on exponent tuples one shorter."""
+    powers = [1]
+    for _ in range(degree):
+        powers.append(powers[-1] * xi)
     out: dict = {}
-    for d, coeff in u.items():
-        for mono, c in coeff.items():
-            m = list(mono)
-            m[var] = d
-            out[tuple(m)] = c
+    for mono, c in p.items():
+        key = mono[:-1]
+        out[key] = out.get(key, 0) + c * powers[mono[-1]]
+    return {m: c for m, c in out.items() if c}
+
+
+def _lift(gamma: dict, xi: int) -> dict:
+    """The polynomial h in one more variable with h(xi) = gamma, each
+    coefficient expanded in base xi with digits in (-xi/2, xi/2]."""
+    half = xi // 2
+    out: dict = {}
+    for mono, c in gamma.items():
+        e = 0
+        while c:
+            c, d = divmod(c, xi)
+            if d > half:
+                d -= xi
+                c += 1
+            if d:
+                out[mono + (e,)] = d
+            e += 1
     return out
 
 
-def _content(u: dict[int, dict], nvars: int) -> dict:
-    cont: dict = {}
-    for coeff in u.values():
-        cont = _gcd_rec(cont, coeff, nvars)
-    return cont
-
-
-def _primitive_part(u: dict[int, dict], nvars: int) -> dict[int, dict]:
-    cont = _content(u, nvars)
-    if not cont:
-        return {}
-    return {d: exact_div(coeff, cont) for d, coeff in u.items()}
-
-
-def _prem(p: dict[int, dict], q: dict[int, dict]) -> dict[int, dict]:
-    """Pseudo-remainder of univariate polynomials with dict coefficients:
-    repeatedly scale p by the leading coefficient of q and subtract."""
-    dq = max(q)
-    lq = q[dq]
-    r = dict(p)
-    while r and max(r) >= dq:
-        dr = max(r)
-        lr = r[dr]
-        shift = dr - dq
-        new: dict[int, dict] = {}
-        for d, coeff in r.items():
-            if d == dr:
-                continue
-            new[d] = _mul(lq, coeff)
-        for d, coeff in q.items():
-            if d == dq:
-                continue
-            target = d + shift
-            val = _sub(new.get(target, {}), _mul(lr, coeff))
-            if val:
-                new[target] = val
-            else:
-                new.pop(target, None)
-        r = {d: c for d, c in new.items() if c}
-    return r
-
-
-def _gcd_rec(p: dict, q: dict, nvars: int) -> dict:
-    """Gcd of term dicts over Z in the first `nvars` variables; exponents in
-    later positions must be zero.  Result sign-normalized."""
-    if _is_zero(p):
-        return _normalize_sign(dict(q))
-    if _is_zero(q):
-        return _normalize_sign(dict(p))
+def _gcd(f: dict, g: dict) -> dict:
+    """A gcd of integer term dicts, not both zero, over Z in the variables
+    of their (equal-length) exponent tuples; the sign is not normalized."""
+    if not f:
+        return g
+    if not g:
+        return f
+    nvars = len(next(iter(f)))
     if nvars == 0:
-        key = next(iter(p))
-        return {key: int_gcd(abs(p[key]), abs(q[key]))}
-    var = nvars - 1
-    pu = _to_univariate(p, var)
-    qu = _to_univariate(q, var)
-    if max(pu) == 0 and max(qu) == 0:
-        return _gcd_rec(pu[0], qu[0], var)
-
-    cont_p = _content(pu, var)
-    cont_q = _content(qu, var)
-    cont_gcd = _gcd_rec(cont_p, cont_q, var)
-    a = {d: exact_div(c, cont_p) for d, c in pu.items()}
-    b = {d: exact_div(c, cont_q) for d, c in qu.items()}
-    if max(a) < max(b):
-        a, b = b, a
-    while b:
-        r = _prem(a, b)
-        a, b = b, _primitive_part(r, var)
-    if max(a) == 0:
-        result_u = {0: cont_gcd}
-    else:
-        result_u = {d: _mul(c, cont_gcd) for d, c in a.items()}
-    return _normalize_sign(_from_univariate(result_u, var))
-
-
-def _integerize(p: TPoly) -> dict:
-    """Primitive integer term dict of a TPoly (unit multiple of the input)."""
-    prim = p.primitive()
-    return dict(prim.terms)
+        return {(): gcd(f[()], g[()])}
+    cf, f = _primitive(f)
+    cg, g = _primitive(g)
+    content = gcd(cf, cg)
+    df = max(m[-1] for m in f)
+    dg = max(m[-1] for m in g)
+    if df == dg == 0:
+        # the last variable is absent: drop it rather than evaluate
+        h = _gcd(
+            {m[:-1]: c for m, c in f.items()}, {m[:-1]: c for m, c in g.items()}
+        )
+        return {m + (0,): c * content for m, c in h.items()}
+    norm = min(max(map(abs, f.values())), max(map(abs, g.values())))
+    xi = 2 * norm + 2
+    while True:
+        gamma = _gcd(_evaluate_last(f, xi, df), _evaluate_last(g, xi, dg))
+        _, h = _primitive(_lift(gamma, xi))
+        try:
+            exact_div(f, h)
+            exact_div(g, h)
+        except ArithmeticError:
+            xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+            continue
+        return {m: c * content for m, c in h.items()}
 
 
 def tpoly_gcd(a: TPoly, b: TPoly) -> TPoly:
     """Primitive, sign-normalized gcd of two target-ring polynomials."""
     if a.is_zero() and b.is_zero():
         return TPoly.zero()
-    if a.is_zero():
-        return b.primitive()
-    if b.is_zero():
-        return a.primitive()
-    g = _gcd_rec(_integerize(a), _integerize(b), 4)
+    g = _gcd(a.primitive().terms, b.primitive().terms)
     return TPoly(g).primitive()

@@ -594,6 +594,28 @@ class TestInterpolationOracle:
         interpolation_oracle(F, degree, seed=0)
         assert len(calls) == primes
 
+    def test_projective_point(self):
+        assert matrixrep._projective_point((-2, -4, 3, -6)) == (1, 2, 1, -2)
+        assert matrixrep._projective_point((0, -3, -5, 0)) == (0, 1, 1, 0)
+        assert matrixrep._projective_point((7, -1, 0, 4)) == (7, -1, 0, 1)
+
+    def test_samples_are_distinct_points(self, monkeypatch):
+        # rand33 has 1140 degree-17 monomials; its first 1200 samples are
+        # 1200 distinct points of P1 x P1, so one prime certifies that no
+        # degree-17 form vanishes on them
+        F = random_parametrization(random.Random(7), (3, 3))
+        real = matrixrep.nullspace_mod_p
+        shapes = []
+
+        def counting(A, p):
+            shapes.append(A.shape)
+            return real(A, p)
+
+        monkeypatch.setattr(matrixrep, "nullspace_mod_p", counting)
+        with pytest.raises(NoEquationError):
+            interpolation_oracle(F, 17, seed=0)
+        assert shapes == [(1200, 1140)]
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         st.sampled_from([(1, 1), (1, 2), (2, 1)]),
@@ -644,6 +666,20 @@ class TestImplicitEquation:
         assert verify_substitution(equation, F) is True
         # the gcd over distinct minors strips the extraneous factor
         assert equation == tp("T1-T2")
+
+    def test_gcd_of_three_minors_rand12(self):
+        # rand12 at nu=(2,2): a 9x16 strand whose three minors have
+        # determinants of degree 9 with a degree-4 gcd, the implicit equation
+        F = random_parametrization(random.Random(7), (1, 2))
+        spec = InputSpec(
+            bidegree=Bidegree(1, 2),
+            polynomials=tuple(str(f) for f in F.polys),
+            nu=Bidegree(2, 2),
+            minors=3,
+        )
+        report = run_implicitize(spec)
+        assert report.equation_degree == 4
+        assert report.equation == interpolation_oracle(F, 4)
 
     def test_minor_determinants_three_distinct(self):
         F = random_parametrization(random.Random(7), Bidegree(1, 1))
