@@ -57,8 +57,8 @@ from .poly import (
     TPoly,
     ZeroPolynomialError,
     substitute_T,
+    tpoly_gcd,
 )
-from .polygcd import tpoly_gcd
 
 __version__ = "0.1.0"
 

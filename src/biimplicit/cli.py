@@ -15,8 +15,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
-from math import lcm
 
 from .complexes import (
     ComplexSummary,
@@ -41,6 +39,7 @@ from .matrixrep import (
 from .parser import ParseError, parse_poly, parse_tpoly
 from .poly import (
     Bidegree,
+    BigradedPoly,
     NotBihomogeneousError,
     Parametrization,
     TPoly,
@@ -96,9 +95,7 @@ class OutputReport:
             "minor_columns": (
                 list(self.minor_columns) if self.minor_columns is not None else None
             ),
-            "equation": format_equation(self.equation)
-            if self.equation is not None
-            else None,
+            "equation": str(self.equation) if self.equation is not None else None,
             "equation_degree": self.equation_degree,
             "verified": self.verified,
             "seed": self.seed,
@@ -124,29 +121,13 @@ def summary_dict(summary: ComplexSummary) -> dict:
 
 
 def matrix_dict(M: MatrixRep) -> dict:
-    from .poly import _format_terms
-
     return {
         "nu": list(M.nu),
         "rows": M.rows,
         "cols": M.cols,
-        "row_basis": [
-            _format_terms([(mono, 1)], ("s", "u", "t", "v"))
-            for mono in M.row_basis.monomials
-        ],
+        "row_basis": [str(BigradedPoly.monomial(m)) for m in M.row_basis.monomials],
         "entries": [[str(entry) for entry in row] for row in M.entries],
     }
-
-
-def format_equation(eq: TPoly) -> str:
-    """Canonical serialization: descending lex T-terms with integer
-    coefficients after clearing denominators."""
-    denom = 1
-    for c in eq.terms.values():
-        denom = lcm(denom, Fraction(c).denominator)
-    if denom != 1:
-        eq = eq * denom
-    return str(eq)
 
 
 def load_input(path: str) -> InputSpec:

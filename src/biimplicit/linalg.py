@@ -1,8 +1,8 @@
 """Monomial bases of graded pieces and exact linear algebra over Q.
 
 Rank and nullspace come from one fraction-free elimination over Z.  Each
-row is scaled by the lcm of its denominators and stored as a sparse
-primitive integer row {col: int}; scaling rows leaves the row space alone,
+row is divided by its rational content and stored as a sparse primitive
+integer row {col: int}; scaling rows leaves the row space alone,
 so the rank and the reduced row echelon form are those of the rational
 matrix.  At each column the pivot is the waiting row with the fewest nonzeros, and
 every other row with an entry there becomes the primitive part of an
@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from .poly import Bidegree, BigradedPoly, Monomial, as_bidegree, exact
+from .poly import divide_content, integer_primitive, rational_content
 
 
 class DegreeMismatchError(ValueError):
@@ -138,20 +139,12 @@ class QMatrix:
 def _integer_row(row) -> dict[int, int]:
     """Sparse primitive integer multiple of one rational row: {col: int}.
 
-    Scaling by the lcm of the denominators and dividing by the content
-    changes no row space, so neither the rank nor the RREF moves.
+    Dividing by the rational content changes no row space, so neither the
+    rank nor the RREF moves.
     """
     entries = {j: x for j, x in enumerate(row) if x}
-    den = lcm(*(x.denominator for x in entries.values()))
-    out = {j: x.numerator * (den // x.denominator) for j, x in entries.items()}
-    return _primitive(out)
-
-
-def _primitive(row: dict[int, int]) -> dict[int, int]:
-    content = gcd(*row.values())
-    if content > 1:
-        return {j: x // content for j, x in row.items()}
-    return row
+    content = rational_content(entries.values())
+    return {j: divide_content(x, content) for j, x in entries.items()}
 
 
 def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
@@ -172,7 +165,7 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, i
             row[j] = x
         else:
             del row[j]
-    return _primitive(row)
+    return integer_primitive(row)[1]
 
 
 def _echelon(data: list[list], cols: int) -> tuple[list[dict], list[int]]:

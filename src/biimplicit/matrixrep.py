@@ -45,12 +45,13 @@ from .poly import (
     Parametrization,
     TPoly,
     as_bidegree,
+    divide_content,
     exact,
     rational_content,
     # unused here; kept because perfbench/spans.py wraps matrixrep.substitute_T
     substitute_T,  # noqa: F401
+    tpoly_gcd,
 )
-from .polygcd import tpoly_gcd
 
 RANDOM_COORD_BOUND = 10  # sampling box [-10, 10] keeps evaluated entries small
 MAX_TRIES = 25  # random evaluation points per minor proposal
@@ -184,13 +185,6 @@ def _linear_coefficients(entry) -> tuple:
             coeffs[mono.index(1)] = c
         return tuple(coeffs)
     raise ValueError(f"matrix entries must be linear forms in T1..T4, got {entry!r}")
-
-
-def _divide_exactly(c, content: Fraction) -> int:
-    """c / content for a coefficient c of a row with that rational content."""
-    if isinstance(c, int):
-        return c * content.denominator // content.numerator
-    return c.numerator * (content.denominator // c.denominator) // content.numerator
 
 
 def _peel(grid: list[dict], n: int):
@@ -375,7 +369,7 @@ def bareiss_det(matrix) -> TPoly:
         scale *= content
         grid.append(
             {
-                j: tuple(_divide_exactly(c, content) for c in coeffs)
+                j: tuple(divide_content(c, content) for c in coeffs)
                 for j, coeffs in enumerate(row)
                 if any(coeffs)
             }
@@ -418,7 +412,8 @@ def minor_determinants(M: MatrixRep, seed: int, count: int):
     The first minor is the first proposal whose determinant is nonzero, and
     RankDeficientError is raised when there is none.  Each extra minor is
     the first proposal of a shuffled scan under its own seed; repeated
-    column sets are skipped and zero determinants dropped.
+    column sets are skipped and zero determinants dropped.  A square matrix
+    has only the one minor, so it gets no extra proposals.
     """
     if M.rows == 0:
         return [], [TPoly.constant(1)]
@@ -433,7 +428,7 @@ def minor_determinants(M: MatrixRep, seed: int, count: int):
             f"no nonsingular {M.rows}x{M.rows} minor found in {MAX_TRIES} attempts"
         )
     column_sets, dets = [columns], [det]
-    for i in range(1, count):
+    for i in range(1, count if M.rows != M.cols else 1):
         candidate = next(_proposals(M, seed + 1000 * i, shuffle=True), None)
         if candidate is not None and candidate not in column_sets:
             column_sets.append(candidate)
@@ -489,6 +484,15 @@ def _sample_point(rng: random.Random):
         )
         if (pt[0], pt[1]) != (0, 0) and (pt[2], pt[3]) != (0, 0):
             return pt
+
+
+def _box_points() -> int:
+    """Number of distinct points of P1 x P1 that _sample_point can give: the
+    coprime pairs in the sampling box, halved because (x, y) and (-x, -y)
+    are one point of P1, squared for the two factors."""
+    b = RANDOM_COORD_BOUND
+    pairs = sum(gcd(x, y) == 1 for x in range(-b, b + 1) for y in range(-b, b + 1))
+    return (pairs // 2) ** 2
 
 
 def _projective_point(pt):
@@ -551,7 +555,8 @@ def interpolation_oracle(F: Parametrization, degree: int, seed: int = 0) -> TPol
 
     Raises NoEquationError when the nullspace is certified trivial (degree
     too small) and AmbiguousNullspaceError when a one-dimensional nullspace
-    cannot be certified (degree too large or degenerate sampling).
+    cannot be certified (degree too large or degenerate sampling), which
+    includes a sample larger than the points the sampling box holds.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -561,9 +566,15 @@ def interpolation_oracle(F: Parametrization, degree: int, seed: int = 0) -> TPol
     rng = random.Random(seed)
     seen: set[tuple] = set()
     images: list[tuple[int, ...]] = []
+    box_points = _box_points()
 
     def extend_images(target: int) -> None:
         while len(images) < target:
+            if target - len(images) > box_points - len(seen):
+                raise AmbiguousNullspaceError(
+                    f"the sampling box has {box_points} points of P1 x P1, too "
+                    f"few to give the {target} samples that degree {degree} needs"
+                )
             # projectively equal points have proportional images, which
             # give dependent rows
             pt = _projective_point(_sample_point(rng))

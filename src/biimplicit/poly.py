@@ -1,16 +1,20 @@
-"""Exact sparse polynomial arithmetic for the two rings of the pipeline.
+"""The sparse-polynomial engine: the one module that does arithmetic on term
+dicts.  Its rings are the source ring k[s,u,t,v], graded by deg(s) = deg(u)
+= (1,0) and deg(t) = deg(v) = (0,1), and the target ring k[T1..T4], where
+implicit equations live.
 
-Source ring: k[s,u,t,v] graded by deg(s) = deg(u) = (1,0), deg(t) = deg(v) = (0,1),
-with coefficients in Q.  Target ring: k[T1..T4], where implicit equations live.
-Monomials are raw exponent 4-tuples; coefficients are ints or Fractions (ints are
-kept as ints so that bulk arithmetic stays on machine/bigint fast paths).
+Monomials are exponent 4-tuples; coefficients are exact, ints or Fractions,
+with integral values kept as ints for the integer fast paths.  The content
+and primitive part of a polynomial or an integer row are computed here once
+(`rational_content`, `divide_content`, `integer_primitive`), and so is the
+gcd over Z (`tpoly_gcd`, see the comment above `exact_div`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Mapping
 
 Rational = Fraction
@@ -57,6 +61,23 @@ def rational_content(coefficients: Iterable) -> Fraction:
     return Fraction(nums, dens)
 
 
+def divide_content(c, content: Fraction) -> int:
+    """c / content as an int, for a coefficient c of a vector whose rational
+    content (of either sign) is `content`."""
+    if isinstance(c, int):
+        return c * content.denominator // content.numerator
+    return c.numerator * (content.denominator // c.denominator) // content.numerator
+
+
+def integer_primitive(terms: dict) -> tuple[int, dict]:
+    """Content and primitive part of a dict of int coefficients; the
+    primitive part is `terms` itself when the content is 1."""
+    content = gcd(*terms.values())
+    if content == 1:
+        return 1, terms
+    return content, {m: c // content for m, c in terms.items()}
+
+
 @dataclass(frozen=True)
 class Bidegree:
     """A Z^2 degree; addition and scalar multiples componentwise."""
@@ -98,34 +119,6 @@ def as_bidegree(value) -> Bidegree:
 
 def mono_bidegree(m: Monomial) -> Bidegree:
     return Bidegree(m[0] + m[1], m[2] + m[3])
-
-
-def _format_terms(items, names) -> str:
-    """Canonical rendering: descending lex term order, explicit signs,
-    '^' for powers, '*' between factors, no implicit multiplication."""
-    if not items:
-        return "0"
-    chunks: list[str] = []
-    for mono, coeff in items:
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
-        factors = []
-        for name, e in zip(names, mono):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = str(mag) + "*" + "*".join(factors)
-        if not chunks:
-            chunks.append(("-" if neg else "") + body)
-        else:
-            chunks.append((" - " if neg else " + ") + body)
-    return "".join(chunks)
 
 
 class _SparsePoly:
@@ -189,14 +182,7 @@ class _SparsePoly:
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            val = out.get(mono, 0) - c
-            if val:
-                out[mono] = val
-            else:
-                out.pop(mono, None)
-        return self._raw(out)
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, type(self)):
@@ -245,6 +231,14 @@ class _SparsePoly:
     def coefficient(self, mono: Monomial):
         return self.terms.get(tuple(mono), 0)
 
+    def evaluate(self, point) -> Fraction | int:
+        """The value at a point given by four exact coordinates."""
+        x1, x2, x3, x4 = (exact(x) for x in point)
+        total = 0
+        for (a, b, c, d), coeff in self.terms.items():
+            total += coeff * x1**a * x2**b * x3**c * x4**d
+        return exact(Fraction(total)) if isinstance(total, Fraction) else total
+
     def sorted_terms(self) -> list[tuple[Monomial, object]]:
         """Terms in descending lexicographic order on exponent tuples."""
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
@@ -268,7 +262,32 @@ class _SparsePoly:
         object.__setattr__(self, "terms", state)
 
     def __str__(self) -> str:
-        return _format_terms(self.sorted_terms(), self._var_names)
+        """Canonical rendering: descending lex term order, explicit signs,
+        '^' for powers, '*' between factors, no implicit multiplication."""
+        items = self.sorted_terms()
+        if not items:
+            return "0"
+        chunks: list[str] = []
+        for mono, coeff in items:
+            neg = coeff < 0
+            mag = -coeff if neg else coeff
+            factors = []
+            for name, e in zip(self._var_names, mono):
+                if e == 1:
+                    factors.append(name)
+                elif e > 1:
+                    factors.append(f"{name}^{e}")
+            if not factors:
+                body = str(mag)
+            elif mag == 1:
+                body = "*".join(factors)
+            else:
+                body = str(mag) + "*" + "*".join(factors)
+            if not chunks:
+                chunks.append(("-" if neg else "") + body)
+            else:
+                chunks.append((" - " if neg else " + ") + body)
+        return "".join(chunks)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self)!r})"
@@ -297,13 +316,6 @@ class BigradedPoly(_SparsePoly):
                 )
         return deg
 
-    def evaluate(self, point) -> Fraction | int:
-        s, u, t, v = (exact(x) for x in point)
-        total = 0
-        for (a, b, c, d), coeff in self.terms.items():
-            total += coeff * s**a * u**b * t**c * v**d
-        return exact(Fraction(total)) if isinstance(total, Fraction) else total
-
 
 class TPoly(_SparsePoly):
     """Element of k[T1,T2,T3,T4]; implicit equations live here."""
@@ -320,13 +332,6 @@ class TPoly(_SparsePoly):
         degrees = {sum(m) for m in self.terms}
         return len(degrees) <= 1
 
-    def evaluate(self, values) -> Fraction | int:
-        t1, t2, t3, t4 = (exact(x) for x in values)
-        total = 0
-        for (a, b, c, d), coeff in self.terms.items():
-            total += coeff * t1**a * t2**b * t3**c * t4**d
-        return exact(Fraction(total)) if isinstance(total, Fraction) else total
-
     def content(self) -> Fraction:
         """Positive rational content: gcd of numerators / lcm of denominators."""
         return rational_content(self.terms.values())
@@ -337,11 +342,9 @@ class TPoly(_SparsePoly):
         if not self.terms:
             return self
         cont = self.content()
-        lead = max(self.terms)
-        if self.terms[lead] < 0:
+        if self.terms[max(self.terms)] < 0:
             cont = -cont
-        inv = 1 / cont
-        return self._raw({m: exact(c * inv) for m, c in self.terms.items()})
+        return self._raw({m: divide_content(c, cont) for m, c in self.terms.items()})
 
 
 def substitute_T(q: TPoly, values: Iterable[BigradedPoly]) -> BigradedPoly:
@@ -401,3 +404,128 @@ class Parametrization:
         if len(polys) != 4:
             raise ValueError("a parametrization needs exactly 4 polynomials")
         return cls(polys, polys[0].bidegree())
+
+
+# -- gcd over Z ---------------------------------------------------------------
+#
+# Heuristic gcd, GCDHEU (Char, Geddes and Gonnet, J. Symb. Comp. 1989; Geddes,
+# Czapor and Labahn, *Algorithms for Computer Algebra*, section 7.7), on
+# integer term dicts with exponent tuples of any (equal) length.  For nonzero
+# primitive f, g in Z[x1..xk] the last variable is set to an integer
+# xi >= 2*min(|f|, |g|) + 2 (|.| the largest absolute coefficient), and the
+# gcd gamma of f(xi), g(xi) in Z[x1..x(k-1)] is found the same way, down to
+# the integer gcd.  The xi-adic expansion of gamma with digits in the
+# symmetric range is a polynomial h with h(xi) = gamma.  Its primitive part is
+# accepted only when it divides both f and g exactly over Z, and by GCL
+# Theorem 7.7 that trial division alone proves it is the gcd: the xi bound
+# makes any common divisor of f, g that passes it the greatest one.
+#
+# Otherwise xi grows and the attempt repeats.  This ends: with f = G*u and
+# g = G*v for coprime u, v, gamma = G(xi)*E where E = gcd(u(xi), v(xi)).  A
+# nonconstant E survives only at the finitely many xi where a nonzero
+# resultant of u and v vanishes, and otherwise E is an integer dividing a
+# fixed integer of u and v alone (the univariate resultant when k = 1).  Once
+# xi also exceeds 2*|E*G|, the expansion of gamma is E*G itself, whose
+# primitive part is G.  One gcd of large integers thus replaces the remainder
+# sequences of a classical method; the trial division is the only polynomial
+# arithmetic left.
+
+
+def exact_div(a: dict, b: dict) -> dict:
+    """Quotient of integer term dicts by trial division in descending lex
+    order; raises ArithmeticError when b does not divide a over Z."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = dict(a)
+    quo: dict = {}
+    lead_b = max(b)
+    lb = b[lead_b]
+    rest = [(m, c) for m, c in b.items() if m != lead_b]
+    while rem:
+        lead = max(rem)
+        mono = tuple(x - y for x, y in zip(lead, lead_b))
+        c, r = divmod(rem.pop(lead), lb)
+        if r or min(mono) < 0:
+            raise ArithmeticError("inexact polynomial division")
+        quo[mono] = c
+        for mb, cb in rest:
+            m = tuple(x + y for x, y in zip(mono, mb))
+            val = rem.get(m, 0) - c * cb
+            if val:
+                rem[m] = val
+            else:
+                del rem[m]
+    return quo
+
+
+def _evaluate_last(p: dict, xi: int, degree: int) -> dict:
+    """p with its last variable set to xi, on exponent tuples one shorter."""
+    powers = [1]
+    for _ in range(degree):
+        powers.append(powers[-1] * xi)
+    out: dict = {}
+    for mono, c in p.items():
+        key = mono[:-1]
+        out[key] = out.get(key, 0) + c * powers[mono[-1]]
+    return {m: c for m, c in out.items() if c}
+
+
+def _lift(gamma: dict, xi: int) -> dict:
+    """The polynomial h in one more variable with h(xi) = gamma, each
+    coefficient expanded in base xi with digits in (-xi/2, xi/2]."""
+    half = xi // 2
+    out: dict = {}
+    for mono, c in gamma.items():
+        e = 0
+        while c:
+            c, d = divmod(c, xi)
+            if d > half:
+                d -= xi
+                c += 1
+            if d:
+                out[mono + (e,)] = d
+            e += 1
+    return out
+
+
+def _gcd(f: dict, g: dict) -> dict:
+    """A gcd of integer term dicts, not both zero, over Z in the variables
+    of their (equal-length) exponent tuples; the sign is not normalized."""
+    if not f:
+        return g
+    if not g:
+        return f
+    nvars = len(next(iter(f)))
+    if nvars == 0:
+        return {(): gcd(f[()], g[()])}
+    cf, f = integer_primitive(f)
+    cg, g = integer_primitive(g)
+    content = gcd(cf, cg)
+    df = max(m[-1] for m in f)
+    dg = max(m[-1] for m in g)
+    if df == dg == 0:
+        # the last variable is absent: drop it rather than evaluate
+        h = _gcd(
+            {m[:-1]: c for m, c in f.items()}, {m[:-1]: c for m, c in g.items()}
+        )
+        return {m + (0,): c * content for m, c in h.items()}
+    norm = min(max(map(abs, f.values())), max(map(abs, g.values())))
+    xi = 2 * norm + 2
+    while True:
+        gamma = _gcd(_evaluate_last(f, xi, df), _evaluate_last(g, xi, dg))
+        _, h = integer_primitive(_lift(gamma, xi))
+        try:
+            exact_div(f, h)
+            exact_div(g, h)
+        except ArithmeticError:
+            xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+            continue
+        return {m: c * content for m, c in h.items()}
+
+
+def tpoly_gcd(a: TPoly, b: TPoly) -> TPoly:
+    """Primitive, sign-normalized gcd of two target-ring polynomials."""
+    if a.is_zero() and b.is_zero():
+        return TPoly.zero()
+    g = _gcd(a.primitive().terms, b.primitive().terms)
+    return TPoly(g).primitive()

@@ -8,13 +8,12 @@ import pytest
 from biimplicit.cli import (
     InputError,
     InputSpec,
-    format_equation,
     load_input,
     main,
     run_implicitize,
 )
 from biimplicit.parser import parse_tpoly
-from biimplicit.poly import Bidegree, TPoly
+from biimplicit.poly import Bidegree
 
 from conftest import GOLDEN_STRINGS, SEGRE_STRINGS, random_parametrization
 
@@ -166,17 +165,6 @@ class TestRunImplicitize:
         report = run_implicitize(spec)
         assert report.equation == parse_tpoly("T1*T4-T2*T3")
         assert any("square" in w for w in report.warnings)
-
-
-class TestFormatEquation:
-    def test_integers_kept(self):
-        assert format_equation(parse_tpoly("3*T1^2*T2-T3^3")) == "3*T1^2*T2 - T3^3"
-
-    def test_denominators_cleared(self):
-        from fractions import Fraction
-
-        eq = TPoly({(1, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0): Fraction(1, 3)})
-        assert format_equation(eq) == "3*T1 + 2*T2"
 
 
 class TestCommands:

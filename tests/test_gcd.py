@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biimplicit.parser import parse_tpoly
-from biimplicit.poly import TPoly
-from biimplicit.polygcd import exact_div, tpoly_gcd
+from biimplicit.poly import TPoly, exact_div, tpoly_gcd
 
 
 def tp(text):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from biimplicit.linalg import (
     DegreeMismatchError,
     QMatrix,
+    _integer_row,
     coeff_vector,
     exact_rank,
     graded_basis,
@@ -108,6 +110,32 @@ def random_qmatrix(rng, rows, cols, lo=-9, hi=9, density=0.7):
         for _ in range(rows)
     ]
     return QMatrix(rows, cols, data)
+
+
+def reference_integer_row(row) -> dict:
+    """_integer_row by the lcm of the denominators, then the gcd."""
+    entries = {j: x for j, x in enumerate(row) if x}
+    den = lcm(*(x.denominator for x in entries.values()))
+    out = {j: x.numerator * (den // x.denominator) for j, x in entries.items()}
+    content = gcd(*out.values())
+    return {j: x // content for j, x in out.items()} if content > 1 else out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.integers(-(2**100), 2**100)
+        | st.fractions(max_denominator=2**100)
+        | st.just(0),
+        max_size=10,
+    ),
+    st.fractions(max_denominator=2**40).filter(bool),
+)
+def test_integer_row_matches_lcm_reference(row, scale):
+    row = [x * scale for x in row]
+    out = _integer_row(row)
+    assert out == reference_integer_row(row)
+    assert all(type(x) is int for x in out.values())
 
 
 class TestRrefNullspace:

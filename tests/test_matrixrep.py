@@ -544,6 +544,24 @@ class TestInterpolationOracle:
         with pytest.raises(AmbiguousNullspaceError):
             interpolation_oracle(segre_F, 3, seed=7)
 
+    def test_sample_larger_than_the_box(self, segre_F):
+        # degree 45 needs C(48, 3) + 60 = 17356 samples; coordinates in
+        # [-10, 10] give 128 points per P1 factor, 16384 in all
+        assert matrixrep._box_points() == 128**2
+        with pytest.raises(AmbiguousNullspaceError, match="16384"):
+            interpolation_oracle(segre_F, 45)
+
+    def test_box_exhausted_by_a_base_point(self, monkeypatch):
+        # coordinates in [-2, 2] give 8 points per factor, 64 in all, and
+        # degree 1 asks for exactly 64 samples; the base point (0, 1, 0, 1)
+        # gives no image, so the box can never supply them
+        monkeypatch.setattr(matrixrep, "RANDOM_COORD_BOUND", 2)
+        F = Parametrization.from_polys(
+            parse_poly(f) for f in ("s*t", "s*v", "u*t", "s*t+s*v")
+        )
+        with pytest.raises(AmbiguousNullspaceError, match="64"):
+            interpolation_oracle(F, 1)
+
     def test_invalid_degree(self, segre_F):
         with pytest.raises(ValueError):
             interpolation_oracle(segre_F, 0)
@@ -711,6 +729,20 @@ class TestImplicitEquation:
         cols, dets = minor_determinants(M, seed=0, count=4)
         assert cols == [0, 1]
         assert len(dets) == 1  # square matrix: only one maximal minor
+
+    def test_square_matrix_draws_no_extra_proposals(self, segre_F, monkeypatch):
+        M = build_matrix(segre_F, suggested_nu((1, 1)))
+        assert M.rows == M.cols
+        real = MatrixRep.evaluate
+        calls = []
+
+        def counting(self, values):
+            calls.append(values)
+            return real(self, values)
+
+        monkeypatch.setattr(MatrixRep, "evaluate", counting)
+        minor_determinants(M, seed=0, count=50)
+        assert len(calls) == 1
 
 
 class TestEndToEndSmall:

@@ -14,6 +14,8 @@ from biimplicit.poly import (
     Parametrization,
     TPoly,
     ZeroPolynomialError,
+    exact,
+    integer_primitive,
     substitute_T,
 )
 
@@ -181,6 +183,10 @@ class TestTPoly:
         assert parse_tpoly("3*T1^2*T2-T3^3").total_degree() == 3
         assert TPoly.zero().total_degree() == -1
 
+    def test_str(self):
+        # the report's equation field is this rendering
+        assert str(parse_tpoly("3*T1^2*T2-T3^3")) == "3*T1^2*T2 - T3^3"
+
     def test_primitive(self):
         q = parse_tpoly("2*T1*T4-2*T2*T3")
         assert q.primitive() == parse_tpoly("T1*T4-T2*T3")
@@ -190,6 +196,44 @@ class TestTPoly:
     def test_primitive_fractions(self):
         q = TPoly({(1, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0): Fraction(3, 4)})
         assert q.primitive() == TPoly({(1, 0, 0, 0): 2, (0, 1, 0, 0): 3})
+
+
+def reference_primitive(p: TPoly) -> TPoly:
+    """TPoly.primitive as one Fraction product per coefficient."""
+    if not p.terms:
+        return p
+    cont = p.content()
+    if p.terms[max(p.terms)] < 0:
+        cont = -cont
+    inv = 1 / cont
+    return TPoly({m: exact(c * inv) for m, c in p.terms.items()})
+
+
+big = st.integers(-(2**100), 2**100)
+contents = st.builds(Fraction, big.filter(bool), st.integers(1, 2**100))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.dictionaries(monos, coeffs | big, max_size=8), contents)
+def test_primitive_matches_fraction_reference(terms, content):
+    # multiplying by a Fraction keeps Fraction-typed coefficients even where
+    # they are integers, so the inputs mix ints, Fractions and both signs of
+    # the leading term
+    p = TPoly(terms) * content
+    q = p.primitive()
+    assert q.terms == reference_primitive(p).terms
+    assert all(type(c) is int for c in q.terms.values())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.dictionaries(monos, big.filter(bool), min_size=1, max_size=8))
+def test_integer_primitive(terms):
+    content, quotient = integer_primitive(terms)
+    assert content == math.gcd(*terms.values())
+    assert {m: content * c for m, c in quotient.items()} == terms
+    assert math.gcd(*quotient.values()) == 1
+    if content == 1:
+        assert quotient is terms
 
 
 class TestParametrization:
