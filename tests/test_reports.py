@@ -1,0 +1,44 @@
+"""Pinned reports: the CLI output for fixed inputs, compared as JSON text
+with key order, against the files in tests/data.  The `implicitize`
+reports are stored without their `timings`, the only field that changes
+between runs.
+
+segre.json is the Segre map, rand12.json the first (1,2) map drawn by
+conftest.random_parametrization(random.Random(7), (1, 2)), golden.json the
+golden bidegree-(2,3) map; each expected file was written by running the
+argv of its case through `main` and dumping the parsed report, minus
+`timings`, with indent 2 and a final newline.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from biimplicit.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+CASES = {
+    # default nu (1,0): 2x2, the quadric itself
+    "segre.implicitize.json": ["implicitize", "segre.json"],
+    # 6x12: three minors, an extraneous factor and its warning
+    "segre.nu21.minors3.implicitize.json": [
+        "implicitize", "segre.json", "--nu", "2,1", "--minors", "3"
+    ],
+    # 9x16 with the MacRae-degree warning
+    "rand12.nu22.implicitize.json": ["implicitize", "rand12.json", "--nu", "2,2"],
+    # 12x12 with Fraction coefficients in the entries
+    "golden.nu32.matrix.json": ["matrix", "golden.json", "--nu", "3,2"],
+}
+
+
+@pytest.mark.parametrize("expected", sorted(CASES))
+def test_pinned_report(expected, capsys):
+    command, input_name, *options = CASES[expected]
+    assert main([command, str(DATA / input_name), *options]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    if command == "implicitize":
+        del doc["timings"]
+    text = json.dumps(doc, indent=2) + "\n"
+    assert text == (DATA / expected).read_text(encoding="utf-8")
