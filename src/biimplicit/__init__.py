@@ -35,7 +35,6 @@ from .linalg import (
 from .matrixrep import (
     AllZeroError,
     AmbiguousNullspaceError,
-    LinTForm,
     MatrixRep,
     NoEquationError,
     RankDeficientError,
@@ -73,7 +72,6 @@ __all__ = [
     "InputSpec",
     "InvalidBidegreeError",
     "KoszulSlice",
-    "LinTForm",
     "MatrixRep",
     "NoEquationError",
     "NotBihomogeneousError",

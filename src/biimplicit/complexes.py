@@ -18,7 +18,6 @@ from itertools import combinations
 from .linalg import (
     GradedBasis,
     QMatrix,
-    coeff_vector,
     exact_rank,
     graded_basis,
     multiplication_matrix,

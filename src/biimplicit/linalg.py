@@ -114,10 +114,6 @@ class QMatrix:
         ncols = len(rows[0]) if rows else 0
         return cls(nrows, ncols, [list(r) for r in rows])
 
-    def __getitem__(self, key):
-        i, j = key
-        return self.data[i][j]
-
     def is_zero(self) -> bool:
         return all(not x for row in self.data for x in row)
 

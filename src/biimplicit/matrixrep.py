@@ -1,7 +1,8 @@
 """Matrix representations of the image surface and their determinants.
 
 The degree-nu syzygies of the parametrization are rewritten as a matrix of
-linear forms in T1..T4 over the monomial basis of the degree-nu graded piece.
+linear forms in T1..T4, each entry a TPoly of degree 1, over the monomial
+basis of the degree-nu graded piece.
 A maximal square minor is proposed by evaluating the matrix at a random
 point and taking the pivot columns of the integer elimination in `linalg`;
 its determinant, which certifies the proposal when nonzero, is computed
@@ -23,11 +24,10 @@ from math import comb, gcd, lcm, prod
 
 import numpy as np
 
-from .complexes import SyzygyBasis, syzygy_basis
+from .complexes import syzygy_basis
 from .linalg import (
     GradedBasis,
     QMatrix,
-    coeff_vector,
     exact_rank,
     graded_basis,
     independent_columns,
@@ -74,45 +74,19 @@ class AmbiguousNullspaceError(RuntimeError):
     samples; the degree is too large or the sampling hit special fibers."""
 
 
-@dataclass(frozen=True)
-class LinTForm:
-    """Linear form c1*T1 + c2*T2 + c3*T3 + c4*T4 with exact coefficients."""
-
-    coefficients: tuple
-
-    def is_zero(self) -> bool:
-        return not any(self.coefficients)
-
-    def to_tpoly(self) -> TPoly:
-        terms = {}
-        for i, c in enumerate(self.coefficients):
-            if c:
-                e = [0, 0, 0, 0]
-                e[i] = 1
-                terms[tuple(e)] = c
-        return TPoly(terms)
-
-    def evaluate(self, values):
-        acc = 0
-        for c, v in zip(self.coefficients, values):
-            if c:
-                acc += c * v
-        return acc
-
-    def __str__(self) -> str:
-        return str(self.to_tpoly())
+# exponents of T1..T4, the monomials of a linear form
+_T_MONOMIALS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 @dataclass(frozen=True)
 class MatrixRep:
     """Rows indexed by the degree-nu monomial basis, columns by the canonical
-    syzygy basis; entry (m, j) collects the coefficient of monomial m in each
-    component of syzygy column j as a linear form in T1..T4."""
+    syzygy basis; entry (m, j) is the linear TPoly c1*T1 + .. + c4*T4 whose
+    c_i is the coefficient of monomial m in component i of syzygy column j."""
 
     nu: Bidegree
     row_basis: GradedBasis
-    syzygies: SyzygyBasis
-    entries: tuple[tuple[LinTForm, ...], ...]
+    entries: tuple[tuple[TPoly, ...], ...]
 
     @property
     def rows(self) -> int:
@@ -122,23 +96,23 @@ class MatrixRep:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def submatrix(self, columns) -> list[list[LinTForm]]:
+    def submatrix(self, columns) -> list[list[TPoly]]:
         return [[row[j] for j in columns] for row in self.entries]
 
     @cached_property
     def _integer_entries(self) -> tuple[tuple[tuple, ...], ...]:
         """Coefficients of every entry, column j multiplied by the lcm of the
         denominators in column j."""
+        rows = [[_linear_coefficients(entry) for entry in row] for row in self.entries]
         scales = [
-            lcm(*(Fraction(c).denominator for row in self.entries for c in row[j].coefficients))
+            lcm(*(Fraction(c).denominator for row in rows for c in row[j]))
             for j in range(self.cols)
         ]
         return tuple(
             tuple(
-                tuple(exact(c * d) for c in entry.coefficients)
-                for entry, d in zip(row, scales)
+                tuple(exact(c * d) for c in coeffs) for coeffs, d in zip(row, scales)
             )
-            for row in self.entries
+            for row in rows
         )
 
     def evaluate(self, values) -> QMatrix:
@@ -160,31 +134,22 @@ class MatrixRep:
 
 def build_matrix(F: Parametrization, nu) -> MatrixRep:
     nu = as_bidegree(nu)
-    syz = syzygy_basis(F, nu)
+    columns = syzygy_basis(F, nu).columns
     basis = graded_basis(nu)
-    column_vectors = [
-        [coeff_vector(a, basis) for a in column] for column in syz.columns
-    ]
-    entries = tuple(
-        tuple(
-            LinTForm(tuple(column_vectors[j][i][r] for i in range(4)))
-            for j in range(len(syz.columns))
-        )
-        for r in range(basis.dim)
-    )
-    return MatrixRep(nu=nu, row_basis=basis, syzygies=syz, entries=entries)
+    terms = [[{} for _ in columns] for _ in range(basis.dim)]
+    for j, column in enumerate(columns):
+        for variable, component in zip(_T_MONOMIALS, column):
+            for mono, c in component.terms.items():
+                terms[basis.index_of(mono)][j][variable] = c
+    entries = tuple(tuple(TPoly(entry) for entry in row) for row in terms)
+    return MatrixRep(nu=nu, row_basis=basis, entries=entries)
 
 
 def _linear_coefficients(entry) -> tuple:
-    """(c1, c2, c3, c4) of a linear form given as LinTForm or TPoly."""
-    if isinstance(entry, LinTForm):
-        return entry.coefficients
-    if isinstance(entry, TPoly) and all(sum(mono) == 1 for mono in entry.terms):
-        coeffs = [0, 0, 0, 0]
-        for mono, c in entry.terms.items():
-            coeffs[mono.index(1)] = c
-        return tuple(coeffs)
-    raise ValueError(f"matrix entries must be linear forms in T1..T4, got {entry!r}")
+    """(c1, c2, c3, c4) of a linear TPoly c1*T1 + .. + c4*T4."""
+    if not isinstance(entry, TPoly) or any(sum(mono) != 1 for mono in entry.terms):
+        raise ValueError(f"matrix entries must be linear forms in T1..T4, got {entry!r}")
+    return tuple(entry.coefficient(mono) for mono in _T_MONOMIALS)
 
 
 def _peel(grid: list[dict], n: int):
@@ -329,7 +294,7 @@ def _core_det(core: list[list[tuple]], n: int) -> TPoly:
 def bareiss_det(matrix) -> TPoly:
     """Exact determinant of a square matrix of linear forms in T1..T4.
 
-    Entries are LinTForm or linear TPoly; anything else raises ValueError.
+    Entries are linear TPolys; anything else raises ValueError.
     Each row's rational content is pulled out first, leaving integer
     coefficients.  Rows and columns with a single nonzero entry are peeled
     off by Laplace expansion (a zero row or column gives 0), and the
@@ -384,7 +349,7 @@ def bareiss_det(matrix) -> TPoly:
         core = [[grid[i].get(j) for j in core_cols] for i in core_rows]
         det = _core_det(core, len(core))
     for coeffs in factors:
-        det = det * LinTForm(coeffs).to_tpoly()
+        det = det * TPoly(dict(zip(_T_MONOMIALS, coeffs)))
     return det * (scale * sign)
 
 

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from biimplicit.parser import parse_poly
-from biimplicit.poly import BigradedPoly, Parametrization
+from biimplicit.poly import BigradedPoly, Parametrization, TPoly
 from biimplicit.linalg import QMatrix, graded_basis
 
 # one-line descriptions registered by test_acceptance, printed per criterion
@@ -75,6 +75,12 @@ def random_parametrization(rng: random.Random, deg) -> Parametrization:
     return Parametrization.from_polys(
         random_bipoly(rng, deg) for _ in range(4)
     )
+
+
+def lin(c1=0, c2=0, c3=0, c4=0) -> TPoly:
+    """The linear form c1*T1 + c2*T2 + c3*T3 + c4*T4."""
+    exponents = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    return TPoly(dict(zip(exponents, (c1, c2, c3, c4))))
 
 
 def identity(n: int) -> QMatrix:

@@ -13,6 +13,7 @@ import conftest
 from conftest import (
     GOLDEN_STRINGS,
     SEGRE_STRINGS,
+    lin,
     matmul,
     matvec,
     random_bipoly,
@@ -23,14 +24,13 @@ from biimplicit.cli import InputSpec, main, run_implicitize
 from biimplicit.complexes import koszul_slice, region, suggested_nu, syzygy_basis
 from biimplicit.linalg import rref_nullspace
 from biimplicit.matrixrep import (
-    LinTForm,
     bareiss_det,
     build_matrix,
     interpolation_oracle,
     rank_drop_check,
 )
 from biimplicit.parser import parse_poly, parse_tpoly
-from biimplicit.poly import Bidegree, BigradedPoly, Parametrization
+from biimplicit.poly import Bidegree, BigradedPoly, Parametrization, TPoly
 
 conftest.ACCEPTANCE_LINES.update(
     {
@@ -81,7 +81,7 @@ def test_criterion_1_golden_run(golden_run, golden_F):
     assert report.summary.macrae_degree == 12
     assert (report.matrix.rows, report.matrix.cols) == (12, 12)
     assert all(
-        isinstance(entry, LinTForm)
+        isinstance(entry, TPoly) and all(sum(mono) == 1 for mono in entry.terms)
         for row in report.matrix.entries
         for entry in row
     )
@@ -198,12 +198,7 @@ def test_criterion_6d_bareiss_homogeneity():
         n = rng.randint(2, 4)
         M = [
             [
-                LinTForm(
-                    tuple(
-                        rng.randint(-5, 5) if rng.random() < 0.6 else 0
-                        for _ in range(4)
-                    )
-                )
+                lin(*(rng.randint(-5, 5) if rng.random() < 0.6 else 0 for _ in range(4)))
                 for _ in range(n)
             ]
             for _ in range(n)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from biimplicit import matrixrep
 from biimplicit.cli import InputSpec, run_implicitize
-from biimplicit.complexes import suggested_nu
+from biimplicit.complexes import suggested_nu, syzygy_basis
 from biimplicit.linalg import (
     QMatrix,
     coeff_vector,
@@ -21,7 +21,6 @@ from biimplicit.linalg import (
 from biimplicit.matrixrep import (
     AllZeroError,
     AmbiguousNullspaceError,
-    LinTForm,
     MatrixRep,
     NoEquationError,
     RankDeficientError,
@@ -36,15 +35,11 @@ from biimplicit.matrixrep import (
 from biimplicit.parser import parse_poly, parse_tpoly
 from biimplicit.poly import Bidegree, BigradedPoly, Parametrization, TPoly, substitute_T
 
-from conftest import random_bipoly, random_parametrization
+from conftest import lin, random_bipoly, random_parametrization
 
 
 def tp(text):
     return parse_tpoly(text)
-
-
-def lin(c1=0, c2=0, c3=0, c4=0):
-    return LinTForm((c1, c2, c3, c4))
 
 
 @pytest.fixture(scope="module")
@@ -55,10 +50,6 @@ def golden_matrix(golden_F):
 def naive_det(matrix) -> TPoly:
     """Permutation-expansion determinant; independent of Bareiss."""
     n = len(matrix)
-    grid = [
-        [e.to_tpoly() if isinstance(e, LinTForm) else e for e in row]
-        for row in matrix
-    ]
     total = TPoly.zero()
     for perm in permutations(range(n)):
         inversions = sum(
@@ -66,7 +57,7 @@ def naive_det(matrix) -> TPoly:
         )
         term = TPoly.constant(-1 if inversions % 2 else 1)
         for i in range(n):
-            term = term * grid[i][perm[i]]
+            term = term * matrix[i][perm[i]]
         total = total + term
     return total
 
@@ -87,8 +78,6 @@ def _sympy_det(matrix) -> TPoly:
 
 
 def _coefficients(entry) -> tuple:
-    if isinstance(entry, LinTForm):
-        return entry.coefficients
     return tuple(entry.coefficient(tuple(int(i == t) for i in range(4))) for t in range(4))
 
 
@@ -96,8 +85,8 @@ def _coefficients(entry) -> tuple:
 def linear_matrices(draw):
     """Square matrices of linear forms, up to 7x7: dense, sparse, triangular
     (peeled to nothing), singular (a row combining two others), or with a
-    zero row; rows may miss variables, entries may be Fractions or linear
-    TPolys, and rows and columns come in random order."""
+    zero row; rows may miss variables, coefficients may be Fractions, and
+    rows and columns come in random order."""
     rng = draw(st.randoms(use_true_random=False))
     n = draw(st.integers(0, 7))
     shape = draw(st.sampled_from(["dense", "sparse", "triangular", "singular", "zero_row"]))
@@ -133,33 +122,16 @@ def linear_matrices(draw):
     row_order, col_order = list(range(n)), list(range(n))
     rng.shuffle(row_order)
     rng.shuffle(col_order)
-    return [
-        [
-            LinTForm(rows[i][j]) if rng.random() < 0.7 else LinTForm(rows[i][j]).to_tpoly()
-            for j in col_order
-        ]
-        for i in row_order
-    ]
-
-
-class TestLinTForm:
-    def test_str(self):
-        assert str(lin(2, Fraction(-1, 3), 0, 1)) == "2*T1 - 1/3*T2 + T4"
-        assert str(lin()) == "0"
-
-    def test_evaluate(self):
-        assert lin(1, 2, 3, 4).evaluate((1, 1, 1, 1)) == 10
-        assert lin(0, -1, 0, 1).evaluate((5, 7, 11, 7)) == 0
-
-    def test_to_tpoly(self):
-        assert lin(1, 0, 0, -2).to_tpoly() == tp("T1-2*T4")
+    return [[lin(*rows[i][j]) for j in col_order] for i in row_order]
 
 
 class TestBuildMatrix:
     def test_golden_shape(self, golden_matrix):
         assert (golden_matrix.rows, golden_matrix.cols) == (12, 12)
         assert all(
-            isinstance(e, LinTForm) for row in golden_matrix.entries for e in row
+            isinstance(e, TPoly) and all(sum(mono) == 1 for mono in e.terms)
+            for row in golden_matrix.entries
+            for e in row
         )
 
     def test_golden_alternative_shape(self, golden_F):
@@ -170,19 +142,17 @@ class TestBuildMatrix:
         # entry (m, j) must collect the coefficient of monomial m in each
         # component of syzygy column j
         basis = golden_matrix.row_basis
-        for j, column in enumerate(golden_matrix.syzygies.columns):
+        for j, column in enumerate(syzygy_basis(golden_F, (3, 2)).columns):
             vecs = [coeff_vector(a, basis) for a in column]
             for r in range(basis.dim):
-                assert golden_matrix.entries[r][j].coefficients == tuple(
-                    vecs[i][r] for i in range(4)
-                )
+                assert golden_matrix.entries[r][j] == lin(*(vecs[i][r] for i in range(4)))
 
     def test_single_component_column(self):
         # a column supported in one component contributes only that T variable
         v = parse_poly("t+2*v")
         basis = graded_basis((0, 1))
         vec = coeff_vector(v, basis)
-        column = [LinTForm((vec[r], 0, 0, 0)) for r in range(basis.dim)]
+        column = [lin(vec[r]) for r in range(basis.dim)]
         assert [str(c) for c in column] == ["T1", "2*T1"]
 
 
@@ -198,7 +168,6 @@ class TestSelectMaxMinor:
         M = MatrixRep(
             nu=Bidegree(0, 0),
             row_basis=graded_basis((0, 0)),
-            syzygies=None,
             entries=entries,
         )
         cols = minor_determinants(M, 1, 1)[0]
@@ -211,7 +180,6 @@ class TestSelectMaxMinor:
         M = MatrixRep(
             nu=Bidegree(0, 0),
             row_basis=graded_basis((0, 0)),
-            syzygies=None,
             entries=entries,
         )
         with pytest.raises(RankDeficientError):
@@ -226,7 +194,6 @@ class TestSelectMaxMinor:
         M = MatrixRep(
             nu=Bidegree(0, 0),
             row_basis=graded_basis((0, 0)),
-            syzygies=None,
             entries=entries,
         )
         with pytest.raises(RankDeficientError):
@@ -256,13 +223,7 @@ class TestBareissDet:
         rng = random.Random(12)
         for _ in range(40):
             n = rng.randint(2, 4)
-            M = [
-                [
-                    LinTForm(tuple(rng.randint(-4, 4) for _ in range(4)))
-                    for _ in range(n)
-                ]
-                for _ in range(n)
-            ]
+            M = [[lin(*(rng.randint(-4, 4) for _ in range(4))) for _ in range(n)] for _ in range(n)]
             assert bareiss_det(M) == naive_det(M)
 
     def test_homogeneity(self):
@@ -271,12 +232,7 @@ class TestBareissDet:
             n = rng.randint(2, 4)
             M = [
                 [
-                    LinTForm(
-                        tuple(
-                            rng.randint(-5, 5) if rng.random() < 0.7 else 0
-                            for _ in range(4)
-                        )
-                    )
+                    lin(*(rng.randint(-5, 5) if rng.random() < 0.7 else 0 for _ in range(4)))
                     for _ in range(n)
                 ]
                 for _ in range(n)
@@ -456,7 +412,7 @@ class TestMatrixEvaluate:
     def test_column_scaled_integers_keep_rank_and_columns(self, golden_F, nu):
         M = build_matrix(golden_F, nu)
         assert any(
-            isinstance(c, Fraction) for row in M.entries for e in row for c in e.coefficients
+            isinstance(c, Fraction) for row in M.entries for e in row for c in e.terms.values()
         )
         rng = random.Random(3)
         points = [[rng.randint(-10, 10) for _ in range(4)] for _ in range(4)]
@@ -491,7 +447,6 @@ class TestRankDrop:
         M = MatrixRep(
             nu=golden_matrix.nu,
             row_basis=golden_matrix.row_basis,
-            syzygies=golden_matrix.syzygies,
             entries=entries,
         )
         assert rank_drop_check(M, golden_F, trials=10, seed=0)

@@ -186,6 +186,10 @@ class TestTPoly:
     def test_str(self):
         # the report's equation field is this rendering
         assert str(parse_tpoly("3*T1^2*T2-T3^3")) == "3*T1^2*T2 - T3^3"
+        # and so are the matrix entries, linear forms with exact coefficients
+        linear = TPoly({(1, 0, 0, 0): 2, (0, 1, 0, 0): Fraction(-1, 3), (0, 0, 0, 1): 1})
+        assert str(linear) == "2*T1 - 1/3*T2 + T4"
+        assert str(TPoly.zero()) == "0"
 
     def test_primitive(self):
         q = parse_tpoly("2*T1*T4-2*T2*T3")
