@@ -30,6 +30,12 @@ CASES = {
     "rand12.nu22.implicitize.json": ["implicitize", "rand12.json", "--nu", "2,2"],
     # 12x12 with Fraction coefficients in the entries
     "golden.nu32.matrix.json": ["matrix", "golden.json", "--nu", "3,2"],
+    # dims (9, 16, 9, 2): every Z dimension nonzero
+    "rand12.nu22.hilbert.json": ["hilbert", "rand12.json", "--nu", "2,2"],
+    # 3x4 inside the torsion region, dims (3, 4, 1, 0), no determinant
+    "segre.nu20.matrixonly.implicitize.json": [
+        "implicitize", "segre.json", "--nu", "2,0", "--matrix-only"
+    ],
 }
 
 
