@@ -20,7 +20,6 @@ from .complexes import (
     region,
     suggested_nu,
     syzygy_basis,
-    z_dim,
 )
 from .linalg import (
     DegreeMismatchError,
@@ -109,5 +108,4 @@ __all__ = [
     "syzygy_basis",
     "tpoly_gcd",
     "verify_substitution",
-    "z_dim",
 ]

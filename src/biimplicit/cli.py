@@ -214,8 +214,8 @@ def _region_warning(bidegree: Bidegree, nu_used: Bidegree) -> str | None:
 def run_implicitize(
     spec: InputSpec, matrix_only: bool = False, verify: bool = True
 ) -> OutputReport:
-    """Full pipeline: region and degree selection, slice dimensions, matrix
-    assembly, minor selection, determinants (gcd over extra minors when
+    """Full pipeline: region and degree selection, matrix assembly, slice
+    dimensions, minor selection, determinants (gcd over extra minors when
     requested), primitive reduction, substitution check."""
     timings: dict[str, float] = {}
     warnings: list[str] = []
@@ -232,12 +232,12 @@ def run_implicitize(
     timings["region_ms"] = _ms(start)
 
     start = time.perf_counter()
-    summary = complex_summary(F, nu_used)
-    timings["summary_ms"] = _ms(start)
-
-    start = time.perf_counter()
     M = build_matrix(F, nu_used)
     timings["matrix_ms"] = _ms(start)
+
+    start = time.perf_counter()
+    summary = complex_summary(F, M)
+    timings["summary_ms"] = _ms(start)
 
     report = OutputReport(
         bidegree=spec.bidegree,
@@ -305,14 +305,24 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _integer_argument(text: str, name: str, what: str = "an integer") -> int:
+    """An optional '-' and ASCII digits, as in the input language; int()
+    alone would also take spaces, '_' and the digits of other scripts."""
+    digits = text[1:] if text.startswith("-") else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise InputError(f"{name} must be {what}, got {text!r}")
+
+
 def _pair_argument(text: str, name: str) -> Bidegree:
+    what = "two comma-separated integers"
     parts = text.split(",")
     if len(parts) != 2:
-        raise InputError(f"{name} must be two comma-separated integers")
-    try:
-        return Bidegree(int(parts[0]), int(parts[1]))
-    except ValueError as err:
-        raise InputError(f"{name} must be two comma-separated integers") from err
+        raise InputError(f"{name} must be {what}, got {text!r}")
+    return Bidegree(*(_integer_argument(part, name, what) for part in parts))
 
 
 def _emit(document: dict) -> None:
@@ -335,25 +345,26 @@ def _load_spec(args) -> InputSpec:
         overrides["nu"] = _pair_argument(args.nu, "--nu")
     for name in ("seed", "minors"):
         if getattr(args, name, None) is not None:
-            overrides[name] = getattr(args, name)
+            overrides[name] = _integer_argument(getattr(args, name), f"--{name}")
     return replace(spec, **overrides)
 
 
 def _cmd_summary(args) -> int:
-    """`hilbert` and `matrix`: the slice summary at the degree in use;
-    `matrix` adds the matrix representation."""
+    """`hilbert` and `matrix`: the slice summary at the degree in use, read
+    in part off the matrix; `matrix` adds the matrix representation."""
     spec = _load_spec(args)
     F = build_parametrization(spec)
     nu_used = _nu_used(spec)
     note = _region_warning(spec.bidegree, nu_used)
+    M = build_matrix(F, nu_used)
     document = {
         "bidegree": list(spec.bidegree),
         "region": region_dict(region(spec.bidegree)),
         "nu_used": list(nu_used),
-        "summary": summary_dict(complex_summary(F, nu_used)),
+        "summary": summary_dict(complex_summary(F, M)),
     }
     if args.command == "matrix":
-        document["matrix"] = matrix_dict(build_matrix(F, nu_used))
+        document["matrix"] = matrix_dict(M)
     document["warnings"] = [note] if note else []
     _emit(document)
     return 0
@@ -385,6 +396,8 @@ def _cmd_verify(args) -> int:
         equation = parse_tpoly(text)
     except ParseError as err:
         raise InputError(f"equation file: {err}") from err
+    if equation.is_zero():  # it vanishes on every surface
+        raise InputError("equation file: the equation is the zero polynomial")
     _emit(
         {
             "verified": verify_substitution(equation, F),
@@ -410,23 +423,20 @@ def _build_parser() -> _ArgumentParser:
     p_region.add_argument("--bidegree", required=True, metavar="E1,E2")
     p_region.set_defaults(func=_cmd_region)
 
-    p_hilbert = sub.add_parser(
-        "hilbert", help="slice dimensions and determinant degree prediction"
-    )
-    p_hilbert.add_argument("input")
-    p_hilbert.add_argument("--nu", metavar="A,B")
-    p_hilbert.set_defaults(func=_cmd_summary)
-
-    p_matrix = sub.add_parser("matrix", help="assemble the matrix representation")
-    p_matrix.add_argument("input")
-    p_matrix.add_argument("--nu", metavar="A,B")
-    p_matrix.set_defaults(func=_cmd_summary)
+    for name, help_text in (
+        ("hilbert", "slice dimensions and determinant degree prediction"),
+        ("matrix", "assemble the matrix representation"),
+    ):
+        p_summary = sub.add_parser(name, help=help_text)
+        p_summary.add_argument("input")
+        p_summary.add_argument("--nu", metavar="A,B")
+        p_summary.set_defaults(func=_cmd_summary)
 
     p_impl = sub.add_parser("implicitize", help="full implicitization pipeline")
     p_impl.add_argument("input")
     p_impl.add_argument("--nu", metavar="A,B")
-    p_impl.add_argument("--minors", type=int, metavar="K")
-    p_impl.add_argument("--seed", type=int, metavar="N")
+    p_impl.add_argument("--minors", metavar="K")
+    p_impl.add_argument("--seed", metavar="N")
     p_impl.add_argument(
         "--verify",
         action=argparse.BooleanOptionalAction,

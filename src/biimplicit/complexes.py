@@ -8,6 +8,9 @@ size-p subsets I of {1,2,3,4}, with differential
 pos 0-based within the sorted subset.  Slicing in one bidegree mu turns each
 summand into the graded piece of bidegree mu - p*d (d the bidegree of the
 f_i) and each differential into an exact rational block matrix.
+
+A run builds and eliminates each slice once: K1 in `syzygy_basis`, whose
+nullspace gives the matrix columns, K2 and K3 in `complex_summary`.
 """
 
 from __future__ import annotations
@@ -100,11 +103,8 @@ def koszul_slice(F: Parametrization, p: int, target_degree) -> KoszulSlice:
             r0 = row_offset[J]
             sign = -1 if pos % 2 else 1
             block = mult[i - 1]
-            for r in range(block.rows):
-                src = block.data[r]
-                dst = M.data[r0 + r]
-                for c in range(block.cols):
-                    val = src[c]
+            for src, dst in zip(block.data, M.data[r0:]):
+                for c, val in enumerate(src):
                     if val:
                         dst[c0 + c] = sign * val
     return KoszulSlice(
@@ -116,17 +116,6 @@ def koszul_slice(F: Parametrization, p: int, target_degree) -> KoszulSlice:
     )
 
 
-def z_dim(F: Parametrization, p: int, nu) -> int:
-    """Dimension of the kernel of the p-th Koszul differential on the slice
-    whose column components have bidegree nu (module degree nu + p*d), by
-    rank-nullity: no nullspace basis is built."""
-    if not 1 <= p <= 3:
-        raise ValueError("kernel dimensions are exposed for p in 1..3")
-    nu = as_bidegree(nu)
-    M = koszul_slice(F, p, nu + p * F.bidegree).matrix
-    return M.cols - exact_rank(M)
-
-
 def syzygy_basis(F: Parametrization, nu) -> SyzygyBasis:
     """Canonical basis of the degree-nu syzygies of f1..f4.
 
@@ -134,17 +123,14 @@ def syzygy_basis(F: Parametrization, nu) -> SyzygyBasis:
     every column (a1..a4) satisfies sum(a_i * f_i) = 0 exactly.
     """
     nu = as_bidegree(nu)
-    sl = koszul_slice(F, 1, nu + F.bidegree)
-    _, nullbasis = rref_nullspace(sl.matrix)
+    _, nullbasis = rref_nullspace(koszul_slice(F, 1, nu + F.bidegree).matrix)
     basis = graded_basis(nu)
     n = basis.dim
-    columns = []
-    for vec in nullbasis:
-        column = tuple(
-            poly_from_vector(vec[i * n : (i + 1) * n], basis) for i in range(4)
-        )
-        columns.append(column)
-    return SyzygyBasis(nu=nu, columns=tuple(columns))
+    columns = tuple(
+        tuple(poly_from_vector(vec[i * n : (i + 1) * n], basis) for i in range(4))
+        for vec in nullbasis
+    )
+    return SyzygyBasis(nu=nu, columns=columns)
 
 
 def region(e) -> RegionSpec:
@@ -174,16 +160,19 @@ def in_good_region(e, nu) -> bool:
     return any(nu.dominates(c) for c in region(e).corners)
 
 
-def complex_summary(F: Parametrization, nu) -> ComplexSummary:
-    """Slice dimensions (dim S_nu, dim Z1, dim Z2, dim Z3) plus the Euler
-    characteristic and the predicted determinant degree."""
-    nu = as_bidegree(nu)
-    h0 = graded_basis(nu).dim
-    h1 = z_dim(F, 1, nu)
-    h2 = z_dim(F, 2, nu)
-    h3 = z_dim(F, 3, nu)
+def complex_summary(F: Parametrization, M) -> ComplexSummary:
+    """Slice dimensions (dim S_nu, dim Z1, dim Z2, dim Z3) of the strand
+    behind the matrix M = build_matrix(F, nu), plus the Euler characteristic
+    and the predicted determinant degree.  dim S_nu and dim Z1 are M's rows
+    and columns; dim Z2 and dim Z3 come from ranking the K2 and K3 slices."""
+    kernel_dims = []
+    for p in (2, 3):
+        K = koszul_slice(F, p, M.nu + p * F.bidegree).matrix
+        kernel_dims.append(K.cols - exact_rank(K))
+    h2, h3 = kernel_dims
+    h0, h1 = M.rows, M.cols
     return ComplexSummary(
-        nu=nu,
+        nu=M.nu,
         dims=(h0, h1, h2, h3),
         euler=h0 - h1 + h2 - h3,
         macrae_degree=h1 - 2 * h2 + 3 * h3,

@@ -334,6 +334,56 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["seed"] == 42
 
+    @pytest.mark.parametrize("text", ["0", "T1 - T1", "0*T1*T4"])
+    def test_verify_zero_equation_rejected(self, capsys, tmp_path, text):
+        # the zero polynomial vanishes on every surface, so it certifies nothing
+        eq_path = tmp_path / "equation.txt"
+        eq_path.write_text(text)
+        code, out, err = run_main(
+            capsys,
+            ["verify", write_input(tmp_path), "--equation", str(eq_path)],
+        )
+        assert code == 1
+        assert err.startswith("error: equation file: ")
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["region", "--bidegree", "\u0662,\u0663"],
+            ["region", "--bidegree", "2, 3"],
+            ["region", "--bidegree", "+2,3"],
+            ["region", "--bidegree", "2,3,"],
+            ["hilbert", "INPUT", "--nu", "1_0,0"],
+            ["matrix", "INPUT", "--nu", "1,0.0"],
+            ["implicitize", "INPUT", "--nu", "1,"],
+            ["implicitize", "INPUT", "--nu=--1,0"],
+            ["implicitize", "INPUT", "--seed", " 5"],
+            ["implicitize", "INPUT", "--seed", "5\n"],
+            ["implicitize", "INPUT", "--seed", "\uff15"],
+            ["implicitize", "INPUT", "--seed", "-"],
+            ["implicitize", "INPUT", "--minors", "\u0663"],
+            ["implicitize", "INPUT", "--minors", "1e3"],
+            ["implicitize", "INPUT", "--minors", "9" * 5000],
+        ],
+    )
+    def test_integer_options_ascii_only(self, capsys, tmp_path, argv):
+        argv = [write_input(tmp_path) if a == "INPUT" else a for a in argv]
+        code, out, err = run_main(capsys, argv)
+        assert code == 1
+        assert err.startswith("error: ") and "must be" in err
+        assert out == ""
+
+    def test_integer_options_read(self, capsys, tmp_path):
+        code, out, _ = run_main(
+            capsys,
+            ["implicitize", write_input(tmp_path), "--nu", "01,0",
+             "--seed=-7", "--minors", "2", "--matrix-only"],
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["nu_used"], doc["seed"]) == ([1, 0], -7)
+
 
 class TestDeterminism:
     def test_reports_byte_identical_modulo_timings(self, capsys, tmp_path):

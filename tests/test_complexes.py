@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from biimplicit import complexes
 from biimplicit.complexes import (
     ComplexSummary,
     InvalidBidegreeError,
@@ -11,7 +12,6 @@ from biimplicit.complexes import (
     region,
     suggested_nu,
     syzygy_basis,
-    z_dim,
 )
 from biimplicit.linalg import (
     QMatrix,
@@ -20,10 +20,12 @@ from biimplicit.linalg import (
     multiplication_matrix,
     rref_nullspace,
 )
+from biimplicit.cli import InputSpec, run_implicitize
+from biimplicit.matrixrep import build_matrix
 from biimplicit.parser import parse_poly
 from biimplicit.poly import Bidegree, BigradedPoly, Parametrization
 
-from conftest import matmul, random_parametrization
+from conftest import GOLDEN_STRINGS, matmul, random_parametrization
 
 
 class TestKoszulSlice:
@@ -65,36 +67,6 @@ class TestKoszulSlice:
     def test_bad_index(self, segre_F):
         with pytest.raises(ValueError):
             koszul_slice(segre_F, 5, (1, 1))
-
-
-class TestZDim:
-    def test_golden_dimensions(self, golden_F):
-        assert z_dim(golden_F, 1, (3, 2)) == 12
-        assert z_dim(golden_F, 2, (3, 2)) == 0
-        assert z_dim(golden_F, 3, (3, 2)) == 0
-
-    def test_index_range(self, segre_F):
-        with pytest.raises(ValueError):
-            z_dim(segre_F, 4, (1, 1))
-
-    @pytest.mark.parametrize(
-        "name, nus",
-        [
-            ("golden_F", [(0, 0), (1, 1), (2, 1), (3, 2), (1, 5), (4, 3)]),
-            ("segre_F", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 3)]),
-        ],
-    )
-    def test_rank_nullity_matches_nullspace(self, request, name, nus):
-        F = request.getfixturevalue(name)
-        assert any(not in_good_region(F.bidegree, nu) for nu in nus)
-        dims = []
-        for nu in nus:
-            for p in (1, 2, 3):
-                sl = koszul_slice(F, p, Bidegree(*nu) + p * F.bidegree)
-                expected = len(rref_nullspace(sl.matrix)[1])
-                assert z_dim(F, p, nu) == expected, (nu, p)
-                dims.append(expected)
-        assert any(dims[1::3]) and any(dims[2::3])
 
 
 class TestSyzygyBasis:
@@ -206,13 +178,13 @@ class TestRegion:
 
 class TestComplexSummary:
     def test_golden(self, golden_F):
-        summary = complex_summary(golden_F, (3, 2))
+        summary = complex_summary(golden_F, build_matrix(golden_F, (3, 2)))
         assert summary.dims == (12, 12, 0, 0)
         assert summary.euler == 0
         assert summary.macrae_degree == 12
 
     def test_golden_alternative(self, golden_F):
-        summary = complex_summary(golden_F, (1, 5))
+        summary = complex_summary(golden_F, build_matrix(golden_F, (1, 5)))
         assert summary.dims == (12, 12, 0, 0)
         assert summary.euler == 0
         assert summary.macrae_degree == 12
@@ -226,7 +198,59 @@ class TestComplexSummary:
         assert summary.macrae_degree == h1 - 2 * h2 + 3 * h3
 
     def test_segre(self, segre_F):
-        summary = complex_summary(segre_F, suggested_nu((1, 1)))
+        M = build_matrix(segre_F, suggested_nu((1, 1)))
+        summary = complex_summary(segre_F, M)
         assert summary.dims == (2, 2, 0, 0)
         assert summary.euler == 0
         assert summary.macrae_degree == 2
+
+    @pytest.mark.parametrize(
+        "name, nus",
+        [
+            ("golden_F", [(0, 0), (1, 1), (2, 1), (3, 2), (1, 5), (4, 3)]),
+            ("segre_F", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 3)]),
+        ],
+    )
+    def test_kernel_dims_match_nullspaces(self, request, name, nus):
+        # h1 is read off the matrix, h2 and h3 by rank-nullity; each must be
+        # the size of the nullspace basis of its Koszul slice, also in the
+        # torsion region
+        F = request.getfixturevalue(name)
+        assert any(not in_good_region(F.bidegree, nu) for nu in nus)
+        dims = []
+        for nu in nus:
+            summary = complex_summary(F, build_matrix(F, nu))
+            assert summary.nu == Bidegree(*nu)
+            assert summary.dims[0] == graded_basis(nu).dim
+            for p in (1, 2, 3):
+                sl = koszul_slice(F, p, Bidegree(*nu) + p * F.bidegree)
+                expected = len(rref_nullspace(sl.matrix)[1])
+                assert summary.dims[p] == expected, (nu, p)
+            dims.append(summary.dims)
+        assert any(d[2] for d in dims) and any(d[3] for d in dims)
+
+    def test_each_slice_built_and_eliminated_once(self, monkeypatch):
+        # one matrix-only run: K1 is built and eliminated by syzygy_basis
+        # alone, K2 and K3 by complex_summary alone
+        calls = {"koszul_slice": [], "rref_nullspace": 0, "exact_rank": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                if name == "koszul_slice":
+                    calls[name].append(args[1])
+                else:
+                    calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(
+                complexes, name, counting(name, getattr(complexes, name))
+            )
+        spec = InputSpec(bidegree=Bidegree(2, 3), polynomials=GOLDEN_STRINGS)
+        report = run_implicitize(spec, matrix_only=True)
+        assert report.summary.dims == (12, 12, 0, 0)
+        assert sorted(calls["koszul_slice"]) == [1, 2, 3]
+        assert calls["rref_nullspace"] == 1
+        assert calls["exact_rank"] == 2

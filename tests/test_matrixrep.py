@@ -721,11 +721,11 @@ class TestEndToEndSmall:
         while checked < 10:
             F = random_parametrization(rng, Bidegree(1, 1))
             nu = suggested_nu((1, 1))
-            summary = complex_summary(F, nu)
+            M = build_matrix(F, nu)
+            summary = complex_summary(F, M)
             h0, h1, h2, h3 = summary.dims
             if summary.euler != 0 or h2 or h3:
                 continue
-            M = build_matrix(F, nu)
             assert (M.rows, M.cols) == (graded_basis(nu).dim, graded_basis(nu).dim)
             checked += 1
 
@@ -743,7 +743,7 @@ class TestEndToEndSmall:
             except RankDeficientError:
                 continue
             det = bareiss_det(M.submatrix(cols))
-            summary = complex_summary(F, nu)
+            summary = complex_summary(F, M)
             if summary.dims[2] == 0 and summary.dims[3] == 0 and M.rows == M.cols:
                 # two-term slice: the raw determinant degree is predicted
                 assert det.total_degree() == summary.macrae_degree
