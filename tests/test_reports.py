@@ -30,6 +30,9 @@ CASES = {
     "rand12.nu22.implicitize.json": ["implicitize", "rand12.json", "--nu", "2,2"],
     # 12x12 with Fraction coefficients in the entries
     "golden.nu32.matrix.json": ["matrix", "golden.json", "--nu", "3,2"],
+    # 12x12 square strands at both corners: the full determinant path
+    "golden.nu32.implicitize.json": ["implicitize", "golden.json", "--nu", "3,2"],
+    "golden.nu15.implicitize.json": ["implicitize", "golden.json", "--nu", "1,5"],
     # dims (9, 16, 9, 2): every Z dimension nonzero
     "rand12.nu22.hilbert.json": ["hilbert", "rand12.json", "--nu", "2,2"],
     # 3x4 inside the torsion region, dims (3, 4, 1, 0), no determinant
