@@ -138,6 +138,8 @@ def load_input(path: str) -> InputSpec:
         raise InputError(f"cannot read input file: {err}") from err
     except json.JSONDecodeError as err:
         raise InputError(f"input file is not valid JSON: {err}") from err
+    except ValueError as err:  # a number with more digits than int() converts
+        raise InputError(f"input file cannot be read: {err}") from err
     if not isinstance(raw, dict):
         raise InputError("input document must be a JSON object")
     unknown = set(raw) - INPUT_KEYS
@@ -390,7 +392,7 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.equation, "r", encoding="utf-8") as handle:
             text = handle.read().strip()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read equation file: {err}") from err
     try:
         equation = parse_tpoly(text)

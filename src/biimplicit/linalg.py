@@ -11,7 +11,9 @@ by minors of the input (Bareiss, Math. Comp. 1968).  `exact_rank` and
 `independent_columns` stop after this forward phase and read off the
 number of pivots and the pivot columns; `rref_nullspace` also clears each
 pivot column above its pivot and reads the unique RREF off as exact
-rationals.  No floats and no modular arithmetic are involved.
+rationals.  `saturation` and `lll_reduce` turn independent integer vectors
+into a short basis of every integer point of their span.  No floats and no
+modular arithmetic are involved.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .poly import Bidegree, BigradedPoly, Monomial, as_bidegree, exact
 from .poly import divide_content, integer_primitive, rational_content
@@ -248,6 +250,102 @@ def independent_columns(M: QMatrix, order=None) -> list[int]:
     order = list(order)
     permuted = [[row[j] for j in order] for row in M.data]
     return sorted(order[k] for k in _echelon(permuted, len(order))[1])
+
+
+def saturation(vectors: list[list[int]]) -> list[list[int]]:
+    """A basis of the integer points of the Q-span of integer vectors: the
+    saturation of the lattice they generate.
+
+    RREF row j scaled to 1 in its pivot coordinate P_j is rho_j = row_j / a_j.
+    A point of the span is sum_j z_j rho_j, z_j its P_j coordinate, and it
+    is integral exactly when z is integral with <g_c, z> integral for every
+    coordinate c, g_c = (rho_j[c])_j: z lies in the dual of
+    G = Z^k + sum_c Z g_c.  The rows are primitive, so D = lcm(a_j) clears
+    every denominator, and D*G is an integer lattice that contains D*Z^k.
+    Its Hermite form H, upper triangular, comes from Euclid's algorithm on
+    rows with entries reduced mod D; the columns of D*H^-1 span the dual.
+    """
+    N = len(vectors[0]) if vectors else 0
+    rows, pivots = _rref(vectors, N)
+    k = len(rows)
+    D = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    scales = [D // row[c] for row, c in zip(rows, pivots)]
+    H = [[D * (i == j) for j in range(k)] for i in range(k)]
+    for c in sorted(set().union(*rows) - set(pivots)):
+        v = [s * row.get(c, 0) % D for s, row in zip(scales, rows)]
+        for i in range(k):
+            while v[i]:
+                q = H[i][i] // v[i]
+                H[i], v = v, [(x - q * y) % D for x, y in zip(H[i], v)]
+    dual = [[0] * k for _ in range(k)]  # D * H^-1 by back substitution
+    for j in range(k):
+        dual[j][j] = D // H[j][j]
+        for i in range(j - 1, -1, -1):
+            total = sum(H[i][m] * dual[m][j] for m in range(i + 1, j + 1))
+            dual[i][j] = -total // H[i][i]
+    basis = []
+    for i in range(k):
+        x = [0] * N
+        for j, (s, row) in enumerate(zip(scales, rows)):
+            for c, y in row.items():
+                x[c] += dual[j][i] * s * y
+        basis.append([t // D for t in x])
+    return basis
+
+
+def lll_reduce(vectors: list[list[int]]) -> list[list[int]]:
+    """LLL-reduced basis (delta = 3/4) of the lattice generated by
+    independent integer vectors, in integers throughout.
+
+    This is the integral LLL of Cohen, GTM 138, Alg. 2.6.7: with d[i] the
+    Gram determinant of the first i vectors and lam[k][j] = d[j+1]*mu_kj,
+    every quantity is an integer and every division exact.  The Gram-Schmidt
+    data of all vectors are computed up front rather than on first visit.
+    """
+    b = [list(v) for v in vectors]
+    n = len(b)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u:
+                d[k + 1] = u
+            else:
+                raise ValueError("vectors are linearly dependent")
+
+    def size_reduce(k: int, l: int) -> None:
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k = 1
+    while k < n:
+        size_reduce(k, k - 1)
+        m = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * m * m:  # Lovasz fails: swap
+            b[k - 1], b[k] = b[k], b[k - 1]
+            for j in range(k - 1):
+                lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+            B = (d[k - 1] * d[k + 1] + m * m) // d[k]
+            for i in range(k + 1, n):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+                lam[i][k - 1] = (B * t + m * lam[i][k]) // d[k + 1]
+            d[k] = B
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return b
 
 
 def multiplication_matrix(f: BigradedPoly, src) -> QMatrix:

@@ -8,7 +8,9 @@ point and taking the pivot columns of the integer elimination in `linalg`;
 its determinant, which certifies the proposal when nonzero, is computed
 exactly: rows and columns with a single nonzero entry are peeled off, and
 the rest is evaluated on a grid modulo primes, interpolated, and recombined
-by CRT up to a proven coefficient bound.  The gcd of several such
+by CRT up to a proven coefficient bound; a square matrix is first given
+an LLL-reduced basis of the integer points of its columns' span, which
+drops integer content the bound would pay primes for.  The gcd of several such
 determinants, made primitive, is the reported implicit equation, certified
 by exact evaluation of eq(f1..f4) on a grid, and cross-checkable by rank
 drops at surface points and by a fully independent interpolation oracle.
@@ -31,6 +33,8 @@ from .linalg import (
     exact_rank,
     graded_basis,
     independent_columns,
+    lll_reduce,
+    saturation,
 )
 from .modnull import (
     crt_combine,
@@ -213,7 +217,6 @@ def _inverse_vandermonde_mod_p(size: int, p: int) -> np.ndarray:
     return W
 
 
-@lru_cache(maxsize=1024)
 def _primes_above(bits: int) -> tuple[int, ...]:
     """The shortest run of prime_stream() whose product is at least 2^bits."""
     primes, modulus = [], 1
@@ -353,6 +356,18 @@ def bareiss_det(matrix) -> TPoly:
     return det * (scale * sign)
 
 
+def _reduced_matrix(M: MatrixRep) -> list[list[TPoly]]:
+    """M on an LLL-reduced basis of the integer points of its columns' span,
+    each column read as the vector of its entries' coefficients.  For a
+    matrix from `build_matrix` these points are the integer syzygies."""
+    columns = [[c for row in M._integer_entries for c in row[j]] for j in range(M.cols)]
+    basis = lll_reduce(saturation(columns))
+    return [
+        [TPoly(dict(zip(_T_MONOMIALS, v[4 * m : 4 * m + 4]))) for v in basis]
+        for m in range(M.rows)
+    ]
+
+
 def _proposals(M: MatrixRep, seed: int, shuffle: bool = False):
     """Column sets of full row size, independent at a random evaluation
     point, from up to MAX_TRIES points drawn from random.Random(seed).
@@ -379,13 +394,22 @@ def minor_determinants(M: MatrixRep, seed: int, count: int):
     the first proposal of a shuffled scan under its own seed; repeated
     column sets are skipped and zero determinants dropped.  A square matrix
     has only the one minor, so it gets no extra proposals.
+
+    Determinants are exact up to a nonzero rational factor, which
+    `reduce_equation`'s primitive part removes: a square matrix's is taken
+    on `_reduced_matrix`, whose columns are another basis of the same
+    Q-span, so it is scaled by the determinant of the change of basis.  The
+    canonical columns span a sublattice of large index, which is integer
+    content of the determinant; the reduced basis leaves it out of the
+    coefficient bound and so out of the primes `bareiss_det` evaluates.
     """
     if M.rows == 0:
         return [], [TPoly.constant(1)]
     if all(entry.is_zero() for row in M.entries for entry in row):
         raise RankDeficientError("matrix of linear forms is zero")
+    square = M.rows == M.cols
     for columns in _proposals(M, seed):
-        det = bareiss_det(M.submatrix(columns))
+        det = bareiss_det(_reduced_matrix(M) if square else M.submatrix(columns))
         if not det.is_zero():
             break
     else:
@@ -393,7 +417,7 @@ def minor_determinants(M: MatrixRep, seed: int, count: int):
             f"no nonsingular {M.rows}x{M.rows} minor found in {MAX_TRIES} attempts"
         )
     column_sets, dets = [columns], [det]
-    for i in range(1, count if M.rows != M.cols else 1):
+    for i in range(1, 1 if square else count):
         candidate = next(_proposals(M, seed + 1000 * i, shuffle=True), None)
         if candidate is not None and candidate not in column_sets:
             column_sets.append(candidate)

@@ -23,6 +23,7 @@ the coefficients it reconstructs.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -55,14 +56,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# the primes below 2^31 found so far, descending; every stream reads this
+# one table and extends it, so no number is tested twice in a process
+_PRIMES = [2**31 - 1]
+
+
 def prime_stream():
     """Deterministic stream of distinct primes descending from 2^31 - 1;
     squares of these fit comfortably in int64."""
-    n = 2**31 - 1
-    while n > 2**30:
-        if _is_prime(n):
-            yield n
-        n -= 2
+    for i in itertools.count():
+        if i == len(_PRIMES):
+            n = _PRIMES[-1] - 2
+            while not _is_prime(n):
+                n -= 2
+            _PRIMES.append(n)
+        yield _PRIMES[i]
 
 
 # Columns eliminated per panel, and rows per trailing-update product; the

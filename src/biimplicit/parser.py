@@ -134,7 +134,12 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise ParseError(f"expected {what}", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError as err:  # more digits than int() converts
+            raise ParseError(
+                f"integer literal of {self.pos - start} digits is too long", start
+            ) from err
 
 
 def parse_poly(text: str) -> BigradedPoly:

@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -112,3 +113,16 @@ def matvec(M: QMatrix, vec: list) -> list:
     if M.cols != len(vec):
         raise ValueError("incompatible shapes")
     return [sum(a * x for a, x in zip(row, vec) if a and x) for row in M.data]
+
+
+def gram_det(vectors) -> int:
+    """det of the Gram matrix of independent integer vectors, by elimination
+    over Q; the Gram matrix is positive definite, so no pivot is zero."""
+    G = [[Fraction(sum(a * b for a, b in zip(u, v))) for v in vectors] for u in vectors]
+    det = Fraction(1)
+    for c in range(len(G)):
+        det *= G[c][c]
+        for r in range(c + 1, len(G)):
+            f = G[r][c] / G[c][c]
+            G[r] = [x - f * y for x, y in zip(G[r], G[c])]
+    return int(det)

@@ -347,6 +347,40 @@ class TestCommands:
         assert err.startswith("error: equation file: ")
         assert out == ""
 
+    @pytest.mark.parametrize("where", ["seed", "coefficient", "equation"])
+    def test_overlong_integer_literal_rejected(self, capsys, tmp_path, where):
+        # 5000 digits is more than int() converts from text by default (4300);
+        # json.dumps cannot write such a number either, so the file is text
+        digits = "9" * 5000
+        first = f"{digits}*s*t" if where == "coefficient" else "s*t"
+        seed = digits if where == "seed" else "0"
+        path = tmp_path / "input.json"
+        path.write_text(
+            '{"bidegree": [1, 1], "polynomials": ["%s", "s*v", "u*t", "u*v"], '
+            '"seed": %s}' % (first, seed)
+        )
+        argv = ["hilbert", str(path)]
+        if where == "equation":
+            eq_path = tmp_path / "equation.txt"
+            eq_path.write_text(f"{digits}*T1*T4 - T2*T3")
+            argv = ["verify", str(path), "--equation", str(eq_path)]
+        code, out, err = run_main(capsys, argv)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out == ""
+
+    @pytest.mark.parametrize("which", ["input", "equation"])
+    def test_undecodable_file_rejected(self, capsys, tmp_path, which):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe")
+        argv = ["hilbert", str(bad)]
+        if which == "equation":
+            argv = ["verify", write_input(tmp_path), "--equation", str(bad)]
+        code, out, err = run_main(capsys, argv)
+        assert code == 1
+        assert err.startswith("error: ") and "decode" in err
+        assert out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from biimplicit.linalg import (
@@ -14,14 +15,16 @@ from biimplicit.linalg import (
     exact_rank,
     graded_basis,
     independent_columns,
+    lll_reduce,
     multiplication_matrix,
     poly_from_vector,
     rref_nullspace,
+    saturation,
 )
 from biimplicit.parser import parse_poly
 from biimplicit.poly import Bidegree, BigradedPoly
 
-from conftest import golden_polys, identity, matvec, random_bipoly
+from conftest import golden_polys, gram_det, identity, matvec, random_bipoly
 
 
 class TestGradedBasis:
@@ -341,3 +344,105 @@ def test_independent_columns_matches_greedy_scan(case):
     assert chosen == greedy_independent_columns(M, order)
     assert len(chosen) == exact_rank(M)
 
+
+def _det(rows) -> int:
+    """Determinant of a square integer matrix by elimination over Q."""
+    A = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(A)):
+        p = next((r for r in range(c, len(A)) if A[r][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            A[c], A[p] = A[p], A[c]
+            det = -det
+        det *= A[c][c]
+        for r in range(c + 1, len(A)):
+            f = A[r][c] / A[c][c]
+            A[r] = [x - f * y for x, y in zip(A[r], A[c])]
+    return int(det)
+
+
+def maximal_minor_gcd(vectors) -> int:
+    """gcd of the k x k minors of the k x N matrix with the given rows."""
+    g = 0
+    for cols in combinations(range(len(vectors[0])), len(vectors)):
+        g = gcd(g, _det([[v[c] for c in cols] for v in vectors]))
+    return g
+
+
+@st.composite
+def integer_bases(draw):
+    """k independent integer vectors of length n, k <= n <= 6, scaled by
+    random integers so that the lattice they span is far from saturated."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    entries = st.integers(-30, 30)
+    vectors = [[draw(entries) for _ in range(n)] for _ in range(k)]
+    scales = [draw(st.integers(1, 12)) for _ in range(k)]
+    vectors = [[x * c for x in v] for v, c in zip(vectors, scales)]
+    assume(exact_rank(QMatrix(k, n, vectors)) == k)
+    return vectors
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(integer_bases())
+def test_saturation_is_every_integer_point_of_the_span(vectors):
+    # an integral lattice in the span with the Gram determinant of the
+    # saturation is the saturation, and the saturation's is Gram(L)/g^2,
+    # g the gcd of L's maximal minors (Cauchy-Binet)
+    basis = saturation(vectors)
+    assert all(type(x) is int for v in basis for x in v)
+    k = len(vectors)
+    assert exact_rank(QMatrix(2 * k, len(vectors[0]), vectors + basis)) == k
+    assert gram_det(basis) * maximal_minor_gcd(vectors) ** 2 == gram_det(vectors)
+
+
+def test_saturation_small():
+    assert saturation([[2, 4, 6]]) in ([[1, 2, 3]], [[-1, -2, -3]])
+    assert gram_det(saturation([[2, 0, 0], [0, 3, 0]])) == 1
+    assert saturation([[2, 4], [3, 6]]) in ([[1, 2]], [[-1, -2]])
+
+
+def _gram_schmidt(vectors):
+    """mu and the squared lengths |b*_i|^2, over Q."""
+    star, mu = [], [[Fraction(0)] * len(vectors) for _ in vectors]
+    for i, b in enumerate(vectors):
+        v = [Fraction(x) for x in b]
+        for j, w in enumerate(star):
+            mu[i][j] = sum(x * y for x, y in zip(b, w)) / sum(y * y for y in w)
+            v = [x - mu[i][j] * y for x, y in zip(v, w)]
+        star.append(v)
+    return mu, [sum(x * x for x in v) for v in star]
+
+
+def _solve(columns, target):
+    """The unique x with sum_j x_j * columns[j] = target; columns independent."""
+    A = [[Fraction(col[i]) for col in columns] + [Fraction(t)] for i, t in enumerate(target)]
+    k = len(columns)
+    for c in range(k):
+        p = next(i for i in range(c, len(A)) if A[i][c])
+        A[c], A[p] = A[p], A[c]
+        A[c] = [x / A[c][c] for x in A[c]]
+        for i in range(len(A)):
+            if i != c and A[i][c]:
+                A[i] = [x - A[i][c] * y for x, y in zip(A[i], A[c])]
+    assert not any(row[-1] for row in A[k:])
+    return [A[i][-1] for i in range(k)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(integer_bases())
+def test_lll_reduce_is_a_reduced_basis_of_the_same_lattice(vectors):
+    reduced = lll_reduce(vectors)
+    k = len(vectors)
+    assert gram_det(reduced) == gram_det(vectors)
+    # every reduced vector is an integer combination of the input, so with
+    # equal Gram determinants the two generate the same lattice
+    for v in reduced:
+        assert all(x.denominator == 1 for x in _solve(vectors, v))
+    mu, norms = _gram_schmidt(reduced)
+    for i in range(k):
+        assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
+        if i:
+            assert norms[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * norms[i - 1]

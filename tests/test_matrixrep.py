@@ -35,7 +35,13 @@ from biimplicit.matrixrep import (
 from biimplicit.parser import parse_poly, parse_tpoly
 from biimplicit.poly import Bidegree, BigradedPoly, Parametrization, TPoly, substitute_T
 
-from conftest import lin, random_bipoly, random_parametrization
+from conftest import (
+    GOLDEN_STRINGS,
+    gram_det,
+    lin,
+    random_bipoly,
+    random_parametrization,
+)
 
 
 def tp(text):
@@ -698,6 +704,72 @@ class TestImplicitEquation:
         monkeypatch.setattr(MatrixRep, "evaluate", counting)
         minor_determinants(M, seed=0, count=50)
         assert len(calls) == 1
+
+
+def euclidean_kernel(A: list[list[int]], ncols: int) -> list[list[int]]:
+    """Basis of ker_Z A by unimodular column operations on A stacked over
+    the identity: each row is cleared to one pivot column by repeated
+    division by its smallest entry, and the columns never used as a pivot
+    end up zero on A; their identity parts are the basis."""
+    m = len(A)
+    cols = [[row[j] for row in A] + [int(i == j) for i in range(ncols)] for j in range(ncols)]
+    active = list(range(ncols))
+    for r in range(m):
+        while True:
+            nonzero = [j for j in active if cols[j][r]]
+            if len(nonzero) <= 1:
+                break
+            p = min(nonzero, key=lambda j: abs(cols[j][r]))
+            for j in nonzero:
+                if j != p:
+                    q = cols[j][r] // cols[p][r]
+                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[p])]
+        if nonzero:
+            active.remove(nonzero[0])
+    assert all(not any(cols[j][:m]) for j in active)
+    return [cols[j][m:] for j in active]
+
+
+class TestLatticeBasis:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("e", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_reduced_basis_spans_the_integer_syzygies(self, e, seed):
+        from biimplicit.complexes import koszul_slice
+
+        F = random_parametrization(random.Random(seed), e)
+        nu = suggested_nu(e)
+        M = build_matrix(F, nu)
+        n = M.rows
+        reduced = matrixrep._reduced_matrix(M)
+        basis = [
+            [c for row in reduced for c in matrixrep._linear_coefficients(row[j])]
+            for j in range(M.cols)
+        ]
+        assert all(type(x) is int for v in basis for x in v)
+        # coordinate 4*m + i of the basis is coordinate i*n + m of K1's source
+        K1 = koszul_slice(F, 1, nu + F.bidegree).matrix
+        syzygies = [[v[4 * m + i] for i in range(4) for m in range(n)] for v in basis]
+        for v in syzygies:
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in K1.data)
+        kernel = euclidean_kernel(K1.data, K1.cols)
+        assert len(kernel) == len(basis)
+        assert gram_det(syzygies) == gram_det(kernel)
+        if M.rows == M.cols:
+            canonical = bareiss_det(M.submatrix(range(M.cols)))
+            assert reduce_equation(minor_determinants(M, seed, 1)[1]) == canonical.primitive()
+
+    def test_golden_bound_shrinks(self, monkeypatch):
+        # the primes the determinant evaluates follow its coefficient bound:
+        # 427 bits on the canonical columns, under 100 on the reduced basis
+        bits = []
+        primes_above = matrixrep._primes_above
+        monkeypatch.setattr(
+            matrixrep, "_primes_above", lambda b: bits.append(b) or primes_above(b)
+        )
+        spec = InputSpec(bidegree=Bidegree(2, 3), polynomials=GOLDEN_STRINGS, nu=Bidegree(3, 2))
+        report = run_implicitize(spec, verify=False)
+        assert report.equation.total_degree() == 12
+        assert bits and max(bits) <= 100
 
 
 class TestEndToEndSmall:

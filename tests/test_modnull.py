@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 from math import isqrt, prod
 from unittest import mock
 
@@ -279,6 +280,30 @@ def test_prime_stream():
     assert all(a > b for a, b in zip(primes, primes[1:]))
     for p in primes:
         assert all(p % q for q in small)
+
+
+def test_prime_stream_matches_a_fresh_walk():
+    fresh, n = [], 2**31 - 1
+    while len(fresh) < 200:
+        if _is_prime(n):
+            fresh.append(n)
+        n -= 2
+    assert list(islice(prime_stream(), 200)) == fresh
+    assert list(islice(prime_stream(), 200)) == fresh
+
+
+def test_prime_stream_tests_each_number_once(monkeypatch):
+    tested = []
+    monkeypatch.setattr(modnull, "_is_prime", lambda n: tested.append(n) or _is_prime(n))
+    known = len(modnull._PRIMES)
+    first = list(islice(prime_stream(), known + 20))
+    assert len(tested) == len(set(tested)) and min(tested) == first[-1]
+    tested.clear()
+    stream = prime_stream()
+    assert list(islice(stream, known + 20)) == first
+    assert tested == []
+    next(stream)
+    assert tested and max(tested) == first[-1] - 2
 
 
 def _reference_det(rows: list[list[int]], p: int) -> int:
