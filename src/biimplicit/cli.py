@@ -3,7 +3,8 @@
 Input is a JSON document with the fields `bidegree`, `polynomials` (four
 expression strings), and optional `nu`, `seed`, `minors`; the options
 `--nu`, `--seed` and `--minors` override the document's values.
-`run_implicitize` is the one pipeline behind every equation.  Reports are
+`run_implicitize` is the one pipeline behind every strand command:
+`hilbert` and `matrix` print parts of its matrix-only report.  Reports are
 JSON on stdout; exit code 0 on success, 1 on input errors, 2 on pipeline
 errors.
 """
@@ -48,6 +49,13 @@ from .poly import (
 
 INPUT_KEYS = {"bidegree", "polynomials", "nu", "seed", "minors"}
 
+# the most maximal minors one run takes the gcd over; each extra minor is
+# one more Bareiss determinant, and the largest count in use is 3
+MAX_MINORS = 100
+
+# the matrix-only report's warning, left out by `hilbert` and `matrix`
+MATRIX_ONLY_NOTE = "determinant and verification skipped (matrix only)"
+
 
 class InputError(ValueError):
     """Malformed input document or command line."""
@@ -68,6 +76,8 @@ class InputSpec:
             raise InputError(f"nu must be nonnegative, got {tuple(self.nu)}")
         if self.minors < 1:
             raise InputError(f"minors must be a positive integer, got {self.minors}")
+        if self.minors > MAX_MINORS:
+            raise InputError(f"minors must be at most {MAX_MINORS}, got {self.minors}")
 
 
 @dataclass
@@ -77,21 +87,35 @@ class OutputReport:
     nu_used: Bidegree
     summary: ComplexSummary
     matrix: MatrixRep
-    minor_columns: list[int] | None
-    equation: TPoly | None
-    equation_degree: int | None
-    verified: bool | None
     seed: int
+    minor_columns: list[int] | None = None
+    equation: TPoly | None = None
+    equation_degree: int | None = None
+    verified: bool | None = None
     warnings: list[str] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        S, M = self.summary, self.matrix
         return {
             "bidegree": list(self.bidegree),
             "region": region_dict(self.region),
             "nu_used": list(self.nu_used),
-            "summary": summary_dict(self.summary),
-            "matrix": matrix_dict(self.matrix),
+            "summary": {
+                "nu": list(S.nu),
+                "dims": list(S.dims),
+                "euler": S.euler,
+                "macrae_degree": S.macrae_degree,
+            },
+            "matrix": {
+                "nu": list(M.nu),
+                "rows": M.rows,
+                "cols": M.cols,
+                "row_basis": [
+                    str(BigradedPoly.monomial(m)) for m in M.row_basis.monomials
+                ],
+                "entries": [[str(entry) for entry in row] for row in M.entries],
+            },
             "minor_columns": (
                 list(self.minor_columns) if self.minor_columns is not None else None
             ),
@@ -108,25 +132,6 @@ def region_dict(spec: RegionSpec) -> dict:
     return {
         "bidegree": list(spec.e),
         "corners": [list(c) for c in spec.corners],
-    }
-
-
-def summary_dict(summary: ComplexSummary) -> dict:
-    return {
-        "nu": list(summary.nu),
-        "dims": list(summary.dims),
-        "euler": summary.euler,
-        "macrae_degree": summary.macrae_degree,
-    }
-
-
-def matrix_dict(M: MatrixRep) -> dict:
-    return {
-        "nu": list(M.nu),
-        "rows": M.rows,
-        "cols": M.cols,
-        "row_basis": [str(BigradedPoly.monomial(m)) for m in M.row_basis.monomials],
-        "entries": [[str(entry) for entry in row] for row in M.entries],
     }
 
 
@@ -156,18 +161,15 @@ def load_input(path: str) -> InputSpec:
     ):
         raise InputError("'polynomials' must be a list of 4 expression strings")
     nu = _parse_pair(raw["nu"], "nu") if raw.get("nu") is not None else None
-    seed = raw.get("seed", 0)
-    if not _is_int(seed):
-        raise InputError("'seed' must be an integer")
-    minors = raw.get("minors", 1)
-    if not _is_int(minors):
-        raise InputError("'minors' must be an integer")
+    counts = {key: raw[key] for key in ("seed", "minors") if key in raw}
+    for key, value in counts.items():
+        if not _is_int(value):
+            raise InputError(f"'{key}' must be an integer")
     return InputSpec(
         bidegree=bidegree,
         polynomials=tuple(polys),
         nu=nu,
-        seed=seed,
-        minors=minors,
+        **counts,
     )
 
 
@@ -193,21 +195,18 @@ def build_parametrization(spec: InputSpec) -> Parametrization:
     polys = []
     for i, text in enumerate(spec.polynomials):
         try:
-            p = parse_poly(text)
+            polys.append(parse_poly(text))
         except ParseError as err:
             raise InputError(f"polynomial {i + 1}: {err}") from err
-        polys.append(p)
     return Parametrization(tuple(polys), spec.bidegree)
 
 
-def _nu_used(spec: InputSpec) -> Bidegree:
-    return spec.nu if spec.nu is not None else suggested_nu(spec.bidegree)
-
-
-def _region_warning(bidegree: Bidegree, nu_used: Bidegree) -> str | None:
-    if in_good_region(bidegree, nu_used):
-        return None
-    return (
+def _degree(spec: InputSpec) -> tuple[Bidegree, str | None]:
+    """The degree in use, and a warning when it dominates neither corner."""
+    nu_used = spec.nu if spec.nu is not None else suggested_nu(spec.bidegree)
+    if in_good_region(spec.bidegree, nu_used):
+        return nu_used, None
+    return nu_used, (
         f"nu={tuple(nu_used)} is inside the torsion-affected region; "
         "the determinant may be zero or miss the implicit equation"
     )
@@ -220,58 +219,43 @@ def run_implicitize(
     dimensions, minor selection, determinants (gcd over extra minors when
     requested), primitive reduction, substitution check."""
     timings: dict[str, float] = {}
-    warnings: list[str] = []
     total_start = time.perf_counter()
 
+    def timed(key, stage, *args):
+        start = time.perf_counter()
+        result = stage(*args)
+        timings[key] = _ms(start)
+        return result
+
     F = build_parametrization(spec)
-    reg = region(spec.bidegree)
-
-    start = time.perf_counter()
-    nu_used = _nu_used(spec)
-    region_note = _region_warning(spec.bidegree, nu_used)
-    if region_note:
-        warnings.append(region_note)
-    timings["region_ms"] = _ms(start)
-
-    start = time.perf_counter()
-    M = build_matrix(F, nu_used)
-    timings["matrix_ms"] = _ms(start)
-
-    start = time.perf_counter()
-    summary = complex_summary(F, M)
-    timings["summary_ms"] = _ms(start)
-
+    nu_used, region_note = timed("region_ms", _degree, spec)
+    M = timed("matrix_ms", build_matrix, F, nu_used)
+    summary = timed("summary_ms", complex_summary, F, M)
     report = OutputReport(
         bidegree=spec.bidegree,
-        region=reg,
+        region=region(spec.bidegree),
         nu_used=nu_used,
         summary=summary,
         matrix=M,
-        minor_columns=None,
-        equation=None,
-        equation_degree=None,
-        verified=None,
         seed=spec.seed,
-        warnings=warnings,
+        warnings=[region_note] if region_note else [],
         timings=timings,
     )
+    warnings = report.warnings
     if matrix_only:
         timings["total_ms"] = _ms(total_start)
-        warnings.append("determinant and verification skipped (matrix only)")
+        warnings.append(MATRIX_ONLY_NOTE)
         return report
 
-    start = time.perf_counter()
-    minor_columns, dets = minor_determinants(M, spec.seed, spec.minors)
+    report.minor_columns, dets = timed(
+        "determinant_ms", minor_determinants, M, spec.seed, spec.minors
+    )
     if spec.minors > 1 and len(dets) == 1 and M.rows == M.cols:
         warnings.append(
             "matrix is square; extra minors coincide with the full matrix"
         )
-    timings["determinant_ms"] = _ms(start)
-
-    start = time.perf_counter()
-    equation = reduce_equation(dets)
-    timings["reduce_ms"] = _ms(start)
-    degree = equation.total_degree()
+    equation = report.equation = timed("reduce_ms", reduce_equation, dets)
+    degree = report.equation_degree = equation.total_degree()
     if degree < summary.macrae_degree:
         warnings.append(
             "gcd over minors removed an extraneous factor; the reported "
@@ -283,15 +267,13 @@ def run_implicitize(
             f"{summary.macrae_degree}: the minor carries an extraneous factor"
         )
 
-    start = time.perf_counter()
-    verified = verify_substitution(equation, F) if verify else None
-    timings["verify_ms"] = _ms(start)
-    if verified is False:
+    report.verified = timed(
+        "verify_ms", lambda: verify_substitution(equation, F) if verify else None
+    )
+    if report.verified is False:
         warnings.append("substitution check FAILED: equation does not vanish")
 
     timings["total_ms"] = _ms(total_start)
-    report.minor_columns, report.equation = minor_columns, equation
-    report.equation_degree, report.verified = degree, verified
     return report
 
 
@@ -352,22 +334,14 @@ def _load_spec(args) -> InputSpec:
 
 
 def _cmd_summary(args) -> int:
-    """`hilbert` and `matrix`: the slice summary at the degree in use, read
-    in part off the matrix; `matrix` adds the matrix representation."""
-    spec = _load_spec(args)
-    F = build_parametrization(spec)
-    nu_used = _nu_used(spec)
-    note = _region_warning(spec.bidegree, nu_used)
-    M = build_matrix(F, nu_used)
-    document = {
-        "bidegree": list(spec.bidegree),
-        "region": region_dict(region(spec.bidegree)),
-        "nu_used": list(nu_used),
-        "summary": summary_dict(complex_summary(F, M)),
-    }
+    """`hilbert` and `matrix`: the matrix-only report up to the slice
+    summary, with the matrix for `matrix`, and its warnings."""
+    report = run_implicitize(_load_spec(args), matrix_only=True)
+    keys = {"bidegree", "region", "nu_used", "summary"}
     if args.command == "matrix":
-        document["matrix"] = matrix_dict(M)
-    document["warnings"] = [note] if note else []
+        keys.add("matrix")
+    document = {key: value for key, value in report.to_dict().items() if key in keys}
+    document["warnings"] = [w for w in report.warnings if w != MATRIX_ONLY_NOTE]
     _emit(document)
     return 0
 
@@ -375,7 +349,7 @@ def _cmd_summary(args) -> int:
 def _cmd_implicitize(args) -> int:
     spec = _load_spec(args)
     # emit the degree warning before the pipeline so it survives failures
-    region_note = _region_warning(spec.bidegree, _nu_used(spec))
+    region_note = _degree(spec)[1]
     if region_note:
         print(f"warning: {region_note}", file=sys.stderr)
     report = run_implicitize(spec, matrix_only=args.matrix_only, verify=args.verify)
@@ -387,8 +361,7 @@ def _cmd_implicitize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    spec = load_input(args.input)
-    F = build_parametrization(spec)
+    F = build_parametrization(load_input(args.input))
     try:
         with open(args.equation, "r", encoding="utf-8") as handle:
             text = handle.read().strip()
@@ -418,47 +391,34 @@ def _build_parser() -> _ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_region = sub.add_parser(
-        "region", help="corners of the usable evaluation-degree region"
-    )
-    p_region.add_argument("--bidegree", required=True, metavar="E1,E2")
-    p_region.set_defaults(func=_cmd_region)
-
-    for name, help_text in (
-        ("hilbert", "slice dimensions and determinant degree prediction"),
-        ("matrix", "assemble the matrix representation"),
+    for name, func, help_text in (
+        ("region", _cmd_region, "corners of the usable evaluation-degree region"),
+        ("hilbert", _cmd_summary, "slice dimensions and determinant degree prediction"),
+        ("matrix", _cmd_summary, "assemble the matrix representation"),
+        ("implicitize", _cmd_implicitize, "full implicitization pipeline"),
+        ("verify", _cmd_verify, "substitute the parametrization into an equation file"),
     ):
-        p_summary = sub.add_parser(name, help=help_text)
-        p_summary.add_argument("input")
-        p_summary.add_argument("--nu", metavar="A,B")
-        p_summary.set_defaults(func=_cmd_summary)
-
-    p_impl = sub.add_parser("implicitize", help="full implicitization pipeline")
-    p_impl.add_argument("input")
-    p_impl.add_argument("--nu", metavar="A,B")
-    p_impl.add_argument("--minors", metavar="K")
-    p_impl.add_argument("--seed", metavar="N")
-    p_impl.add_argument(
+        sub.add_parser(name, help=help_text).set_defaults(func=func)
+    command = sub.choices
+    command["region"].add_argument("--bidegree", required=True, metavar="E1,E2")
+    for name in ("hilbert", "matrix", "implicitize", "verify"):
+        command[name].add_argument("input")
+    for name in ("hilbert", "matrix", "implicitize"):
+        command[name].add_argument("--nu", metavar="A,B")
+    command["implicitize"].add_argument("--minors", metavar="K")
+    command["implicitize"].add_argument("--seed", metavar="N")
+    command["implicitize"].add_argument(
         "--verify",
         action=argparse.BooleanOptionalAction,
         default=True,
         help="check the equation by substitution (default: on)",
     )
-    p_impl.add_argument(
+    command["implicitize"].add_argument(
         "--matrix-only",
         action="store_true",
         help="skip determinant computation for large instances",
     )
-    p_impl.set_defaults(func=_cmd_implicitize)
-
-    p_verify = sub.add_parser(
-        "verify", help="substitute the parametrization into an equation file"
-    )
-    p_verify.add_argument("input")
-    p_verify.add_argument("--equation", required=True, metavar="FILE")
-    p_verify.set_defaults(func=_cmd_verify)
-
+    command["verify"].add_argument("--equation", required=True, metavar="FILE")
     return parser
 
 

@@ -244,7 +244,8 @@ def _interpolate(values: np.ndarray, p: int) -> np.ndarray:
 
 
 # matrices of one evaluation batch hold about this many int64 entries
-_BATCH_ENTRIES = 2**13
+# (256 KB); smaller batches spend the time in per-chunk numpy overhead
+_BATCH_ENTRIES = 2**15
 
 
 def _core_det(core: list[list[tuple]], n: int) -> TPoly:

@@ -2,10 +2,13 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from biimplicit.cli import (
+    MATRIX_ONLY_NOTE,
+    MAX_MINORS,
     InputError,
     InputSpec,
     load_input,
@@ -16,6 +19,8 @@ from biimplicit.parser import parse_tpoly
 from biimplicit.poly import Bidegree
 
 from conftest import GOLDEN_STRINGS, SEGRE_STRINGS, random_parametrization
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_input(tmp_path, name="input.json", **overrides):
@@ -306,6 +311,25 @@ class TestCommands:
         assert err == "error: minors must be a positive integer, got 0\n"
         assert out == ""
 
+    @pytest.mark.parametrize("where", ["input", "flag"])
+    def test_minors_above_limit_rejected(self, capsys, tmp_path, where):
+        # each extra minor is a full determinant; a count past the limit is
+        # refused before any of them runs
+        if where == "input":
+            argv = ["implicitize", write_input(tmp_path, minors=MAX_MINORS + 1)]
+        else:
+            argv = ["implicitize", write_input(tmp_path), "--minors", "1000000"]
+        code, out, err = run_main(capsys, argv)
+        assert code == 1
+        assert err.startswith("error: minors must be") and err.count("\n") == 1
+        assert out == ""
+
+    def test_minors_limit_itself_accepted(self):
+        spec = InputSpec(
+            bidegree=Bidegree(1, 1), polynomials=SEGRE_STRINGS, minors=MAX_MINORS
+        )
+        assert spec.minors == 100
+
     def test_verify_command(self, capsys, tmp_path):
         eq_path = tmp_path / "equation.txt"
         eq_path.write_text("T1*T4 - T2*T3\n")
@@ -417,6 +441,36 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert (doc["nu_used"], doc["seed"]) == ([1, 0], -7)
+
+
+class TestStrandViews:
+    """`hilbert` and `matrix` print parts of the matrix-only report."""
+
+    @pytest.mark.parametrize(
+        "input_name, nu",
+        [
+            ("segre.json", None),
+            ("segre.json", "2,0"),  # inside the torsion region: a warning
+            ("rand12.json", "2,2"),
+            ("golden.json", "3,2"),
+        ],
+    )
+    def test_views_match_matrix_only_report(self, capsys, input_name, nu):
+        argv = [str(DATA / input_name)] + (["--nu", nu] if nu else [])
+        code, out, _ = run_main(capsys, ["implicitize", *argv, "--matrix-only"])
+        assert code == 0
+        report = json.loads(out)
+        warnings = [w for w in report["warnings"] if w != MATRIX_ONLY_NOTE]
+        assert len(warnings) == len(report["warnings"]) - 1
+        for command, keys in (
+            ("hilbert", ["bidegree", "region", "nu_used", "summary"]),
+            ("matrix", ["bidegree", "region", "nu_used", "summary", "matrix"]),
+        ):
+            code, out, err = run_main(capsys, [command, *argv])
+            assert code == 0 and err == ""
+            expected = {key: report[key] for key in keys}
+            view = {**expected, "warnings": warnings}
+            assert list(json.loads(out).items()) == list(view.items())
 
 
 class TestDeterminism:
