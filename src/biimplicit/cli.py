@@ -95,19 +95,20 @@ class OutputReport:
     warnings: list[str] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, keys=None) -> dict:
+        """The JSON report; with `keys`, only those keys are built."""
         S, M = self.summary, self.matrix
-        return {
-            "bidegree": list(self.bidegree),
-            "region": region_dict(self.region),
-            "nu_used": list(self.nu_used),
-            "summary": {
+        builders = {
+            "bidegree": lambda: list(self.bidegree),
+            "region": lambda: region_dict(self.region),
+            "nu_used": lambda: list(self.nu_used),
+            "summary": lambda: {
                 "nu": list(S.nu),
                 "dims": list(S.dims),
                 "euler": S.euler,
                 "macrae_degree": S.macrae_degree,
             },
-            "matrix": {
+            "matrix": lambda: {
                 "nu": list(M.nu),
                 "rows": M.rows,
                 "cols": M.cols,
@@ -116,16 +117,18 @@ class OutputReport:
                 ],
                 "entries": [[str(entry) for entry in row] for row in M.entries],
             },
-            "minor_columns": (
+            "minor_columns": lambda: (
                 list(self.minor_columns) if self.minor_columns is not None else None
             ),
-            "equation": str(self.equation) if self.equation is not None else None,
-            "equation_degree": self.equation_degree,
-            "verified": self.verified,
-            "seed": self.seed,
-            "warnings": list(self.warnings),
-            "timings": dict(self.timings),
+            "equation": lambda: None if self.equation is None else str(self.equation),
+            "equation_degree": lambda: self.equation_degree,
+            "verified": lambda: self.verified,
+            "seed": lambda: self.seed,
+            "warnings": lambda: list(self.warnings),
+            "timings": lambda: dict(self.timings),
         }
+        wanted = builders if keys is None else keys
+        return {key: build() for key, build in builders.items() if key in wanted}
 
 
 def region_dict(spec: RegionSpec) -> dict:
@@ -340,7 +343,7 @@ def _cmd_summary(args) -> int:
     keys = {"bidegree", "region", "nu_used", "summary"}
     if args.command == "matrix":
         keys.add("matrix")
-    document = {key: value for key, value in report.to_dict().items() if key in keys}
+    document = report.to_dict(keys)
     document["warnings"] = [w for w in report.warnings if w != MATRIX_ONLY_NOTE]
     _emit(document)
     return 0

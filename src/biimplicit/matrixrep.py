@@ -3,17 +3,18 @@
 The degree-nu syzygies of the parametrization are rewritten as a matrix of
 linear forms in T1..T4, each entry a TPoly of degree 1, over the monomial
 basis of the degree-nu graded piece.
-A maximal square minor is proposed by evaluating the matrix at a random
-point and taking the pivot columns of the integer elimination in `linalg`;
-its determinant, which certifies the proposal when nonzero, is computed
-exactly: rows and columns with a single nonzero entry are peeled off, and
-the rest is evaluated on a grid modulo primes, interpolated, and recombined
-by CRT up to a proven coefficient bound; a square matrix is first given
-an LLL-reduced basis of the integer points of its columns' span, which
-drops integer content the bound would pay primes for.  The gcd of several such
-determinants, made primitive, is the reported implicit equation, certified
-by exact evaluation of eq(f1..f4) on a grid, and cross-checkable by rank
-drops at surface points and by a fully independent interpolation oracle.
+A square matrix is its own maximal minor; for a rectangular one a minor is
+proposed by evaluating the matrix at a random point and taking the pivot
+columns of the integer elimination in `linalg`.  The determinant, which
+certifies a proposal when nonzero, is computed exactly: rows and columns
+with a single nonzero entry are peeled off, and the rest is evaluated on a
+grid modulo primes, interpolated, and recombined by CRT up to a proven
+coefficient bound; a square matrix is first given an LLL-reduced basis of
+the integer points of its columns' span, which drops integer content the
+bound would pay primes for.  The gcd of several such determinants, made
+primitive, is the reported implicit equation, certified by exact
+evaluation of eq(f1..f4) on a grid, and cross-checkable by rank drops at
+surface points and by a fully independent interpolation oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd, lcm, prod
 
 import numpy as np
@@ -360,9 +362,12 @@ def bareiss_det(matrix) -> TPoly:
 def _reduced_matrix(M: MatrixRep) -> list[list[TPoly]]:
     """M on an LLL-reduced basis of the integer points of its columns' span,
     each column read as the vector of its entries' coefficients.  For a
-    matrix from `build_matrix` these points are the integer syzygies."""
+    matrix from `build_matrix` these points are the integer syzygies.
+    Dependent columns raise RankDeficientError."""
     columns = [[c for row in M._integer_entries for c in row[j]] for j in range(M.cols)]
     basis = lll_reduce(saturation(columns))
+    if len(basis) < M.cols:
+        raise RankDeficientError("the columns of the matrix are dependent")
     return [
         [TPoly(dict(zip(_T_MONOMIALS, v[4 * m : 4 * m + 4]))) for v in basis]
         for m in range(M.rows)
@@ -390,27 +395,30 @@ def minor_determinants(M: MatrixRep, seed: int, count: int):
     """Column sets and determinants for up to `count` distinct maximal
     minors; returns (columns of the first minor, list of determinants).
 
-    The first minor is the first proposal whose determinant is nonzero, and
-    RankDeficientError is raised when there is none.  Each extra minor is
-    the first proposal of a shuffled scan under its own seed; repeated
-    column sets are skipped and zero determinants dropped.  A square matrix
-    has only the one minor, so it gets no extra proposals.
+    A square matrix has only the one minor, all of its columns, and its
+    determinant is taken on `_reduced_matrix`, another basis of the same
+    Q-span without the integer content of the canonical columns, which the
+    coefficient bound would pay primes for: it is scaled by the nonzero
+    determinant of the change of basis, which `reduce_equation`'s primitive
+    part removes.
 
-    Determinants are exact up to a nonzero rational factor, which
-    `reduce_equation`'s primitive part removes: a square matrix's is taken
-    on `_reduced_matrix`, whose columns are another basis of the same
-    Q-span, so it is scaled by the determinant of the change of basis.  The
-    canonical columns span a sublattice of large index, which is integer
-    content of the determinant; the reduced basis leaves it out of the
-    coefficient bound and so out of the primes `bareiss_det` evaluates.
+    Otherwise the first minor is the first proposal whose determinant is
+    nonzero.  Each extra minor is the first proposal of a shuffled scan
+    under its own seed; repeated column sets are skipped and zero
+    determinants dropped.  RankDeficientError is raised when there is no
+    nonsingular maximal minor.
     """
     if M.rows == 0:
         return [], [TPoly.constant(1)]
     if all(entry.is_zero() for row in M.entries for entry in row):
         raise RankDeficientError("matrix of linear forms is zero")
-    square = M.rows == M.cols
+    if M.rows == M.cols:
+        det = bareiss_det(_reduced_matrix(M))
+        if det.is_zero():
+            raise RankDeficientError(f"the {M.rows}x{M.rows} matrix is singular")
+        return list(range(M.cols)), [det]
     for columns in _proposals(M, seed):
-        det = bareiss_det(_reduced_matrix(M) if square else M.submatrix(columns))
+        det = bareiss_det(M.submatrix(columns))
         if not det.is_zero():
             break
     else:
@@ -418,7 +426,7 @@ def minor_determinants(M: MatrixRep, seed: int, count: int):
             f"no nonsingular {M.rows}x{M.rows} minor found in {MAX_TRIES} attempts"
         )
     column_sets, dets = [columns], [det]
-    for i in range(1, 1 if square else count):
+    for i in range(1, count):
         candidate = next(_proposals(M, seed + 1000 * i, shuffle=True), None)
         if candidate is not None and candidate not in column_sets:
             column_sets.append(candidate)
@@ -517,14 +525,13 @@ def rank_drop_check(
 
 
 def _degree_monomials(degree: int) -> list[Monomial]:
-    monos = [
+    """The degree-`degree` monomials in T1..T4, in descending order."""
+    return [
         (a, b, c, degree - a - b - c)
         for a in range(degree, -1, -1)
         for b in range(degree - a, -1, -1)
         for c in range(degree - a - b, -1, -1)
     ]
-    monos.sort(reverse=True)
-    return monos
 
 
 def interpolation_oracle(F: Parametrization, degree: int, seed: int = 0) -> TPoly:
@@ -532,16 +539,17 @@ def interpolation_oracle(F: Parametrization, degree: int, seed: int = 0) -> TPol
 
     Samples random parameter points, distinct in P1 x P1 and away from base
     points, and keeps each one as its image point T = (f1..f4)(pt).  For
-    each word-sized prime the matrix of every degree-`degree` monomial in T
-    at the image points is formed modulo that prime and its nullspace found
-    by forward elimination and back substitution; one-dimensional
-    nullspaces are combined by CRT and rational reconstruction.  The
-    resulting form is returned only if it
-    vanishes exactly at every sample, so the only probabilistic ingredient
-    is running time.  A nullity >= 2 can mean either an unlucky point
-    configuration or a genuinely fat solution space, so the sample is
-    enlarged a few times (rank only ever grows with more points) before
-    giving up.
+    each word-sized prime, up to 32 per sample, the matrix of every
+    degree-`degree` monomial in T at the image points is formed modulo that
+    prime and its nullspace found by forward elimination and back
+    substitution.  One-dimensional nullspaces are grouped by their pivot
+    columns; when a group reaches 4, 8, 16 or 32 primes, its vectors are
+    combined by CRT and rationally reconstructed, and the resulting form is
+    returned only if it vanishes exactly at every sample, so the only
+    probabilistic ingredient is running time.  A nullity >= 2 is an unlucky
+    prime or too few points (rank only ever grows with more), so the second
+    one grows the sample, as do 32 primes without a certified form, a few
+    times before giving up.
 
     Raises NoEquationError when the nullspace is certified trivial (degree
     too small) and AmbiguousNullspaceError when a one-dimensional nullspace
@@ -552,13 +560,15 @@ def interpolation_oracle(F: Parametrization, degree: int, seed: int = 0) -> TPol
         raise ValueError("degree must be >= 1")
     monos = _degree_monomials(degree)
     assert len(monos) == comb(degree + 3, 3)
+    exponents = np.array(monos, dtype=np.intp)
 
     rng = random.Random(seed)
     seen: set[tuple] = set()
     images: list[tuple[int, ...]] = []
     box_points = _box_points()
-
-    def extend_images(target: int) -> None:
+    primes = prime_stream()
+    target = len(monos) + 60
+    for _ in range(4):
         while len(images) < target:
             if target - len(images) > box_points - len(seen):
                 raise AmbiguousNullspaceError(
@@ -576,13 +586,39 @@ def interpolation_oracle(F: Parametrization, degree: int, seed: int = 0) -> TPol
                 continue  # base point
             images.append(values)
 
-    primes = prime_stream()
-    target = len(monos) + 60
-    for _ in range(4):
-        extend_images(target)
-        equation = _oracle_attempt(images, monos, primes, degree)
-        if equation is not None:
-            return equation
+        groups: dict[tuple[int, ...], list] = {}
+        fat_primes = 0
+        for p in islice(primes, 32):
+            pivots, basis = nullspace_mod_p(
+                _sample_matrix_mod_p(images, exponents, degree, p), p
+            )
+            if len(basis) == 0:
+                raise NoEquationError(
+                    f"no nonzero degree-{degree} form vanishes on the samples"
+                )
+            if len(basis) >= 2:
+                # an unlucky prime (true nullity 1) or too few rows; a second
+                # one means the sample itself should grow
+                fat_primes += 1
+                if fat_primes == 2:
+                    break
+                continue
+            group = groups.setdefault(tuple(pivots), [])
+            group.append((p, basis[0]))
+            if len(group) not in (4, 8, 16, 32):
+                continue
+            moduli, vectors = zip(*group)
+            combined, modulus = crt_combine(np.array(vectors, dtype=object), moduli)
+            coefficients = []
+            for c in combined:
+                f = rational_reconstruct(c, modulus)
+                if f is None:
+                    break
+                coefficients.append(f)
+            else:
+                equation = TPoly(dict(zip(monos, coefficients))).primitive()
+                if all(equation.evaluate(T) == 0 for T in images):
+                    return equation
         target += max(150, len(monos) // 2)
     raise AmbiguousNullspaceError(
         f"could not certify a one-dimensional space of degree-{degree} forms "
@@ -601,62 +637,3 @@ def _sample_matrix_mod_p(images, exponents: np.ndarray, degree: int, p: int):
     for i in range(1, 4):
         A = A * P[:, i, exponents[:, i]] % p
     return A
-
-
-def _oracle_attempt(images, monos, primes, degree):
-    """One pass over the current sample: gather nullity-1 primes, CRT, and
-    certify exactly.  Returns the equation, raises NoEquationError on a
-    certified empty nullspace, or returns None when the sample looks too thin
-    (persistent nullity >= 2) or the prime budget runs out."""
-    exponents = np.array(monos, dtype=np.intp)
-    used: list[tuple[int, tuple[int, ...], np.ndarray]] = []
-    fat_primes = 0
-    batch = 4
-    max_primes = 32
-    consumed = 0
-    while True:
-        while len(used) < batch:
-            if fat_primes >= 2 or consumed >= max_primes:
-                return None
-            p = next(primes)
-            consumed += 1
-            A = _sample_matrix_mod_p(images, exponents, degree, p)
-            pivots, basis = nullspace_mod_p(A, p)
-            if len(basis) == 0:
-                raise NoEquationError(
-                    f"no nonzero degree-{degree} form vanishes on the samples"
-                )
-            if len(basis) == 1:
-                used.append((p, tuple(pivots), basis[0]))
-            else:
-                # either an unlucky prime (true nullity 1) or too few rows;
-                # two in a row means the sample itself should grow
-                fat_primes += 1
-        pattern_counts: dict[tuple[int, ...], int] = {}
-        for _, piv, _ in used:
-            pattern_counts[piv] = pattern_counts.get(piv, 0) + 1
-        pivot_pattern = max(pattern_counts, key=pattern_counts.get)
-        group = [(p, vec) for p, piv, vec in used if piv == pivot_pattern]
-        candidate = _reconstruct_vector(group, len(monos))
-        if candidate is not None:
-            equation = TPoly(dict(zip(monos, candidate))).primitive()
-            if all(equation.evaluate(T) == 0 for T in images):
-                return equation
-        if batch >= max_primes:
-            return None
-        batch = min(batch * 2, max_primes)
-
-
-def _reconstruct_vector(group, ncols):
-    """CRT-combine per-prime nullspace vectors and rationally reconstruct
-    each coordinate; None when any coordinate fails."""
-    moduli = [p for p, _ in group]
-    out = []
-    for j in range(ncols):
-        residues = [int(vec[j]) for _, vec in group]
-        value, modulus = crt_combine(residues, moduli)
-        f = rational_reconstruct(value, modulus)
-        if f is None:
-            return None
-        out.append(f)
-    return out

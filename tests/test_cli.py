@@ -16,7 +16,7 @@ from biimplicit.cli import (
     run_implicitize,
 )
 from biimplicit.parser import parse_tpoly
-from biimplicit.poly import Bidegree
+from biimplicit.poly import Bidegree, TPoly
 
 from conftest import GOLDEN_STRINGS, SEGRE_STRINGS, random_parametrization
 
@@ -471,6 +471,25 @@ class TestStrandViews:
             expected = {key: report[key] for key in keys}
             view = {**expected, "warnings": warnings}
             assert list(json.loads(out).items()) == list(view.items())
+
+    def test_hilbert_formats_no_matrix(self, capsys, tmp_path, monkeypatch):
+        # rand22 at nu=(6,4) is a 35x77 matrix; hilbert prints none of it
+        F = random_parametrization(random.Random(7), (2, 2))
+        path = write_input(
+            tmp_path, bidegree=[2, 2], polynomials=[str(f) for f in F.polys]
+        )
+        real = TPoly.__str__
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(TPoly, "__str__", counting)
+        code, out, _ = run_main(capsys, ["hilbert", path, "--nu", "6,4"])
+        assert code == 0
+        assert json.loads(out)["nu_used"] == [6, 4]
+        assert calls == []
 
 
 class TestDeterminism:

@@ -191,6 +191,21 @@ class TestSelectMaxMinor:
         with pytest.raises(RankDeficientError):
             minor_determinants(M, 0, 1)
 
+    def test_rank_deficient_square(self):
+        # the second column is twice the first: the columns span one
+        # dimension, so the square matrix has no nonsingular minor
+        entries = (
+            (lin(c1=1), lin(c1=2)),
+            (lin(c2=1), lin(c2=2)),
+        )
+        M = MatrixRep(
+            nu=Bidegree(0, 0),
+            row_basis=graded_basis((0, 0)),
+            entries=entries,
+        )
+        with pytest.raises(RankDeficientError):
+            minor_determinants(M, 0, 1)
+
     def test_rank_deficient_rectangular(self):
         # two proportional rows: symbolic rank 1 < 2 rows
         entries = (
@@ -573,6 +588,43 @@ class TestInterpolationOracle:
         interpolation_oracle(F, degree, seed=0)
         assert len(calls) == primes
 
+    def test_unlucky_pivots_cost_one_prime(self, golden_F, monkeypatch):
+        # the first prime's vector has other pivot columns, as an unlucky
+        # prime's would: it forms a group of its own, and the next four
+        # primes reconstruct the equation
+        expected = interpolation_oracle(golden_F, 12)
+        real = matrixrep.nullspace_mod_p
+        calls = []
+
+        def shifted_first(A, p):
+            calls.append(p)
+            pivots, basis = real(A, p)
+            if len(calls) == 1:
+                pivots = [c + 1 for c in pivots]
+            return pivots, basis
+
+        monkeypatch.setattr(matrixrep, "nullspace_mod_p", shifted_first)
+        assert interpolation_oracle(golden_F, 12) == expected
+        assert len(calls) == 5
+
+    def test_two_fat_primes_grow_the_sample(self, golden_F, monkeypatch):
+        # nullity 2 at the first two primes: the sample grows from
+        # C(15, 3) + 60 = 515 to 515 + 227 = 742 points
+        expected = interpolation_oracle(golden_F, 12)
+        real = matrixrep.nullspace_mod_p
+        rows = []
+
+        def fat_first_two(A, p):
+            rows.append(A.shape[0])
+            pivots, basis = real(A, p)
+            if len(rows) <= 2:
+                basis = [basis[0], basis[0]]
+            return pivots, basis
+
+        monkeypatch.setattr(matrixrep, "nullspace_mod_p", fat_first_two)
+        assert interpolation_oracle(golden_F, 12) == expected
+        assert rows[:3] == [515, 515, 742]
+
     def test_projective_point(self):
         assert matrixrep._projective_point((-2, -4, 3, -6)) == (1, 2, 1, -2)
         assert matrixrep._projective_point((0, -3, -5, 0)) == (0, 1, 1, 0)
@@ -703,7 +755,7 @@ class TestImplicitEquation:
 
         monkeypatch.setattr(MatrixRep, "evaluate", counting)
         minor_determinants(M, seed=0, count=50)
-        assert len(calls) == 1
+        assert len(calls) == 0
 
 
 def euclidean_kernel(A: list[list[int]], ncols: int) -> list[list[int]]:
