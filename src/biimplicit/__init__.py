@@ -36,6 +36,7 @@ from .matrixrep import (
     AmbiguousNullspaceError,
     MatrixRep,
     NoEquationError,
+    PipelineError,
     RankDeficientError,
     bareiss_det,
     build_matrix,
@@ -49,6 +50,7 @@ from .parser import ParseError, UnknownVariableError, parse_poly, parse_tpoly
 from .poly import (
     Bidegree,
     BigradedPoly,
+    InputError,
     NotBihomogeneousError,
     Parametrization,
     Rational,
@@ -68,6 +70,7 @@ __all__ = [
     "ComplexSummary",
     "DegreeMismatchError",
     "GradedBasis",
+    "InputError",
     "InputSpec",
     "InvalidBidegreeError",
     "KoszulSlice",
@@ -77,6 +80,7 @@ __all__ = [
     "OutputReport",
     "ParseError",
     "Parametrization",
+    "PipelineError",
     "QMatrix",
     "RankDeficientError",
     "Rational",

@@ -5,8 +5,8 @@ expression strings), and optional `nu`, `seed`, `minors`; the options
 `--nu`, `--seed` and `--minors` override the document's values.
 `run_implicitize` is the one pipeline behind every strand command:
 `hilbert` and `matrix` print parts of its matrix-only report.  Reports are
-JSON on stdout; exit code 0 on success, 1 on input errors, 2 on pipeline
-errors.
+JSON on stdout; exit code 0 on success, 1 on any `InputError`, 2 on any
+`PipelineError`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 
 from .complexes import (
     ComplexSummary,
-    InvalidBidegreeError,
     RegionSpec,
     complex_summary,
     in_good_region,
@@ -27,25 +26,15 @@ from .complexes import (
     suggested_nu,
 )
 from .matrixrep import (
-    AllZeroError,
-    AmbiguousNullspaceError,
     MatrixRep,
-    NoEquationError,
-    RankDeficientError,
+    PipelineError,
     build_matrix,
     minor_determinants,
     reduce_equation,
     verify_substitution,
 )
 from .parser import ParseError, parse_poly, parse_tpoly
-from .poly import (
-    Bidegree,
-    BigradedPoly,
-    NotBihomogeneousError,
-    Parametrization,
-    TPoly,
-    ZeroPolynomialError,
-)
+from .poly import Bidegree, BigradedPoly, InputError, Parametrization, TPoly
 
 INPUT_KEYS = {"bidegree", "polynomials", "nu", "seed", "minors"}
 
@@ -55,10 +44,6 @@ MAX_MINORS = 100
 
 # the matrix-only report's warning, left out by `hilbert` and `matrix`
 MATRIX_ONLY_NOTE = "determinant and verification skipped (matrix only)"
-
-
-class InputError(ValueError):
-    """Malformed input document or command line."""
 
 
 @dataclass(frozen=True)
@@ -193,8 +178,7 @@ def _parse_pair(value, name: str) -> Bidegree:
 
 def build_parametrization(spec: InputSpec) -> Parametrization:
     """Parse and validate the four polynomial strings against the declared
-    bidegree.  ParseError, ZeroPolynomialError, and NotBihomogeneousError
-    propagate to the caller; the CLI treats all three as input errors."""
+    bidegree; every failure is an InputError."""
     polys = []
     for i, text in enumerate(spec.polynomials):
         try:
@@ -430,21 +414,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (
-        InputError,
-        ParseError,
-        InvalidBidegreeError,
-        NotBihomogeneousError,
-        ZeroPolynomialError,
-    ) as err:
+    except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (
-        RankDeficientError,
-        AllZeroError,
-        NoEquationError,
-        AmbiguousNullspaceError,
-    ) as err:
+    except PipelineError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

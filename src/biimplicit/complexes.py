@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .linalg import (
     GradedBasis,
@@ -27,10 +28,18 @@ from .linalg import (
     poly_from_vector,
     rref_nullspace,
 )
-from .poly import Bidegree, BigradedPoly, Parametrization, as_bidegree
+from .poly import Bidegree, BigradedPoly, InputError, Parametrization, as_bidegree
+
+# Most cells (rows x cols) of one dense Koszul slice, checked before the slice
+# is allocated.  The largest slice of a strand, K2 or K3, has
+# 24 * dim S_nu * dim S_(nu+d) cells: 73,728 for a bidegree-(4,4) map at its
+# default nu=(7,3).  The method is meant for small examples; `hilbert` on a
+# strand at the limit takes about a second, while the K1 slice of the (60,60)
+# monomial map at its default nu alone has 622 million cells.
+MAX_SLICE_CELLS = 2**17
 
 
-class InvalidBidegreeError(ValueError):
+class InvalidBidegreeError(InputError):
     """Parametrization bidegree components must be >= 1."""
 
 
@@ -86,6 +95,12 @@ def koszul_slice(F: Parametrization, p: int, target_degree) -> KoszulSlice:
     d = F.bidegree
     col_deg = mu - p * d
     row_deg = mu - (p - 1) * d
+    cells = _dim(row_deg) * comb(4, p - 1) * _dim(col_deg) * comb(4, p)
+    if cells > MAX_SLICE_CELLS:
+        raise InputError(
+            f"strand too large: its Koszul slice K{p} would have more than "
+            f"{MAX_SLICE_CELLS} cells"
+        )
     col_basis = graded_basis(col_deg)
     row_basis = graded_basis(row_deg)
 
@@ -114,6 +129,11 @@ def koszul_slice(F: Parametrization, p: int, target_degree) -> KoszulSlice:
         row_blocks=tuple((J, row_basis) for J in row_subsets),
         col_blocks=tuple((I, col_basis) for I in col_subsets),
     )
+
+
+def _dim(deg: Bidegree) -> int:
+    """Size of `graded_basis(deg)`, without building it."""
+    return (deg.d1 + 1) * (deg.d2 + 1) if min(deg) >= 0 else 0
 
 
 def syzygy_basis(F: Parametrization, nu) -> SyzygyBasis:

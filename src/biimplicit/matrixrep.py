@@ -63,19 +63,24 @@ RANDOM_COORD_BOUND = 10  # sampling box [-10, 10] keeps evaluated entries small
 MAX_TRIES = 25  # random evaluation points per minor proposal
 
 
-class RankDeficientError(RuntimeError):
+class PipelineError(Exception):
+    """A well-formed input on which the pipeline finds no equation; the
+    command line exits 2 on any of them."""
+
+
+class RankDeficientError(PipelineError, RuntimeError):
     """No square nonsingular minor with as many columns as rows exists."""
 
 
-class AllZeroError(ValueError):
+class AllZeroError(PipelineError, ValueError):
     """Every supplied determinant is zero."""
 
 
-class NoEquationError(RuntimeError):
+class NoEquationError(PipelineError, RuntimeError):
     """No nonzero form of the requested degree vanishes on the image."""
 
 
-class AmbiguousNullspaceError(RuntimeError):
+class AmbiguousNullspaceError(PipelineError, RuntimeError):
     """More than one independent form of the requested degree fits the
     samples; the degree is too large or the sampling hit special fibers."""
 

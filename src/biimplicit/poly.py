@@ -27,11 +27,16 @@ SOURCE_VARS = ("s", "u", "t", "v")
 TARGET_VARS = ("T1", "T2", "T3", "T4")
 
 
-class ZeroPolynomialError(ValueError):
+class InputError(ValueError):
+    """Malformed or oversized input; the command line exits 1 on any of
+    them."""
+
+
+class ZeroPolynomialError(InputError):
     """The zero polynomial has no bidegree."""
 
 
-class NotBihomogeneousError(ValueError):
+class NotBihomogeneousError(InputError):
     """Terms of mixed bidegrees where a single bidegree is required."""
 
 
