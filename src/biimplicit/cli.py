@@ -33,7 +33,7 @@ from .matrixrep import (
     reduce_equation,
     verify_substitution,
 )
-from .parser import ParseError, parse_poly, parse_tpoly
+from .parser import MAX_DEGREE, ParseError, parse_poly, parse_tpoly
 from .poly import Bidegree, BigradedPoly, InputError, Parametrization, TPoly
 
 INPUT_KEYS = {"bidegree", "polynomials", "nu", "seed", "minors"}
@@ -41,6 +41,18 @@ INPUT_KEYS = {"bidegree", "polynomials", "nu", "seed", "minors"}
 # the most maximal minors one run takes the gcd over; each extra minor is
 # one more Bareiss determinant, and the largest count in use is 3
 MAX_MINORS = 100
+
+# the largest component of `region --bidegree`: a map the parser reads has
+# terms of total degree e1 + e2 <= MAX_DEGREE, so this admits the bidegree
+# of every such map
+MAX_BIDEGREE = MAX_DEGREE
+
+# the most grid points x terms x degree that `verify` evaluates: a degree-n
+# equation of a map of bidegree (e1, e2) is evaluated term by term at
+# (n*e1 + 1)(n*e2 + 1) points, and a term costs about n products.  Measured
+# at 57-70 ns a unit, the limit is about 9 s of checking; it admits rand33's
+# own equation (degree 18, 1330 terms, 72.4 million units).
+MAX_VERIFY_WORK = 2**27
 
 # the matrix-only report's warning, left out by `hilbert` and `matrix`
 MATRIX_ONLY_NOTE = "determinant and verification skipped (matrix only)"
@@ -204,7 +216,8 @@ def run_implicitize(
 ) -> OutputReport:
     """Full pipeline: region and degree selection, matrix assembly, slice
     dimensions, minor selection, determinants (gcd over extra minors when
-    requested), primitive reduction, substitution check."""
+    requested), primitive reduction, substitution check; an equation that
+    fails the check is a PipelineError."""
     timings: dict[str, float] = {}
     total_start = time.perf_counter()
 
@@ -258,7 +271,10 @@ def run_implicitize(
         "verify_ms", lambda: verify_substitution(equation, F) if verify else None
     )
     if report.verified is False:
-        warnings.append("substitution check FAILED: equation does not vanish")
+        raise PipelineError(
+            f"substitution check failed: the degree-{degree} equation does not "
+            "vanish on the image"
+        )
 
     timings["total_ms"] = _ms(total_start)
     return report
@@ -303,7 +319,10 @@ def _emit(document: dict) -> None:
 
 def _cmd_region(args) -> int:
     e = _pair_argument(args.bidegree, "--bidegree")
-    _emit({**region_dict(region(e)), "suggested_nu": list(suggested_nu(e))})
+    corners = region(e)
+    if max(e) > MAX_BIDEGREE:
+        raise InputError(f"--bidegree components must be at most {MAX_BIDEGREE}")
+    _emit({**region_dict(corners), "suggested_nu": list(suggested_nu(e))})
     return 0
 
 
@@ -360,12 +379,15 @@ def _cmd_verify(args) -> int:
         raise InputError(f"equation file: {err}") from err
     if equation.is_zero():  # it vanishes on every surface
         raise InputError("equation file: the equation is the zero polynomial")
-    _emit(
-        {
-            "verified": verify_substitution(equation, F),
-            "equation_degree": equation.total_degree(),
-        }
-    )
+    n = equation.total_degree()
+    e1, e2 = F.bidegree
+    if (n * e1 + 1) * (n * e2 + 1) * len(equation.terms) * n > MAX_VERIFY_WORK:
+        raise InputError(
+            f"equation file: the degree-{n} equation with {len(equation.terms)} "
+            f"terms is too large to check: grid points x terms x degree above "
+            f"{MAX_VERIFY_WORK}"
+        )
+    _emit({"verified": verify_substitution(equation, F), "equation_degree": n})
     return 0
 
 

@@ -17,8 +17,6 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Mapping
 
-Rational = Fraction
-
 # exponent 4-tuples: (a_s, a_u, a_t, a_v) for the source ring,
 # (a_T1, a_T2, a_T3, a_T4) for the target ring
 Monomial = tuple[int, int, int, int]
@@ -210,20 +208,6 @@ class _SparsePoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = type(self).constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n > 1
-            n >>= 1
-            if base_needed:
-                base = base * base
-        return result
-
     @classmethod
     def _raw(cls, terms: dict):
         """Wrap a term dict known to be clean (exact coefficients, no zeros)."""
@@ -258,13 +242,6 @@ class _SparsePoly:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    # the immutability guard above would break pickle's slot restoration
-    def __getstate__(self):
-        return self.terms
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "terms", state)
 
     def __str__(self) -> str:
         """Canonical rendering: descending lex term order, explicit signs,

@@ -5,8 +5,11 @@ points."""
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -45,9 +48,10 @@ from biimplicit.poly import (
     ZeroPolynomialError,
 )
 
-from conftest import SEGRE_STRINGS
+from conftest import SEGRE_STRINGS, random_parametrization
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 DATA = Path(__file__).parent / "data"
 
 
@@ -270,3 +274,135 @@ def test_main_on_small_documents(fuzz_path, command, document):
 
 def test_segre_document_runs(fuzz_path):
     fuzz_main(fuzz_path, "implicitize", {"bidegree": [1, 1], "polynomials": list(SEGRE_STRINGS)})
+
+
+# -- exports, the checks of run_implicitize and `verify`, `region` -----------------
+
+
+def test_exports_are_readme_library_names():
+    """`biimplicit` exports what README's Library block imports, plus the two
+    error bases; everything else is imported from its own module."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    imported = re.search(r"from biimplicit import \(([^)]*)\)", block).group(1)
+    names = {name.strip() for name in imported.split(",")} - {""}
+    assert sorted(biimplicit.__all__) == sorted(names | {"InputError", "PipelineError"})
+    assert all(hasattr(biimplicit, name) for name in biimplicit.__all__)
+
+
+LINE_MAP = ["u*v", "-2*u*v", "-4*u*v", "-2*u*v-2*s*v"]  # its image is a line
+
+
+class TestFailedSubstitutionCheck:
+    def test_exits_2_with_nothing_on_stdout(self, tmp_path):
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({"bidegree": [1, 1], "polynomials": LINE_MAP}))
+        result = run_cli("implicitize", str(path), "--minors", "3")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "error: substitution check failed" in result.stderr
+
+    def test_raised_by_the_pipeline_unless_verify_is_off(self):
+        spec = cli.InputSpec(
+            bidegree=biimplicit.Bidegree(1, 1), polynomials=tuple(LINE_MAP), minors=3
+        )
+        with pytest.raises(PipelineError, match="does not vanish on the image"):
+            cli.run_implicitize(spec)
+        report = cli.run_implicitize(spec, verify=False)
+        assert str(report.equation) == "1" and report.verified is None
+
+
+def golden_equation() -> str:
+    return json.loads((DATA / "golden.nu32.implicitize.json").read_text())["equation"]
+
+
+def run_timed(*argv):
+    start = time.perf_counter()
+    result = run_cli(*argv)
+    return result, time.perf_counter() - start
+
+
+class TestVerifyLimit:
+    def test_golden_times_a_high_power_refused_at_once(self, tmp_path):
+        path = tmp_path / "equation.txt"
+        path.write_text(f"({golden_equation()})*T1^100")
+        result, seconds = run_timed("verify", str(DATA / "golden.json"), "--equation", str(path))
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr.startswith("error: equation file: the degree-112 equation")
+        assert f"above {cli.MAX_VERIFY_WORK}" in result.stderr
+        assert seconds < 2
+
+    @pytest.mark.parametrize("bidegree, degree, admitted", [((3, 3), 18, True), ((4, 3), 24, False)])
+    def test_dense_equations_at_the_macrae_degree(
+        self, capsys, tmp_path, bidegree, degree, admitted
+    ):
+        """A dense equation of degree 2*e1*e2 has every one of its C(n+3, 3)
+        terms: admitted up to bidegree (3,3), refused from (4,3) on."""
+        F = random_parametrization(random.Random(7), bidegree)
+        document = {"bidegree": list(bidegree), "polynomials": [str(f) for f in F.polys]}
+        path, equation = tmp_path / "input.json", tmp_path / "equation.txt"
+        path.write_text(json.dumps(document))
+        equation.write_text(f"(T1+T2+T3+T4)^{degree}")  # fails at the first grid point
+        code = cli.main(["verify", str(path), "--equation", str(equation)])
+        out, err = capsys.readouterr()
+        if admitted:
+            assert code == 0 and json.loads(out) == {"verified": False, "equation_degree": degree}
+        else:
+            assert code == 1 and out == "" and "too large to check" in err
+
+
+class TestRegionLimit:
+    def test_4300_digit_component_refused_at_once(self):
+        result, seconds = run_timed("region", "--bidegree", "9" * 4300 + ",1")
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr == f"error: --bidegree components must be at most {cli.MAX_BIDEGREE}\n"
+        assert seconds < 2
+
+    def test_every_bidegree_of_a_parsable_map_admitted(self, capsys):
+        assert cli.MAX_BIDEGREE == MAX_DEGREE
+        assert cli.main(["region", "--bidegree", f"1,{MAX_DEGREE}"]) == 0
+        assert json.loads(capsys.readouterr().out)["corners"][1] == [0, 2 * MAX_DEGREE - 1]
+        assert cli.main(["region", "--bidegree", f"{MAX_DEGREE + 1},1"]) == 1
+
+
+@st.composite
+def long_bidegree_argv(draw):
+    """`region` with one or both components of up to 4400 digits."""
+
+    def component():
+        sign = draw(st.sampled_from(["", "-"]))
+        return sign + draw(st.sampled_from("123456789")) * draw(st.integers(1, 4400))
+
+    pair = [component(), component() if draw(st.booleans()) else "1"]
+    return ["region", "--bidegree", ",".join(draw(st.permutations(pair)))]
+
+
+@st.composite
+def high_degree_verify_argv(draw, path):
+    """`verify` on golden with its equation plus a power of T1, which fails
+    at the first grid point or is refused, or times a power of T1 past
+    degree 39, the highest such product admitted, which is refused (one
+    admitted would run its whole grid, up to 9 s)."""
+    if draw(st.booleans()):
+        equation = f"({golden_equation()})+T1^{draw(st.integers(0, 128))}"
+    else:
+        equation = f"({golden_equation()})*T1^{draw(st.integers(28, 116))}"
+    path.write_text(equation)
+    return ["verify", str(DATA / "golden.json"), "--equation", str(path)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_main_on_boundary_shapes(fuzz_path, data):
+    """Exit 0 with one JSON document on stdout, or exit 1 with one `error:`
+    line and nothing on stdout."""
+    argv = data.draw(long_bidegree_argv() | high_degree_verify_argv(fuzz_path))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = cli.main(argv)
+    assert code in (0, 1)
+    assert stderr.getvalue().startswith("error: ") == (code == 1)
+    if code:
+        assert stdout.getvalue() == "" and len(stderr.getvalue().splitlines()) == 1
+    else:
+        json.loads(stdout.getvalue())
