@@ -29,6 +29,7 @@ from .matrixrep import (
     MatrixRep,
     PipelineError,
     build_matrix,
+    certify_determinant,
     minor_determinants,
     reduce_equation,
     verify_substitution,
@@ -47,7 +48,8 @@ MAX_MINORS = 100
 # of every such map
 MAX_BIDEGREE = MAX_DEGREE
 
-# the most grid points x terms x degree that `verify` evaluates: a degree-n
+# the most grid points x terms x degree that `verify` evaluates (the grid
+# runs only there and on `implicitize`'s gcd path): a degree-n
 # equation of a map of bidegree (e1, e2) is evaluated term by term at
 # (n*e1 + 1)(n*e2 + 1) points, and a term costs about n products.  Measured
 # at 57-70 ns a unit, the limit is about 9 s of checking; it admits rand33's
@@ -216,8 +218,10 @@ def run_implicitize(
 ) -> OutputReport:
     """Full pipeline: region and degree selection, matrix assembly, slice
     dimensions, minor selection, determinants (gcd over extra minors when
-    requested), primitive reduction, substitution check; an equation that
-    fails the check is a PipelineError."""
+    requested), primitive reduction, and the certificate.  A single
+    determinant is certified by `certify_determinant` (its matrix's columns
+    are syzygies), a gcd by the substitution grid; an equation that fails
+    its check is a PipelineError, and verify=False skips both."""
     timings: dict[str, float] = {}
     total_start = time.perf_counter()
 
@@ -267,9 +271,13 @@ def run_implicitize(
             f"{summary.macrae_degree}: the minor carries an extraneous factor"
         )
 
-    report.verified = timed(
-        "verify_ms", lambda: verify_substitution(equation, F) if verify else None
-    )
+    def check():
+        if len(dets) > 1:
+            return verify_substitution(equation, F)
+        certify_determinant(M, F, report.minor_columns, dets[0])
+        return True
+
+    report.verified = timed("verify_ms", check if verify else lambda: None)
     if report.verified is False:
         raise PipelineError(
             f"substitution check failed: the degree-{degree} equation does not "
@@ -420,7 +428,10 @@ def _build_parser() -> _ArgumentParser:
         "--verify",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="check the equation by substitution (default: on)",
+        help=(
+            "certify the equation: a single determinant by the syzygy identity "
+            "of its matrix, a gcd over minors by substitution (default: on)"
+        ),
     )
     command["implicitize"].add_argument(
         "--matrix-only",

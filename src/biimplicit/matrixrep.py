@@ -11,10 +11,13 @@ with a single nonzero entry are peeled off, and the rest is evaluated on a
 grid modulo primes, interpolated, and recombined by CRT up to a proven
 coefficient bound; a square matrix is first given an LLL-reduced basis of
 the integer points of its columns' span, which drops integer content the
-bound would pay primes for.  The gcd of several such determinants, made
-primitive, is the reported implicit equation, certified by exact
-evaluation of eq(f1..f4) on a grid, and cross-checkable by rank drops at
-surface points and by a fully independent interpolation oracle.
+bound would pay primes for.  The primitive part of the determinant, or of
+the gcd of several, is the reported implicit equation.  A single
+determinant is certified by the syzygy identity: every column of the matrix
+it was taken on is a syzygy, so every maximal minor vanishes on the image.
+A gcd is certified by exact evaluation of eq(f1..f4) on a grid.  Rank drops
+at surface points and a fully independent interpolation oracle cross-check
+either.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .modnull import (
 )
 from .poly import (
     Bidegree,
+    BigradedPoly,
     Monomial,
     Parametrization,
     TPoly,
@@ -61,6 +65,10 @@ from .poly import (
 
 RANDOM_COORD_BOUND = 10  # sampling box [-10, 10] keeps evaluated entries small
 MAX_TRIES = 25  # random evaluation points per minor proposal
+# the point T* at which certify_determinant compares the determinant with
+# exact elimination; no coordinate is zero, so a wrong coefficient of a
+# pure power of one Ti cannot vanish there
+CHECK_POINT = (2, -3, 5, 7)
 
 
 class PipelineError(Exception):
@@ -111,20 +119,40 @@ class MatrixRep:
         return [[row[j] for j in columns] for row in self.entries]
 
     @cached_property
-    def _integer_entries(self) -> tuple[tuple[tuple, ...], ...]:
-        """Coefficients of every entry, column j multiplied by the lcm of the
-        denominators in column j."""
+    def _column_scales(self) -> tuple[int, ...]:
+        """The lcm of the denominators in each column."""
         rows = [[_linear_coefficients(entry) for entry in row] for row in self.entries]
-        scales = [
+        return tuple(
             lcm(*(Fraction(c).denominator for row in rows for c in row[j]))
             for j in range(self.cols)
-        ]
+        )
+
+    @cached_property
+    def _integer_entries(self) -> tuple[tuple[tuple, ...], ...]:
+        """Coefficients of every entry, column j multiplied by
+        _column_scales[j]."""
         return tuple(
             tuple(
-                tuple(exact(c * d) for c in coeffs) for coeffs, d in zip(row, scales)
+                tuple(exact(c * d) for c in _linear_coefficients(entry))
+                for entry, d in zip(row, self._column_scales)
             )
-            for row in rows
+            for row in self.entries
         )
+
+    @cached_property
+    def _reduced_basis(self) -> tuple[tuple[int, ...], ...]:
+        """An LLL-reduced basis of the integer points of the columns' span,
+        each column read as the vector of its entries' integer coefficients,
+        entry (m, j) at coordinates 4m..4m+3.  For a matrix from
+        `build_matrix` these points are the integer syzygies.  Dependent
+        columns raise RankDeficientError."""
+        columns = [
+            [c for row in self._integer_entries for c in row[j]] for j in range(self.cols)
+        ]
+        basis = lll_reduce(saturation(columns))
+        if len(basis) < self.cols:
+            raise RankDeficientError("the columns of the matrix are dependent")
+        return tuple(tuple(v) for v in basis)
 
     def evaluate(self, values) -> QMatrix:
         """The matrix at T = values with each column j multiplied by the
@@ -365,16 +393,9 @@ def bareiss_det(matrix) -> TPoly:
 
 
 def _reduced_matrix(M: MatrixRep) -> list[list[TPoly]]:
-    """M on an LLL-reduced basis of the integer points of its columns' span,
-    each column read as the vector of its entries' coefficients.  For a
-    matrix from `build_matrix` these points are the integer syzygies.
-    Dependent columns raise RankDeficientError."""
-    columns = [[c for row in M._integer_entries for c in row[j]] for j in range(M.cols)]
-    basis = lll_reduce(saturation(columns))
-    if len(basis) < M.cols:
-        raise RankDeficientError("the columns of the matrix are dependent")
+    """M on its reduced basis, `MatrixRep._reduced_basis`."""
     return [
-        [TPoly(dict(zip(_T_MONOMIALS, v[4 * m : 4 * m + 4]))) for v in basis]
+        [TPoly(dict(zip(_T_MONOMIALS, v[4 * m : 4 * m + 4]))) for v in M._reduced_basis]
         for m in range(M.rows)
     ]
 
@@ -450,6 +471,71 @@ def reduce_equation(dets) -> TPoly:
     for other in dets[1:]:
         acc = tpoly_gcd(acc, other)
     return acc.primitive()
+
+
+def certify_determinant(M: MatrixRep, F: Parametrization, columns, det: TPoly) -> None:
+    """Prove that `det`, the one determinant that `minor_determinants`
+    returned for M with first minor `columns`, vanishes on the image of F;
+    raise PipelineError when a check fails.
+
+    Each column of the exact matrix the determinant was taken on is a
+    degree-nu syzygy (a1..a4), and entry (m, j) is sum_i coeff_m(a_ij)*Ti.
+    At T = f(x) for a point x of P1 x P1, the row vector of the degree-nu
+    monomials at x times the matrix is (sum_i a_ij(x)*f_i(x))_j = 0, and that
+    vector is nonzero when there is at least one row.  So the determinant of
+    the matrix at f(x) is zero for every x, and det(f1..f4) = 0.  The proof
+    is check (a): the matrix has a row, and sum_i a_i*f_i == 0 for every
+    column, expanded exactly.  The matrix is the reduced basis for a square
+    M and M's columns at `columns`, each scaled to integers, otherwise.
+    Check (b) is a guard against a wrong determinant, not part of the proof:
+    det at CHECK_POINT must equal the determinant of the integer matrix
+    there, computed by fraction-free elimination.  Neither check expands
+    det(f1..f4).
+    """
+    if M.rows < 1:
+        raise PipelineError("the matrix has no rows, so its minors certify nothing")
+    if M.rows == M.cols:
+        vectors, scale = M._reduced_basis, 1
+    else:
+        vectors = [[c for row in M._integer_entries for c in row[j]] for j in columns]
+        scale = prod(M._column_scales[j] for j in columns)
+    monomials = M.row_basis.monomials
+    for j, v in enumerate(vectors):
+        identity = BigradedPoly.zero()
+        for i, f in enumerate(F.polys):
+            component = BigradedPoly({m: v[4 * r + i] for r, m in enumerate(monomials)})
+            identity = identity + component * f
+        if identity:
+            raise PipelineError(
+                f"column {j} of the determinant's matrix is not a syzygy of the map"
+            )
+    numeric = [
+        [sum(c * t for c, t in zip(v[4 * r : 4 * r + 4], CHECK_POINT)) for v in vectors]
+        for r in range(M.rows)
+    ]
+    if det.evaluate(CHECK_POINT) * scale != _integer_det(numeric):
+        raise PipelineError(
+            f"the determinant disagrees with exact elimination at T = {CHECK_POINT}"
+        )
+
+
+def _integer_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss, Math. Comp. 1968), in which every division is exact."""
+    A = [list(row) for row in rows]
+    n, sign, previous = len(A), 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if A[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            A[k], A[pivot] = A[pivot], A[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // previous
+        previous = A[k][k]
+    return sign * previous
 
 
 def verify_substitution(eq: TPoly, F: Parametrization) -> bool:
