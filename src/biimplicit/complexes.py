@@ -9,8 +9,13 @@ pos 0-based within the sorted subset.  Slicing in one bidegree mu turns each
 summand into the graded piece of bidegree mu - p*d (d the bidegree of the
 f_i) and each differential into an exact rational block matrix.
 
-A run builds and eliminates each slice once: K1 in `syzygy_basis`, whose
-nullspace gives the matrix columns, K2 and K3 in `complex_summary`.
+A run builds each slice once.  K1 is eliminated over Q in `syzygy_basis`,
+whose nullspace gives the matrix columns.  `complex_summary` ranks K2 and
+K3 modulo a word-sized prime, which can only underestimate a rank, and
+keeps a rank when it meets an upper bound that the complex itself gives
+(a differential's image lies in the kernel of the next one down); these
+bounds may build K3 and K1 at nu+2d too.  Only a rank that meets no bound
+is found by fraction-free elimination over Z.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .linalg import (
     poly_from_vector,
     rref_nullspace,
 )
+from .modnull import prime_stream, rank_mod_p
 from .poly import Bidegree, BigradedPoly, InputError, Parametrization, as_bidegree
 
 # Most cells (rows x cols) of one dense Koszul slice, checked before the slice
@@ -184,16 +190,54 @@ def complex_summary(F: Parametrization, M) -> ComplexSummary:
     """Slice dimensions (dim S_nu, dim Z1, dim Z2, dim Z3) of the strand
     behind the matrix M = build_matrix(F, nu), plus the Euler characteristic
     and the predicted determinant degree.  dim S_nu and dim Z1 are M's rows
-    and columns; dim Z2 and dim Z3 come from ranking the K2 and K3 slices."""
-    kernel_dims = []
-    for p in (2, 3):
-        K = koszul_slice(F, p, M.nu + p * F.bidegree).matrix
-        kernel_dims.append(K.cols - exact_rank(K))
-    h2, h3 = kernel_dims
-    h0, h1 = M.rows, M.cols
+    and columns; dim Z2 and dim Z3 come from the ranks of the K2 and K3
+    slices.
+
+    Each of those ranks is taken mod p, a lower bound on the rank over Q,
+    and is proven when it meets an upper bound that the complex gives (see
+    `_k2_rank_bounds`): for K3 at nu+3d, its columns minus dim S_(nu-d),
+    since d4 there is injective and im d4 lies in ker d3.  A rank that
+    meets none, or a slice with a non-integer entry, is found by exact
+    elimination instead, so the prime can only ever cost time.
+    """
+    d, nu = F.bidegree, M.nu
+    K2 = koszul_slice(F, 2, nu + 2 * d).matrix
+    K3 = koszul_slice(F, 3, nu + 3 * d).matrix
+    if all(isinstance(c, int) for f in F.polys for c in f.terms.values()):
+        p = next(prime_stream())
+        r3 = rank_mod_p(K3.data, K3.cols, p)
+        if r3 != K3.cols - _dim(nu - d):
+            r3 = exact_rank(K3)
+        r2 = rank_mod_p(K2.data, K2.cols, p)
+        if not any(r2 == bound for bound in _k2_rank_bounds(F, nu, K2, p)):
+            r2 = exact_rank(K2)
+    else:
+        r2, r3 = exact_rank(K2), exact_rank(K3)
+    h0, h1, h2, h3 = M.rows, M.cols, K2.cols - r2, K3.cols - r3
     return ComplexSummary(
-        nu=M.nu,
+        nu=nu,
         dims=(h0, h1, h2, h3),
         euler=h0 - h1 + h2 - h3,
         macrae_degree=h1 - 2 * h2 + 3 * h3,
     )
+
+
+def _k2_rank_bounds(F: Parametrization, nu: Bidegree, K2: QMatrix, p: int):
+    """Upper bounds on the rank of K2 = d2 at nu+2d, the second computed
+    only when the first has not met the rank mod p: its columns minus the
+    rank mod p of d3 at nu+2d, whose image lies in ker d2; and the
+    dimension of ker d1 at nu+2d, which contains im d2, bounded by the rank
+    mod p of d1 there.  (K2's row count is a bound too, but never a tight
+    one: d1 is nonzero, so ker d1 is smaller than its domain, whose basis
+    indexes K2's rows.)  That K1 slice has K2's rows as its columns and
+    dim S_(nu+2d) rows, so it is built only when it has no more cells than
+    K2, and then never exceeds MAX_SLICE_CELLS."""
+    d = F.bidegree
+    if _dim(nu - d):
+        K3 = koszul_slice(F, 3, nu + 2 * d).matrix
+        yield K2.cols - rank_mod_p(K3.data, K3.cols, p)
+    else:
+        yield K2.cols
+    if _dim(nu + 2 * d) <= K2.cols:
+        K1 = koszul_slice(F, 1, nu + 2 * d).matrix
+        yield K1.cols - rank_mod_p(K1.data, K1.cols, p)

@@ -16,8 +16,8 @@ the gcd of several, is the reported implicit equation.  A single
 determinant is certified by the syzygy identity: every column of the matrix
 it was taken on is a syzygy, so every maximal minor vanishes on the image.
 A gcd is certified by exact evaluation of eq(f1..f4) on a grid.  Rank drops
-at surface points and a fully independent interpolation oracle cross-check
-either.
+at surface points, certified by the same identity, and a fully independent
+interpolation oracle cross-check either.
 """
 
 from __future__ import annotations
@@ -600,7 +600,14 @@ def rank_drop_check(
 ) -> bool:
     """Evaluate the matrix at T = F(p) for random parameter points p and
     check that the rank always drops below the row count.  Base points of the
-    parametrization are skipped and resampled."""
+    parametrization are skipped and resampled.
+
+    A drop is certified by a nonzero vector in the left kernel: the row of
+    degree-nu monomials at p.  Every column of a matrix from `build_matrix`
+    is a syzygy (a1..a4), so that row times M(F(p)) is
+    (sum a_i(p) f_i(p))_j = 0.  A trial where the product is not exactly
+    zero is decided by the rank from exact elimination.
+    """
     rng = random.Random(seed)
     done = 0
     while done < trials:
@@ -609,7 +616,11 @@ def rank_drop_check(
         if not any(values):
             continue  # base point
         numeric = M.evaluate(values)
-        if exact_rank(numeric) >= M.rows:
+        row = [prod(x**k for x, k in zip(pt, mono)) for mono in M.row_basis.monomials]
+        in_kernel = any(row) and not any(
+            sum(w * x for w, x in zip(row, column)) for column in zip(*numeric.data)
+        )
+        if not in_kernel and exact_rank(numeric) >= M.rows:
             return False
         done += 1
     return True

@@ -1,8 +1,11 @@
-"""Arithmetic modulo word-sized primes, vectorized with numpy: the
-nullspace of a matrix over a prime field (forward elimination to row echelon
-form, then back substitution) behind the interpolation cross-check,
-determinants of batches of matrices behind the minor determinants, Chinese
-remaindering, and rational reconstruction.
+"""Arithmetic modulo word-sized primes: the nullspace of a matrix over a
+prime field (forward elimination to row echelon form, then back
+substitution) behind the interpolation cross-check, determinants of batches
+of matrices behind the minor determinants, Chinese remaindering and
+rational reconstruction, all vectorized with numpy; and the rank of a
+sparse integer matrix mod p behind the Koszul-slice dimensions, by
+elimination on {col: residue} rows in pure Python, which on the small,
+sparse slices of a strand beats the dense panels.
 
 The forward elimination takes the columns in panels.  Pivots inside a panel
 touch only the panel's columns and record their multipliers; the rest of
@@ -16,9 +19,10 @@ pivot keeps the column rank profile, so the pivots and echelon rows are
 those of elimination pivot by pivot.
 
 Callers stay exact: the interpolation oracle certifies every answer with
-integer arithmetic, so a bad prime can cost time but never correctness, and
-the determinant takes primes until their product exceeds a proven bound on
-the coefficients it reconstructs.
+integer arithmetic, so a bad prime can cost time but never correctness; the
+determinant takes primes until their product exceeds a proven bound on
+the coefficients it reconstructs; and a rank mod p, never more than the
+rank over Q, is kept only where it meets an upper bound on that rank.
 """
 
 from __future__ import annotations
@@ -71,6 +75,44 @@ def prime_stream():
                 n -= 2
             _PRIMES.append(n)
         yield _PRIMES[i]
+
+
+def rank_mod_p(rows, cols: int, p: int) -> int:
+    """Rank over Z/p of an integer matrix given as `cols`-wide rows; it is
+    at most the rank over Q.
+
+    Sparse elimination in pure Python, in the order of the fraction-free
+    `linalg._echelon`: each row is kept as {col: residue} and filed under
+    its leading column, and at each column the row filed there with the
+    fewest nonzeros (earliest on ties) is the pivot that clears the column
+    from the others.
+    """
+    waiting: dict[int, list[dict]] = {}
+    for row in rows:
+        residues = {j: r for j, x in enumerate(row) if x and (r := x % p)}
+        if residues:
+            waiting.setdefault(min(residues), []).append(residues)
+    rank = 0
+    for c in range(cols):
+        bucket = waiting.pop(c, None)
+        if not bucket:
+            continue
+        k = min(range(len(bucket)), key=lambda i: len(bucket[i]))
+        prow = bucket.pop(k)
+        inv = pow(prow.pop(c), -1, p)
+        pivot = [(j, y * inv % p) for j, y in prow.items()]
+        for row in bucket:
+            f = row.pop(c)
+            for j, y in pivot:
+                x = (row.get(j, 0) - f * y) % p
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            if row:
+                waiting.setdefault(min(row), []).append(row)
+        rank += 1
+    return rank
 
 
 # Columns eliminated per panel, and rows per trailing-update product; the

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biimplicit import complexes
 from biimplicit.complexes import (
@@ -16,16 +19,18 @@ from biimplicit.complexes import (
 from biimplicit.linalg import (
     QMatrix,
     coeff_vector,
+    exact_rank,
     graded_basis,
     multiplication_matrix,
     rref_nullspace,
 )
 from biimplicit.cli import InputSpec, run_implicitize
 from biimplicit.matrixrep import build_matrix
+from biimplicit.modnull import rank_mod_p
 from biimplicit.parser import parse_poly
 from biimplicit.poly import Bidegree, BigradedPoly, Parametrization
 
-from conftest import GOLDEN_STRINGS, matmul, random_parametrization
+from conftest import GOLDEN_STRINGS, matmul, random_bipoly, random_parametrization
 
 
 class TestKoszulSlice:
@@ -231,7 +236,9 @@ class TestComplexSummary:
 
     def test_each_slice_built_and_eliminated_once(self, monkeypatch):
         # one matrix-only run: K1 is built and eliminated by syzygy_basis
-        # alone, K2 and K3 by complex_summary alone
+        # alone, K2 and K3 built by complex_summary alone; at golden's
+        # corner both of their ranks mod p meet a bound, so neither slice
+        # is eliminated over Z
         calls = {"koszul_slice": [], "rref_nullspace": 0, "exact_rank": 0}
 
         def counting(name, fn):
@@ -253,4 +260,163 @@ class TestComplexSummary:
         assert report.summary.dims == (12, 12, 0, 0)
         assert sorted(calls["koszul_slice"]) == [1, 2, 3]
         assert calls["rref_nullspace"] == 1
-        assert calls["exact_rank"] == 2
+        assert calls["exact_rank"] == 0
+
+
+def _reference_dims(F, M):
+    """dims by rank-nullity with every K2 and K3 rank from exact_rank."""
+    K2, K3 = (koszul_slice(F, p, M.nu + p * F.bidegree).matrix for p in (2, 3))
+    r2 = exact_rank(K2)
+    # im d2 lies in ker d1, which is smaller than K2's rows: complex_summary
+    # needs no row-count bound
+    assert r2 < K2.rows
+    return (M.rows, M.cols, K2.cols - r2, K3.cols - exact_rank(K3))
+
+
+def _counting(monkeypatch, name):
+    """Replace complexes.<name> by a wrapper that records its arguments."""
+    calls = []
+    fn = getattr(complexes, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(complexes, name, wrapper)
+    return calls
+
+
+# maps whose images are a point, a line, a plane and the Segre
+# quadric covered four times, each at a nu where the bounds of
+# complex_summary miss and its ranks come from exact_rank
+DEFECT_MAPS = {
+    "point": (("s*t", "2*s*t", "3*s*t", "4*s*t"), (1, 1)),
+    "line": (("u*v", "-2*u*v", "-4*u*v", "-2*u*v-2*s*v"), (1, 1)),
+    "plane": (("s*t", "s*t", "u*t", "u*v"), (1, 1)),
+    "power": (("s^2*t^2", "s^2*v^2", "u^2*t^2", "u^2*v^2"), (0, 4)),
+}
+
+
+class TestRankCertificate:
+    """complex_summary ranks K2 and K3 mod p and keeps a rank only where it
+    meets an upper bound from the complex; everything else goes to
+    exact_rank, so the dimensions never depend on the prime."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        e=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3)]),
+        density=st.sampled_from([0.3, 0.8]),
+        seed=st.integers(0, 2**16),
+        offset=st.tuples(st.integers(-2, 1), st.integers(-2, 1)),
+    )
+    def test_dims_match_rank_nullity(self, e, density, seed, offset):
+        # nu = corner + offset, clipped at 0: the grid reaches into the
+        # torsion region below the corner
+        rng = random.Random(seed)
+        F = Parametrization.from_polys(
+            random_bipoly(rng, e, density=density) for _ in range(4)
+        )
+        corner = suggested_nu(e)
+        nu = (max(corner.d1 + offset[0], 0), max(corner.d2 + offset[1], 0))
+        M = build_matrix(F, nu)
+        assert complex_summary(F, M).dims == _reference_dims(F, M)
+
+    def test_grid_reaches_both_paths(self, monkeypatch):
+        # the property above samples certified and fallback ranks alike:
+        # sparse (1,2) maps below and at the corner
+        fallbacks = _counting(monkeypatch, "exact_rank")
+        counts = []
+        for seed in range(6):
+            rng = random.Random(seed)
+            F = Parametrization.from_polys(
+                random_bipoly(rng, (1, 2), density=0.3) for _ in range(4)
+            )
+            for nu in ((0, 0), (1, 0), (1, 1), (0, 3)):
+                fallbacks.clear()
+                M = build_matrix(F, nu)
+                dims = complex_summary(F, M).dims
+                counts.append(len(fallbacks))
+                assert dims == _reference_dims(F, M)
+        assert 0 in counts and any(counts)
+
+    @pytest.mark.parametrize("name", sorted(DEFECT_MAPS))
+    def test_defect_maps_fall_back(self, monkeypatch, name):
+        strings, nu = DEFECT_MAPS[name]
+        F = Parametrization.from_polys(parse_poly(t) for t in strings)
+        M = build_matrix(F, nu)
+        fallbacks = _counting(monkeypatch, "exact_rank")
+        dims = complex_summary(F, M).dims
+        assert fallbacks
+        assert dims == _reference_dims(F, M)
+
+    @pytest.mark.parametrize(
+        "name, nu", [("golden_F", (3, 2)), ("golden_F", (5, 4)), ("segre_F", (2, 1))]
+    )
+    def test_low_kernel_falls_back(self, request, monkeypatch, name, nu):
+        # a kernel that reports one less than the rank meets no bound
+        F = request.getfixturevalue(name)
+        M = build_matrix(F, nu)
+        expected = complex_summary(F, M).dims
+        monkeypatch.setattr(
+            complexes, "rank_mod_p", lambda rows, cols, p: rank_mod_p(rows, cols, p) - 1
+        )
+        fallbacks = _counting(monkeypatch, "exact_rank")
+        assert complex_summary(F, M).dims == expected
+        assert len(fallbacks) == 2
+
+    def test_fraction_coefficients(self, golden_F, monkeypatch):
+        # the same map with f1 and f4 scaled by non-integers: the slices
+        # have Fraction entries, which go to exact_rank, and the ranks are
+        # those of golden
+        scales = (Fraction(1, 3), 1, 1, Fraction(-5, 2))
+        F = Parametrization.from_polys(
+            BigradedPoly({m: c * k for m, c in f.terms.items()})
+            for f, k in zip(golden_F.polys, scales)
+        )
+        assert not all(
+            isinstance(c, int) for f in F.polys for c in f.terms.values()
+        )
+        for nu in ((3, 2), (5, 4)):
+            expected = complex_summary(golden_F, build_matrix(golden_F, nu)).dims
+            M = build_matrix(F, nu)
+            kernel = _counting(monkeypatch, "rank_mod_p")
+            fallbacks = _counting(monkeypatch, "exact_rank")
+            assert complex_summary(F, M).dims == expected
+            assert not kernel and len(fallbacks) == 2
+            monkeypatch.undo()
+
+    def test_large_k1_slice_never_built(self, monkeypatch):
+        # the point map at nu=(0,0): K2 has 16 x 6 cells, K1 at nu+2d has
+        # 9 x 16, so the last bound is skipped and exact_rank decides
+        F = Parametrization.from_polys(
+            parse_poly(t) for t in DEFECT_MAPS["point"][0]
+        )
+        M = build_matrix(F, (0, 0))
+        built = _counting(monkeypatch, "koszul_slice")
+        fallbacks = _counting(monkeypatch, "exact_rank")
+        assert complex_summary(F, M).dims == (1, 3, 3, 1)
+        assert [(p, tuple(mu)) for _, p, mu in built] == [(2, (2, 2)), (3, (3, 3))]
+        assert len(fallbacks) == 2
+
+    @pytest.mark.parametrize(
+        "name, nu, dims, slices",
+        [
+            # K3 meets dim S_(nu-d); K2 misses the first two bounds and
+            # meets the rank of K1 at nu+2d
+            ("golden", (5, 4), (30, 56, 34, 8), [(2, (9, 10)), (3, (11, 13)), (3, (9, 10)), (1, (9, 10))]),
+            # K3 meets dim S_(nu-d); K2 meets the rank of K3 at nu+2d
+            ("rand22", (6, 4), (35, 77, 57, 15), [(2, (10, 8)), (3, (12, 10)), (3, (10, 8))]),
+        ],
+    )
+    def test_strand_ranks_certified(self, monkeypatch, name, nu, dims, slices):
+        # the two strands of perfbench's `strand` workload
+        if name == "golden":
+            F = Parametrization.from_polys(parse_poly(t) for t in GOLDEN_STRINGS)
+        else:
+            F = random_parametrization(random.Random(7), (2, 2))
+        M = build_matrix(F, nu)
+        built = _counting(monkeypatch, "koszul_slice")
+        fallbacks = _counting(monkeypatch, "exact_rank")
+        assert complex_summary(F, M).dims == dims
+        assert [(p, tuple(mu)) for _, p, mu in built] == slices
+        assert not fallbacks

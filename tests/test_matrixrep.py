@@ -485,6 +485,58 @@ class TestRankDrop:
         assert exact_rank(numeric) == 12
 
 
+    def test_syzygy_rows_need_no_elimination(self, golden_matrix, golden_F, monkeypatch):
+        # every trial is certified by the degree-nu monomial row at the
+        # point, which is in the left kernel of M(F(p))
+        calls = []
+        monkeypatch.setattr(
+            matrixrep, "exact_rank", lambda M: calls.append(M) or exact_rank(M)
+        )
+        assert rank_drop_check(golden_matrix, golden_F, trials=100, seed=3)
+        assert calls == []
+
+    @pytest.mark.parametrize("other", ["random", "swapped"])
+    def test_other_map_decided_by_elimination(self, golden_matrix, golden_F, monkeypatch, other):
+        # columns that are not syzygies of the map: a random (2,3) map,
+        # whose image points give full rank, and golden with s and u
+        # swapped, whose image points are golden's own, so the rank drops
+        # but the monomial row at the sampled point is no witness; either
+        # way the answer is that of exact_rank on every trial
+        if other == "random":
+            G = random_parametrization(random.Random(4), (2, 3))
+        else:
+            G = Parametrization.from_polys(
+                BigradedPoly({(b, a, c, d): x for (a, b, c, d), x in f.terms.items()})
+                for f in golden_F.polys
+            )
+        calls = []
+        monkeypatch.setattr(
+            matrixrep, "exact_rank", lambda M: calls.append(M) or exact_rank(M)
+        )
+        for seed in range(3):
+            calls.clear()
+            answer = rank_drop_check(golden_matrix, G, trials=4, seed=seed)
+            assert answer == _rank_drop_by_elimination(golden_matrix, G, 4, seed)
+            assert answer == (other == "swapped")
+            # a point with s = +-u is its own swap, and its row a witness
+            assert 1 <= len(calls) <= 4
+
+
+def _rank_drop_by_elimination(M, F, trials, seed):
+    """rank_drop_check with exact_rank on every trial, the same points."""
+    rng = random.Random(seed)
+    done = 0
+    while done < trials:
+        pt = matrixrep._sample_point(rng)
+        values = [f.evaluate(pt) for f in F.polys]
+        if not any(values):
+            continue
+        if exact_rank(M.evaluate(values)) >= M.rows:
+            return False
+        done += 1
+    return True
+
+
 def _golden_det(golden_matrix):
     cols, dets = minor_determinants(golden_matrix, 0, 1)
     return cols, dets[0]

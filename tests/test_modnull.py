@@ -18,8 +18,10 @@ from biimplicit.modnull import (
     det_mod_p,
     nullspace_mod_p,
     prime_stream,
+    rank_mod_p,
     rational_reconstruct,
 )
+from biimplicit.linalg import QMatrix, exact_rank
 
 PRIMES = (7, 101, 2**31 - 1)
 
@@ -99,6 +101,48 @@ def matrices_mod_p(draw):
 def test_nullspace_agrees_with_gauss_jordan(case):
     rows, cols, p = case
     _check_against_reference(rows, cols, p)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(matrices_mod_p(), st.integers(-2, 2))
+def test_rank_mod_p_agrees_with_gauss_jordan(case, shift):
+    # entries shifted by multiples of p, negative ones included, have the
+    # same residues
+    rows, cols, p = case
+    shifted = [[x + shift * p for x in row] for row in rows]
+    assert rank_mod_p(shifted, cols, p) == len(_reference_nullspace(rows, cols, p)[0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 9, -9]), min_size=n, max_size=n),
+            max_size=9,
+        ).map(lambda rows: (rows, n))
+    ),
+    st.booleans(),
+)
+def test_rank_mod_p_is_the_rank_over_q_for_small_entries(case, transpose):
+    # with entries of size at most 9 and at most 6 columns (or rows) every
+    # minor is below Hadamard's bound (9 * sqrt(6))^6 < 2^31 - 1, so no
+    # nonzero minor vanishes mod p and the two ranks agree
+    rows, cols = case
+    if transpose:
+        rows, cols = [list(c) for c in zip(*rows)] if rows else [], len(rows)
+    rank = exact_rank(QMatrix(len(rows), cols, rows))
+    assert rank_mod_p(rows, cols, 2**31 - 1) == rank
+
+
+def test_rank_mod_p_is_a_lower_bound():
+    # the determinant p of [[p, 1], [0, 1]] vanishes mod p only
+    p = 2**31 - 1
+    rows = [[p, 1], [0, 1]]
+    assert exact_rank(QMatrix(2, 2, rows)) == 2
+    assert rank_mod_p(rows, 2, p) == 1
+    assert rank_mod_p([[3 * p**3, -(p**2)], [5, 0]], 2, p) == 1
+    assert rank_mod_p([[7 * p**3]], 1, p) == 0
+    assert rank_mod_p([], 0, p) == 0
 
 
 def test_all_zero_matrix():

@@ -3,9 +3,9 @@ with key order, against the files in tests/data.  The `implicitize`
 reports are stored without their `timings`, the only field that changes
 between runs.
 
-segre.json is the Segre map, rand12.json the first (1,2) map drawn by
-conftest.random_parametrization(random.Random(7), (1, 2)), golden.json the
-golden bidegree-(2,3) map; each expected file was written by running the
+segre.json is the Segre map, rand12.json and rand22.json the first (1,2)
+and (2,2) maps drawn by conftest.random_parametrization(random.Random(7), e),
+golden.json the golden bidegree-(2,3) map; each expected file was written by running the
 argv of its case through `main` and dumping the parsed report, minus
 `timings`, with indent 2 and a final newline.
 """
@@ -35,6 +35,11 @@ CASES = {
     "golden.nu15.implicitize.json": ["implicitize", "golden.json", "--nu", "1,5"],
     # dims (9, 16, 9, 2): every Z dimension nonzero
     "rand12.nu22.hilbert.json": ["hilbert", "rand12.json", "--nu", "2,2"],
+    # the two strands of perfbench's `strand` workload, far above the
+    # corner: golden's K2 rank is certified by the rank of K1 at nu+2d,
+    # rand22's K3 rank by dim S_(nu-d)
+    "golden.nu54.hilbert.json": ["hilbert", "golden.json", "--nu", "5,4"],
+    "rand22.nu64.hilbert.json": ["hilbert", "rand22.json", "--nu", "6,4"],
     # 3x4 inside the torsion region, dims (3, 4, 1, 0), no determinant
     "segre.nu20.matrixonly.implicitize.json": [
         "implicitize", "segre.json", "--nu", "2,0", "--matrix-only"
