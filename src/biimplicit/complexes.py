@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .linalg import (
     GradedBasis,
@@ -197,22 +197,21 @@ def complex_summary(F: Parametrization, M) -> ComplexSummary:
     and is proven when it meets an upper bound that the complex gives (see
     `_k2_rank_bounds`): for K3 at nu+3d, its columns minus dim S_(nu-d),
     since d4 there is injective and im d4 lies in ker d3.  A rank that
-    meets none, or a slice with a non-integer entry, is found by exact
-    elimination instead, so the prime can only ever cost time.
+    meets none is found by exact elimination instead, so the prime can
+    only ever cost time.  The K2, K3 and bound slices are those of
+    `_integer_multiple(F)`, which have the same ranks and integer entries.
     """
     d, nu = F.bidegree, M.nu
+    F = _integer_multiple(F)
     K2 = koszul_slice(F, 2, nu + 2 * d).matrix
     K3 = koszul_slice(F, 3, nu + 3 * d).matrix
-    if all(isinstance(c, int) for f in F.polys for c in f.terms.values()):
-        p = next(prime_stream())
-        r3 = rank_mod_p(K3.data, K3.cols, p)
-        if r3 != K3.cols - _dim(nu - d):
-            r3 = exact_rank(K3)
-        r2 = rank_mod_p(K2.data, K2.cols, p)
-        if not any(r2 == bound for bound in _k2_rank_bounds(F, nu, K2, p)):
-            r2 = exact_rank(K2)
-    else:
-        r2, r3 = exact_rank(K2), exact_rank(K3)
+    p = next(prime_stream())
+    r3 = rank_mod_p(K3.data, K3.cols, p)
+    if r3 != K3.cols - _dim(nu - d):
+        r3 = exact_rank(K3)
+    r2 = rank_mod_p(K2.data, K2.cols, p)
+    if not any(r2 == bound for bound in _k2_rank_bounds(F, nu, K2, p)):
+        r2 = exact_rank(K2)
     h0, h1, h2, h3 = M.rows, M.cols, K2.cols - r2, K3.cols - r3
     return ComplexSummary(
         nu=nu,
@@ -220,6 +219,18 @@ def complex_summary(F: Parametrization, M) -> ComplexSummary:
         euler=h0 - h1 + h2 - h3,
         macrae_degree=h1 - 2 * h2 + 3 * h3,
     )
+
+
+def _integer_multiple(F: Parametrization) -> Parametrization:
+    """F with each f_i multiplied by c_i, the lcm of its denominators.  The
+    map e_I -> prod_(i in I) c_i * e_I carries the Koszul complex of
+    (c_i f_i) isomorphically onto that of (f_i), so every slice rank is the
+    same."""
+    polys = []
+    for f in F.polys:
+        c = lcm(*(x.denominator for x in f.terms.values()))
+        polys.append(BigradedPoly({m: x * c for m, x in f.terms.items()}))
+    return Parametrization(tuple(polys), F.bidegree)
 
 
 def _k2_rank_bounds(F: Parametrization, nu: Bidegree, K2: QMatrix, p: int):

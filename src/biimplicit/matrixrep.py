@@ -5,19 +5,19 @@ linear forms in T1..T4, each entry a TPoly of degree 1, over the monomial
 basis of the degree-nu graded piece.
 A square matrix is its own maximal minor; for a rectangular one a minor is
 proposed by evaluating the matrix at a random point and taking the pivot
-columns of the integer elimination in `linalg`.  The determinant, which
-certifies a proposal when nonzero, is computed exactly: rows and columns
-with a single nonzero entry are peeled off, and the rest is evaluated on a
-grid modulo primes, interpolated, and recombined by CRT up to a proven
-coefficient bound; a square matrix is first given an LLL-reduced basis of
-the integer points of its columns' span, which drops integer content the
-bound would pay primes for.  The primitive part of the determinant, or of
-the gcd of several, is the reported implicit equation.  A single
-determinant is certified by the syzygy identity: every column of the matrix
-it was taken on is a syzygy, so every maximal minor vanishes on the image.
-A gcd is certified by exact evaluation of eq(f1..f4) on a grid.  Rank drops
-at surface points, certified by the same identity, and a fully independent
-interpolation oracle cross-check either.
+columns of the integer elimination in `linalg`, so its determinant is
+nonzero at that point.  The determinant is computed exactly: rows and
+columns with a single nonzero entry are peeled off, and the rest is
+evaluated on a grid modulo primes, interpolated, and recombined by CRT up
+to a proven coefficient bound; a square matrix is first given an
+LLL-reduced basis of the integer points of its columns' span, which drops
+integer content the bound would pay primes for.  The primitive part of the
+determinant, or of the gcd of several, is the reported implicit equation.
+A single determinant is certified by the syzygy identity: every column of
+the matrix it was taken on is a syzygy, so every maximal minor vanishes on
+the image.  A gcd is certified by exact evaluation of eq(f1..f4) on a grid.
+Rank drops at surface points, certified by the same identity, and a fully
+independent interpolation oracle cross-check either.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from math import comb, gcd, lcm, prod
 
 import numpy as np
 
+from . import modnull
 from .complexes import syzygy_basis
 from .linalg import (
     GradedBasis,
@@ -119,24 +120,18 @@ class MatrixRep:
         return [[row[j] for j in columns] for row in self.entries]
 
     @cached_property
-    def _column_scales(self) -> tuple[int, ...]:
-        """The lcm of the denominators in each column."""
+    def _integer_form(self) -> tuple[tuple[int, ...], tuple[tuple[tuple, ...], ...]]:
+        """(scales, rows): scales[j] is the lcm of the denominators in
+        column j, and rows holds the coefficients of every entry with
+        column j multiplied by scales[j]."""
         rows = [[_linear_coefficients(entry) for entry in row] for row in self.entries]
-        return tuple(
-            lcm(*(Fraction(c).denominator for row in rows for c in row[j]))
+        scales = tuple(
+            lcm(*(c.denominator for row in rows for c in row[j]))
             for j in range(self.cols)
         )
-
-    @cached_property
-    def _integer_entries(self) -> tuple[tuple[tuple, ...], ...]:
-        """Coefficients of every entry, column j multiplied by
-        _column_scales[j]."""
-        return tuple(
-            tuple(
-                tuple(exact(c * d) for c in _linear_coefficients(entry))
-                for entry, d in zip(row, self._column_scales)
-            )
-            for row in self.entries
+        return scales, tuple(
+            tuple(tuple(exact(c * d) for c in coeffs) for coeffs, d in zip(row, scales))
+            for row in rows
         )
 
     @cached_property
@@ -146,9 +141,8 @@ class MatrixRep:
         entry (m, j) at coordinates 4m..4m+3.  For a matrix from
         `build_matrix` these points are the integer syzygies.  Dependent
         columns raise RankDeficientError."""
-        columns = [
-            [c for row in self._integer_entries for c in row[j]] for j in range(self.cols)
-        ]
+        rows = self._integer_form[1]
+        columns = [[c for row in rows for c in row[j]] for j in range(self.cols)]
         basis = lll_reduce(saturation(columns))
         if len(basis) < self.cols:
             raise RankDeficientError("the columns of the matrix are dependent")
@@ -166,7 +160,7 @@ class MatrixRep:
         t1, t2, t3, t4 = values
         data = [
             [a * t1 + b * t2 + c * t3 + d * t4 for a, b, c, d in row]
-            for row in self._integer_entries
+            for row in self._integer_form[1]
         ]
         return QMatrix(self.rows, self.cols, data)
 
@@ -226,28 +220,19 @@ def _peel(grid: list[dict], n: int):
 @lru_cache(maxsize=1024)
 def _inverse_vandermonde_mod_p(size: int, p: int) -> np.ndarray:
     """W with W @ (g(1), .., g(size)) = coefficients of g mod p for every
-    polynomial g of degree < size.
+    polynomial g of degree < size: the inverse mod p of the Vandermonde
+    matrix V with V[i, k] = (i + 1)^k.  The nodes 1..size avoid 0, where
+    entries vanish and pivots would be zero.
 
-    Row k of the inverse Vandermonde matrix on the nodes 1..size holds the
-    x^k coefficients of the Lagrange basis L_i = Q_i / Q_i(i), where Q_i is
-    prod_(j != i) (x - j); the integers Q_i and Q_i(i) are reduced mod p.
-    The nodes avoid 0, where entries vanish and pivots would be zero.
+    Column j of W solves V w = e_j, so (w, e_j) spans the nullspace of
+    [V | -I] mod p in which free column size + j is 1 and the others are 0:
+    it is that column's vector from `nullspace_mod_p`.
     """
-    nodes = range(1, size + 1)
-    master = [1]  # prod_j (x - j), ascending coefficients
-    for j in nodes:
-        master = [
-            (master[k - 1] if k else 0) - (j * master[k] if k < len(master) else 0)
-            for k in range(len(master) + 1)
-        ]
-    W = np.empty((size, size), dtype=np.int64)
-    for column, i in enumerate(nodes):
-        q, carry = [0] * size, 0
-        for k in range(size, 0, -1):
-            carry = master[k] + i * carry
-            q[k - 1] = carry
-        inv = pow(prod(i - j for j in nodes if j != i) % p, p - 2, p)
-        W[:, column] = [c % p * inv % p for c in q]
+    A = np.eye(size, 2 * size, size, dtype=np.int64) * (p - 1)
+    A[:, :size] = [[pow(x, k, p) for k in range(size)] for x in range(1, size + 1)]
+    # not matrixrep.nullspace_mod_p, which perfbench counts as oracle primes
+    _, basis = modnull.nullspace_mod_p(A, p)
+    W = np.array(basis)[:, :size].T.copy()
     W.flags.writeable = False
     return W
 
@@ -428,11 +413,11 @@ def minor_determinants(M: MatrixRep, seed: int, count: int):
     determinant of the change of basis, which `reduce_equation`'s primitive
     part removes.
 
-    Otherwise the first minor is the first proposal whose determinant is
-    nonzero.  Each extra minor is the first proposal of a shuffled scan
-    under its own seed; repeated column sets are skipped and zero
-    determinants dropped.  RankDeficientError is raised when there is no
-    nonsingular maximal minor.
+    Otherwise the first minor is the first proposal, and each extra minor
+    is the first proposal of a shuffled scan under its own seed; repeated
+    column sets are skipped.  A proposal's columns are independent in
+    `M.evaluate` at its point, so its determinant is nonzero there.
+    RankDeficientError is raised when MAX_TRIES points give no proposal.
     """
     if M.rows == 0:
         return [], [TPoly.constant(1)]
@@ -443,23 +428,17 @@ def minor_determinants(M: MatrixRep, seed: int, count: int):
         if det.is_zero():
             raise RankDeficientError(f"the {M.rows}x{M.rows} matrix is singular")
         return list(range(M.cols)), [det]
-    for columns in _proposals(M, seed):
-        det = bareiss_det(M.submatrix(columns))
-        if not det.is_zero():
-            break
-    else:
+    columns = next(_proposals(M, seed), None)
+    if columns is None:
         raise RankDeficientError(
             f"no nonsingular {M.rows}x{M.rows} minor found in {MAX_TRIES} attempts"
         )
-    column_sets, dets = [columns], [det]
+    column_sets = [columns]
     for i in range(1, count):
         candidate = next(_proposals(M, seed + 1000 * i, shuffle=True), None)
         if candidate is not None and candidate not in column_sets:
             column_sets.append(candidate)
-            det = bareiss_det(M.submatrix(candidate))
-            if not det.is_zero():
-                dets.append(det)
-    return columns, dets
+    return columns, [bareiss_det(M.submatrix(c)) for c in column_sets]
 
 
 def reduce_equation(dets) -> TPoly:
@@ -497,8 +476,9 @@ def certify_determinant(M: MatrixRep, F: Parametrization, columns, det: TPoly) -
     if M.rows == M.cols:
         vectors, scale = M._reduced_basis, 1
     else:
-        vectors = [[c for row in M._integer_entries for c in row[j]] for j in columns]
-        scale = prod(M._column_scales[j] for j in columns)
+        scales, rows = M._integer_form
+        vectors = [[c for row in rows for c in row[j]] for j in columns]
+        scale = prod(scales[j] for j in columns)
     monomials = M.row_basis.monomials
     for j, v in enumerate(vectors):
         identity = BigradedPoly.zero()
@@ -686,7 +666,10 @@ def interpolation_oracle(F: Parametrization, degree: int, seed: int = 0) -> TPol
             values = tuple(f.evaluate(pt) for f in F.polys)
             if not any(values):
                 continue  # base point
-            images.append(values)
+            # the same point of P3 with integer coordinates, which the
+            # residues mod p need
+            d = lcm(*(x.denominator for x in values))
+            images.append(values if d == 1 else tuple(exact(x * d) for x in values))
 
         groups: dict[tuple[int, ...], list] = {}
         fat_primes = 0

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 from math import isqrt, prod
 
 import numpy as np
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from biimplicit import matrixrep
 from biimplicit.cli import InputSpec, run_implicitize
-from biimplicit.complexes import suggested_nu, syzygy_basis
+from biimplicit.complexes import region, suggested_nu, syzygy_basis
 from biimplicit.linalg import (
     QMatrix,
     coeff_vector,
@@ -32,6 +32,7 @@ from biimplicit.matrixrep import (
     reduce_equation,
     verify_substitution,
 )
+from biimplicit.modnull import prime_stream
 from biimplicit.parser import parse_poly, parse_tpoly
 from biimplicit.poly import Bidegree, BigradedPoly, Parametrization, TPoly, substitute_T
 
@@ -220,6 +221,26 @@ class TestSelectMaxMinor:
         with pytest.raises(RankDeficientError):
             minor_determinants(M, 0, 1)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([Bidegree(1, 1), Bidegree(1, 2), Bidegree(2, 1), Bidegree(2, 2)]),
+        st.integers(0, 2**32),
+        st.integers(0, 1),
+        st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+        st.integers(0, 10**6),
+        st.booleans(),
+    )
+    def test_proposals_are_nonsingular(self, e, map_seed, corner, offset, seed, shuffle):
+        # minor_determinants takes a proposal's determinant without a zero
+        # check: its columns are independent in M.evaluate at its point, so
+        # the exact determinant of the minor is nonzero there; strands above
+        # 12 rows take seconds per determinant
+        F = random_parametrization(random.Random(map_seed), e)
+        M = build_matrix(F, region(e).corners[corner] + Bidegree(*offset))
+        assume(0 < M.rows < M.cols and M.rows <= 12)
+        for columns in islice(matrixrep._proposals(M, seed, shuffle), 2):
+            assert not bareiss_det(M.submatrix(columns)).is_zero()
+
 
 class TestBareissDet:
     def test_one_by_one(self):
@@ -292,7 +313,6 @@ class TestBareissDet:
         # product, so the symmetric range needs the fifth prime.  bareiss_det
         # would peel a diagonal matrix, so the core goes in directly.
         from biimplicit.matrixrep import _core_det
-        from biimplicit.modnull import prime_stream
 
         stream = prime_stream()
         four = prod(next(stream) for _ in range(4))
@@ -300,6 +320,18 @@ class TestBareissDet:
         assert four // 2 < c * c < four and 2**61 < c < 2**62
         core = [[(c, 0, 0, 0), None], [None, (0, sign * c, 0, 0)]]
         assert _core_det(core, 2) == TPoly({(1, 1, 0, 0): sign * c * c})
+
+    def test_inverse_vandermonde(self):
+        # W times the Vandermonde matrix on the nodes 1..size is I mod p
+        primes = list(islice(prime_stream(), 3))
+        for p in primes:
+            for size in range(1, 41):
+                W = matrixrep._inverse_vandermonde_mod_p(size, p).astype(object)
+                V = np.array(
+                    [[pow(x, k, p) for k in range(size)] for x in range(1, size + 1)],
+                    dtype=object,
+                )
+                assert (W.dot(V) % p == np.eye(size, dtype=int)).all()
 
 
 class TestReduceEquation:
@@ -549,6 +581,20 @@ def M_eval(M, tau):
 class TestInterpolationOracle:
     def test_segre_quadric(self, segre_F):
         assert interpolation_oracle(segre_F, 2, seed=5) == tp("T1*T4-T2*T3")
+
+    def test_rational_coefficients(self):
+        # (s*t/2, s*v, u*t, u*v/3): image points with Fractions are scaled to
+        # integers before they are reduced mod p
+        F = Parametrization.from_polys(
+            BigradedPoly({mono: c})
+            for mono, c in (
+                ((1, 0, 1, 0), Fraction(1, 2)),
+                ((1, 0, 0, 1), 1),
+                ((0, 1, 1, 0), 1),
+                ((0, 1, 0, 1), Fraction(1, 3)),
+            )
+        )
+        assert interpolation_oracle(F, 2) == tp("6*T1*T4-T2*T3")
 
     def test_degree_too_small(self, golden_F):
         # independent check first: the degree-1 evaluation matrix has full
