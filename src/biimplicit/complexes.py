@@ -10,12 +10,12 @@ summand into the graded piece of bidegree mu - p*d (d the bidegree of the
 f_i) and each differential into an exact rational block matrix.
 
 A run builds each slice once.  K1 is eliminated over Q in `syzygy_basis`,
-whose nullspace gives the matrix columns.  `complex_summary` ranks K2 and
-K3 modulo a word-sized prime, which can only underestimate a rank, and
-keeps a rank when it meets an upper bound that the complex itself gives
-(a differential's image lies in the kernel of the next one down); these
-bounds may build K3 and K1 at nu+2d too.  Only a rank that meets no bound
-is found by fraction-free elimination over Z.
+whose nullspace gives the matrix columns.  `complex_summary` reads dim Z3
+off the bidegree of gcd(f1..f4) and builds no K3.  It ranks K2 modulo a
+word-sized prime, which can only underestimate a rank, and keeps the rank
+when it meets an upper bound that the complex gives (a differential's image
+lies in the kernel of the next one down), building K1 at nu+2d for the
+second; otherwise fraction-free elimination over Z finds it.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from .linalg import (
     rref_nullspace,
 )
 from .modnull import prime_stream, rank_mod_p
-from .poly import Bidegree, BigradedPoly, InputError, Parametrization, as_bidegree
+from .poly import Bidegree, BigradedPoly, InputError, Parametrization, _gcd, as_bidegree
 
 # Most cells (rows x cols) of one dense Koszul slice, checked before the slice
-# is allocated.  The largest slice of a strand, K2 or K3, has
+# is allocated.  The largest slice of a strand, K2, has
 # 24 * dim S_nu * dim S_(nu+d) cells: 73,728 for a bidegree-(4,4) map at its
 # default nu=(7,3).  The method is meant for small examples; `hilbert` on a
 # strand at the limit takes about a second, while the K1 slice of the (60,60)
@@ -190,29 +190,48 @@ def complex_summary(F: Parametrization, M) -> ComplexSummary:
     """Slice dimensions (dim S_nu, dim Z1, dim Z2, dim Z3) of the strand
     behind the matrix M = build_matrix(F, nu), plus the Euler characteristic
     and the predicted determinant degree.  dim S_nu and dim Z1 are M's rows
-    and columns; dim Z2 and dim Z3 come from the ranks of the K2 and K3
-    slices.
+    and columns.
 
-    Each of those ranks is taken mod p, a lower bound on the rank over Q,
-    and is proven when it meets an upper bound that the complex gives (see
-    `_k2_rank_bounds`): for K3 at nu+3d, its columns minus dim S_(nu-d),
-    since d4 there is injective and im d4 lies in ker d3.  A rank that
-    meets none is found by exact elimination instead, so the prime can
-    only ever cost time.  The K2, K3 and bound slices are those of
-    `_integer_multiple(F)`, which have the same ranks and integer entries.
+    Write f = g*f' with g = gcd(f1..f4) of bidegree delta.  Each d_p(f) is
+    g*d_p(f'), so both have the same kernels.  The f'_i are coprime, so
+    grade(f') >= 2, H3(f') = 0 (Bruns-Herzog, Thm 1.6.17: H_i = 0 for
+    i > 4 - grade) and ker d3 = im d4(f'), d4(f') being injective.  So
+    dim Z3 = dim S_(nu-d+delta), and d3 at nu+2d has rank
+    4*dim S_(nu-d) - dim S_(nu-2d+delta).
+
+    dim Z2 is K2's columns minus the rank of K2 = d2 at nu+2d.  That rank
+    is taken mod p, a lower bound, and kept when it meets an upper bound:
+    K2's columns minus the rank of d3 at nu+2d, as im d3 lies in ker d2;
+    or else dim ker d1 at nu+2d, which contains im d2, bounded by the rank
+    mod p of that K1 slice.  Its columns are K2's rows and its rows
+    dim S_(nu+2d), so it is built only when it has no more cells than K2.
+    Exact elimination finds a rank that meets neither bound.  K2 and K1
+    are slices of `_integer_multiple(F)`: the same ranks, integer entries.
     """
     d, nu = F.bidegree, M.nu
     F = _integer_multiple(F)
     K2 = koszul_slice(F, 2, nu + 2 * d).matrix
-    K3 = koszul_slice(F, 3, nu + 3 * d).matrix
+    # delta from the f_i at u = v = 1, whose gcd has g's degrees less the
+    # powers of u and v in g, the least exponents of u and v in any term
+    g: dict = {}
+    for f in F.polys:
+        g = _gcd(g, {(a, c): x for (a, _, c, _), x in f.terms.items()})
+        if set(g) == {(0, 0)}:
+            break
+    monomials = [m for f in F.polys for m in f.terms]
+    delta = Bidegree(
+        max(a for a, _ in g) + min(m[1] for m in monomials),
+        max(c for _, c in g) + min(m[3] for m in monomials),
+    )
     p = next(prime_stream())
-    r3 = rank_mod_p(K3.data, K3.cols, p)
-    if r3 != K3.cols - _dim(nu - d):
-        r3 = exact_rank(K3)
     r2 = rank_mod_p(K2.data, K2.cols, p)
-    if not any(r2 == bound for bound in _k2_rank_bounds(F, nu, K2, p)):
+    bound = K2.cols - 4 * _dim(nu - d) + _dim(nu - 2 * d + delta)
+    if r2 != bound and _dim(nu + 2 * d) <= K2.cols:
+        K1 = koszul_slice(F, 1, nu + 2 * d).matrix
+        bound = K1.cols - rank_mod_p(K1.data, K1.cols, p)
+    if r2 != bound:
         r2 = exact_rank(K2)
-    h0, h1, h2, h3 = M.rows, M.cols, K2.cols - r2, K3.cols - r3
+    h0, h1, h2, h3 = M.rows, M.cols, K2.cols - r2, _dim(nu - d + delta)
     return ComplexSummary(
         nu=nu,
         dims=(h0, h1, h2, h3),
@@ -226,29 +245,6 @@ def _integer_multiple(F: Parametrization) -> Parametrization:
     map e_I -> prod_(i in I) c_i * e_I carries the Koszul complex of
     (c_i f_i) isomorphically onto that of (f_i), so every slice rank is the
     same."""
-    polys = []
-    for f in F.polys:
-        c = lcm(*(x.denominator for x in f.terms.values()))
-        polys.append(BigradedPoly({m: x * c for m, x in f.terms.items()}))
+    polys = (f * lcm(*(x.denominator for x in f.terms.values())) for f in F.polys)
     return Parametrization(tuple(polys), F.bidegree)
 
-
-def _k2_rank_bounds(F: Parametrization, nu: Bidegree, K2: QMatrix, p: int):
-    """Upper bounds on the rank of K2 = d2 at nu+2d, the second computed
-    only when the first has not met the rank mod p: its columns minus the
-    rank mod p of d3 at nu+2d, whose image lies in ker d2; and the
-    dimension of ker d1 at nu+2d, which contains im d2, bounded by the rank
-    mod p of d1 there.  (K2's row count is a bound too, but never a tight
-    one: d1 is nonzero, so ker d1 is smaller than its domain, whose basis
-    indexes K2's rows.)  That K1 slice has K2's rows as its columns and
-    dim S_(nu+2d) rows, so it is built only when it has no more cells than
-    K2, and then never exceeds MAX_SLICE_CELLS."""
-    d = F.bidegree
-    if _dim(nu - d):
-        K3 = koszul_slice(F, 3, nu + 2 * d).matrix
-        yield K2.cols - rank_mod_p(K3.data, K3.cols, p)
-    else:
-        yield K2.cols
-    if _dim(nu + 2 * d) <= K2.cols:
-        K1 = koszul_slice(F, 1, nu + 2 * d).matrix
-        yield K1.cols - rank_mod_p(K1.data, K1.cols, p)

@@ -174,7 +174,7 @@ class _SparsePoly:
         for mono, c in other.terms.items():
             val = out.get(mono, 0) + c
             if val:
-                out[mono] = val
+                out[mono] = val if type(val) is int else exact(val)
             else:
                 out.pop(mono, None)
         return self._raw(out)
@@ -195,7 +195,7 @@ class _SparsePoly:
                     mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
                     val = out.get(mono, 0) + c1 * c2
                     if val:
-                        out[mono] = val
+                        out[mono] = val if type(val) is int else exact(val)
                     else:
                         out.pop(mono, None)
             return self._raw(out)
@@ -203,7 +203,7 @@ class _SparsePoly:
             k = exact(other)
             if not k:
                 return self._raw({})
-            return self._raw({m: c * k for m, c in self.terms.items()})
+            return self._raw({m: exact(c * k) for m, c in self.terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -497,8 +497,9 @@ def _gcd(f: dict, g: dict) -> dict:
         gamma = _gcd(_evaluate_last(f, xi, df), _evaluate_last(g, xi, dg))
         _, h = integer_primitive(_lift(gamma, xi))
         try:
-            exact_div(f, h)
-            exact_div(g, h)
+            if any(map(any, h)):  # a constant h divides f and g
+                exact_div(f, h)
+                exact_div(g, h)
         except ArithmeticError:
             xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
             continue

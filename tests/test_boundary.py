@@ -172,6 +172,34 @@ def test_former_hang_inputs_exit_1(tmp_path, degree, polynomials, message):
     assert result.stderr.startswith("error: ") and message in result.stderr
 
 
+def _dense_map(degree, bits, seed):
+    """Four dense polynomials of the given bidegree, every coefficient of
+    exactly `bits` bits, in random signs."""
+    rng = random.Random(seed)
+    a, b = degree
+    return [
+        "+".join(
+            f"{rng.choice((-1, 1)) * rng.randrange(2 ** (bits - 1), 2**bits)}"
+            f"*s^{i}*u^{a - i}*t^{j}*v^{b - j}"
+            for i in range(a + 1)
+            for j in range(b + 1)
+        )
+        for _ in range(4)
+    ]
+
+
+@pytest.mark.parametrize("degree, bits", [((60, 60), 4), ((1, 60), 1000)])
+def test_largest_strands_at_nu_00_exit_0(tmp_path, degree, bits):
+    # the gcd of f1..f4 that gives dim Z3 ends within run_cli's 10 s on a
+    # dense (60,60) map and on coefficients near the parser's bit limit
+    path = tmp_path / "input.json"
+    polynomials = _dense_map(degree, bits, seed=5)
+    path.write_text(json.dumps({"bidegree": list(degree), "polynomials": polynomials}))
+    result = run_cli("hilbert", str(path), "--nu", "0,0")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["summary"]["dims"] == [1, 0, 0, 0]
+
+
 class TestModuleEntryPoint:
     def test_region(self):
         result = run_cli("region", "--bidegree", "2,3")

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from biimplicit import complexes
@@ -26,7 +27,7 @@ from biimplicit.linalg import (
 )
 from biimplicit.cli import InputSpec, run_implicitize
 from biimplicit.matrixrep import build_matrix
-from biimplicit.modnull import rank_mod_p
+from biimplicit.modnull import prime_stream, rank_mod_p
 from biimplicit.parser import parse_poly
 from biimplicit.poly import Bidegree, BigradedPoly, Parametrization
 
@@ -236,9 +237,9 @@ class TestComplexSummary:
 
     def test_each_slice_built_and_eliminated_once(self, monkeypatch):
         # one matrix-only run: K1 is built and eliminated by syzygy_basis
-        # alone, K2 and K3 built by complex_summary alone; at golden's
-        # corner both of their ranks mod p meet a bound, so neither slice
-        # is eliminated over Z
+        # alone, K2 built by complex_summary alone and no K3 at all; at
+        # golden's corner the rank of K2 mod p meets the closed-form bound,
+        # so K2 is not eliminated over Z
         calls = {"koszul_slice": [], "rref_nullspace": 0, "exact_rank": 0}
 
         def counting(name, fn):
@@ -258,7 +259,7 @@ class TestComplexSummary:
         spec = InputSpec(bidegree=Bidegree(2, 3), polynomials=GOLDEN_STRINGS)
         report = run_implicitize(spec, matrix_only=True)
         assert report.summary.dims == (12, 12, 0, 0)
-        assert sorted(calls["koszul_slice"]) == [1, 2, 3]
+        assert sorted(calls["koszul_slice"]) == [1, 2]
         assert calls["rref_nullspace"] == 1
         assert calls["exact_rank"] == 0
 
@@ -286,6 +287,17 @@ def _counting(monkeypatch, name):
     return calls
 
 
+# common factors planted in f1..f4: random ones of each bidegree, and
+# monomials, whose powers of u and v the gcd of the f_i at u = v = 1 misses
+COMMON_FACTORS = [
+    *((None, delta) for delta in ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))),
+    ("u", (1, 0)),
+    ("v^2", (0, 2)),
+    ("u*v", (1, 1)),
+    ("s*v", (1, 1)),
+]
+
+
 # maps whose images are a point, a line, a plane and the Segre
 # quadric covered four times, each at a nu where the bounds of
 # complex_summary miss and its ranks come from exact_rank
@@ -298,9 +310,10 @@ DEFECT_MAPS = {
 
 
 class TestRankCertificate:
-    """complex_summary ranks K2 and K3 mod p and keeps a rank only where it
-    meets an upper bound from the complex; everything else goes to
-    exact_rank, so the dimensions never depend on the prime."""
+    """complex_summary reads dim Z3 off the common factor of f1..f4, ranks
+    K2 mod p and keeps that rank only where it meets an upper bound from
+    the complex; otherwise it goes to exact_rank, so the dimensions never
+    depend on the prime."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -353,7 +366,8 @@ class TestRankCertificate:
         "name, nu", [("golden_F", (3, 2)), ("golden_F", (5, 4)), ("segre_F", (2, 1))]
     )
     def test_low_kernel_falls_back(self, request, monkeypatch, name, nu):
-        # a kernel that reports one less than the rank meets no bound
+        # a kernel that reports one less than the rank meets no bound, so
+        # K2 is eliminated over Z, and it is the only slice that is
         F = request.getfixturevalue(name)
         M = build_matrix(F, nu)
         expected = complex_summary(F, M).dims
@@ -362,7 +376,7 @@ class TestRankCertificate:
         )
         fallbacks = _counting(monkeypatch, "exact_rank")
         assert complex_summary(F, M).dims == expected
-        assert len(fallbacks) == 2
+        assert len(fallbacks) == 1
 
     def test_fraction_coefficients(self, golden_F, monkeypatch):
         # the same map with f1 and f4 scaled by non-integers: it is ranked
@@ -385,8 +399,9 @@ class TestRankCertificate:
             monkeypatch.undo()
 
     def test_large_k1_slice_never_built(self, monkeypatch):
-        # the point map at nu=(0,0): K2 has 16 x 6 cells, K1 at nu+2d has
-        # 9 x 16, so the last bound is skipped and exact_rank decides
+        # the point map at nu=(0,0): K2 misses the closed-form bound, and
+        # K2 has 16 x 6 cells, K1 at nu+2d 9 x 16, so the K1 bound is
+        # skipped and exact_rank decides
         F = Parametrization.from_polys(
             parse_poly(t) for t in DEFECT_MAPS["point"][0]
         )
@@ -394,17 +409,17 @@ class TestRankCertificate:
         built = _counting(monkeypatch, "koszul_slice")
         fallbacks = _counting(monkeypatch, "exact_rank")
         assert complex_summary(F, M).dims == (1, 3, 3, 1)
-        assert [(p, tuple(mu)) for _, p, mu in built] == [(2, (2, 2)), (3, (3, 3))]
-        assert len(fallbacks) == 2
+        assert [(p, tuple(mu)) for _, p, mu in built] == [(2, (2, 2))]
+        assert len(fallbacks) == 1
 
     @pytest.mark.parametrize(
         "name, nu, dims, slices",
         [
-            # K3 meets dim S_(nu-d); K2 misses the first two bounds and
-            # meets the rank of K1 at nu+2d
-            ("golden", (5, 4), (30, 56, 34, 8), [(2, (9, 10)), (3, (11, 13)), (3, (9, 10)), (1, (9, 10))]),
-            # K3 meets dim S_(nu-d); K2 meets the rank of K3 at nu+2d
-            ("rand22", (6, 4), (35, 77, 57, 15), [(2, (10, 8)), (3, (12, 10)), (3, (10, 8))]),
+            # K2 misses the closed-form bound and meets the rank of K1 at
+            # nu+2d
+            ("golden", (5, 4), (30, 56, 34, 8), [(2, (9, 10)), (1, (9, 10))]),
+            # K2 meets the closed-form bound
+            ("rand22", (6, 4), (35, 77, 57, 15), [(2, (10, 8))]),
         ],
     )
     def test_strand_ranks_certified(self, monkeypatch, name, nu, dims, slices):
@@ -419,3 +434,41 @@ class TestRankCertificate:
         assert complex_summary(F, M).dims == dims
         assert [(p, tuple(mu)) for _, p, mu in built] == slices
         assert not fallbacks
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        e=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+        factor=st.sampled_from(COMMON_FACTORS),
+        fractions=st.booleans(),
+        seed=st.integers(0, 2**16),
+        offset=st.tuples(st.integers(-2, 1), st.integers(-2, 1)),
+    )
+    def test_common_factor_dims(self, e, factor, fractions, seed, offset):
+        # f_i = g * f'_i with g planted (the f'_i may share more); nu runs
+        # from corner-2 to corner+1, clipped at 0, so that nu-d+delta and
+        # nu-2d+delta reach negative components
+        text, delta = factor
+        d = Bidegree(*e)
+        assume(d.dominates(Bidegree(*delta)))
+        rng = random.Random(seed)
+        g = parse_poly(text) if text else random_bipoly(rng, delta)
+        polys = [g * random_bipoly(rng, d - Bidegree(*delta), density=0.6) for _ in range(4)]
+        if fractions:
+            polys = [f * Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for f in polys]
+        F = Parametrization.from_polys(polys)
+        corner = suggested_nu(d)
+        nu = Bidegree(max(corner.d1 + offset[0], 0), max(corner.d2 + offset[1], 0))
+        M = build_matrix(F, nu)
+        with mock.patch.object(complexes, "koszul_slice", wraps=koszul_slice) as built:
+            dims = complex_summary(F, M).dims
+        assert dims == _reference_dims(F, M)
+        # no K3 slice, and K1 at nu+2d only where the rank of K2 mod p
+        # misses K2's columns minus the rank of d3 at nu+2d
+        degrees = [(call.args[1], tuple(call.args[2])) for call in built.call_args_list]
+        assert all(p != 3 for p, _ in degrees)
+        K2 = koszul_slice(complexes._integer_multiple(F), 2, nu + 2 * d).matrix
+        K3 = koszul_slice(F, 3, nu + 2 * d).matrix
+        closed_form = K2.cols - exact_rank(K3)
+        missed = rank_mod_p(K2.data, K2.cols, next(prime_stream())) != closed_form
+        k1_fits = graded_basis(nu + 2 * d).dim <= K2.cols
+        assert ((1, tuple(nu + 2 * d)) in degrees) == (missed and k1_fits)

@@ -82,6 +82,23 @@ class TestMul:
         assert (f[0] * f[1]).bidegree() == Bidegree(4, 6)
 
 
+@pytest.mark.parametrize(
+    "result",
+    [
+        lambda half: BigradedPoly({(1, 0, 1, 0): half}) * 2,
+        lambda half: BigradedPoly({(1, 0, 1, 0): half}) + BigradedPoly({(1, 0, 1, 0): half}),
+        lambda half: BigradedPoly({(1, 0, 0, 0): half}) * BigradedPoly({(0, 0, 1, 0): 2}),
+    ],
+    ids=["half-times-2", "half-plus-half", "half-s-times-2t"],
+)
+def test_integral_results_have_int_coefficients(result):
+    # each is s*t with coefficient 1, stored as the int 1, as the
+    # normalizing constructor would store it
+    p = result(Fraction(1, 2))
+    assert p == BigradedPoly({(1, 0, 1, 0): 1})
+    assert [type(c) for c in p.terms.values()] == [int]
+
+
 class TestBidegreeOf:
     def test_golden(self):
         assert golden_polys()[0].bidegree() == Bidegree(2, 3)

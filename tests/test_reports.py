@@ -5,7 +5,9 @@ between runs.
 
 segre.json is the Segre map, rand12.json and rand22.json the first (1,2)
 and (2,2) maps drawn by conftest.random_parametrization(random.Random(7), e),
-golden.json the golden bidegree-(2,3) map; each expected file was written by running the
+golden.json the golden bidegree-(2,3) map, point.json (st, 2st, 3st, 4st)
+and line.json (uv, -2uv, -4uv, -2uv-2sv) two maps whose polynomials share a
+common factor; each expected file was written by running the
 argv of its case through `main` and dumping the parsed report, minus
 `timings`, with indent 2 and a final newline.
 """
@@ -37,9 +39,13 @@ CASES = {
     "rand12.nu22.hilbert.json": ["hilbert", "rand12.json", "--nu", "2,2"],
     # the two strands of perfbench's `strand` workload, far above the
     # corner: golden's K2 rank is certified by the rank of K1 at nu+2d,
-    # rand22's K3 rank by dim S_(nu-d)
+    # rand22's by the closed-form rank of d3 at nu+2d
     "golden.nu54.hilbert.json": ["hilbert", "golden.json", "--nu", "5,4"],
     "rand22.nu64.hilbert.json": ["hilbert", "rand22.json", "--nu", "6,4"],
+    # common factors s*t and v, of bidegrees (1,1) and (0,1): dim Z3 is
+    # dim S_(nu-d+delta), 9 and 20
+    "point.nu22.hilbert.json": ["hilbert", "point.json", "--nu", "2,2"],
+    "line.nu44.hilbert.json": ["hilbert", "line.json", "--nu", "4,4"],
     # 3x4 inside the torsion region, dims (3, 4, 1, 0), no determinant
     "segre.nu20.matrixonly.implicitize.json": [
         "implicitize", "segre.json", "--nu", "2,0", "--matrix-only"
