@@ -8,14 +8,16 @@ proposed by evaluating the matrix at a random point and taking the pivot
 columns of the integer elimination in `linalg`, so its determinant is
 nonzero at that point.  The determinant is computed exactly: rows and
 columns with a single nonzero entry are peeled off, and the rest is
-evaluated on a grid modulo primes, interpolated, and recombined by CRT up
-to a proven coefficient bound; a square matrix is first given an
+evaluated modulo primes on the lower set of exponents its determinant can
+carry, interpolated by Newton differences, and recombined by CRT up to a
+proven coefficient bound; a square matrix is first given an
 LLL-reduced basis of the integer points of its columns' span, which drops
 integer content the bound would pay primes for.  The primitive part of the
 determinant, or of the gcd of several, is the reported implicit equation.
 A single determinant is certified by the syzygy identity: every column of
 the matrix it was taken on is a syzygy, so every maximal minor vanishes on
-the image.  A gcd is certified by exact evaluation of eq(f1..f4) on a grid.
+the image, and the determinant is compared with exact elimination at one
+point.  A gcd is certified by exact evaluation of eq(f1..f4) on a grid.
 Rank drops at surface points, certified by the same identity, and a fully
 independent interpolation oracle cross-check either.
 """
@@ -24,14 +26,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
 from itertools import islice
 from math import comb, gcd, lcm, prod
 
 import numpy as np
 
-from . import modnull
 from .complexes import syzygy_basis
 from .linalg import (
     GradedBasis,
@@ -217,26 +218,6 @@ def _peel(grid: list[dict], n: int):
     return sign, peeled, rows, cols
 
 
-@lru_cache(maxsize=1024)
-def _inverse_vandermonde_mod_p(size: int, p: int) -> np.ndarray:
-    """W with W @ (g(1), .., g(size)) = coefficients of g mod p for every
-    polynomial g of degree < size: the inverse mod p of the Vandermonde
-    matrix V with V[i, k] = (i + 1)^k.  The nodes 1..size avoid 0, where
-    entries vanish and pivots would be zero.
-
-    Column j of W solves V w = e_j, so (w, e_j) spans the nullspace of
-    [V | -I] mod p in which free column size + j is 1 and the others are 0:
-    it is that column's vector from `nullspace_mod_p`.
-    """
-    A = np.eye(size, 2 * size, size, dtype=np.int64) * (p - 1)
-    A[:, :size] = [[pow(x, k, p) for k in range(size)] for x in range(1, size + 1)]
-    # not matrixrep.nullspace_mod_p, which perfbench counts as oracle primes
-    _, basis = modnull.nullspace_mod_p(A, p)
-    W = np.array(basis)[:, :size].T.copy()
-    W.flags.writeable = False
-    return W
-
-
 def _primes_above(bits: int) -> tuple[int, ...]:
     """The shortest run of prime_stream() whose product is at least 2^bits."""
     primes, modulus = [], 1
@@ -248,18 +229,24 @@ def _primes_above(bits: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def _interpolate(values: np.ndarray, p: int) -> np.ndarray:
-    """Coefficients mod p of the polynomial whose values on the grid of
-    nodes 1..size along each axis are `values`, one axis at a time; each
-    product is reduced before the next is added, so sums stay below 2^63."""
-    for axis, size in enumerate(values.shape):
-        W = _inverse_vandermonde_mod_p(size, p)
-        moved = np.moveaxis(values, axis, 0)
-        out = np.zeros_like(moved)
-        for i in range(size):
-            out += W[:, i, None, None] * moved[i]
-            out %= p
-        values = np.moveaxis(out, 0, axis)
+def _interpolate(values: np.ndarray, inside: np.ndarray, p: int) -> np.ndarray:
+    """In place, the coefficients mod p of the polynomial with exponents in
+    the lower set `inside` whose value at the node alpha + 1 is
+    values[alpha] for each alpha in it; entries outside it are ignored and
+    come back 0.  Such nodes are unisolvent (Dyn and Floater, J. Approx.
+    Theory 2014).  Divided differences run along each axis; the nodes
+    1, 2, .. are equally spaced, so level k divides by k, and a difference
+    reads only lower indices, which the set holds.  The Newton basis is
+    then turned into monomials, axis by axis.  Products stay below 2^62."""
+    for axis in range(values.ndim):
+        line = np.moveaxis(values, axis, 0)
+        for k in range(1, line.shape[0]):
+            line[k:] = (line[k:] - line[k - 1 : -1]) * pow(k, -1, p) % p
+    values[~inside] = 0
+    for axis in range(values.ndim):
+        line = np.moveaxis(values, axis, 0)
+        for k in range(line.shape[0] - 2, -1, -1):
+            line[k:-1] = (line[k:-1] - (k + 1) * line[k + 1 :]) % p
     return values
 
 
@@ -271,7 +258,8 @@ _BATCH_ENTRIES = 2**15
 def _core_det(core: list[list[tuple]], n: int) -> TPoly:
     """Determinant of an n x n matrix of integer linear forms, given as
     coefficient 4-tuples (None for zero), by evaluation and interpolation
-    modulo primes; see bareiss_det for the two bounds this relies on."""
+    modulo primes on the lower set of exponents that can carry a
+    coefficient; see bareiss_det for the two bounds this relies on."""
     degree_bounds = [
         min(
             sum(any(e and e[t] for e in row) for row in core),
@@ -281,7 +269,9 @@ def _core_det(core: list[list[tuple]], n: int) -> TPoly:
     ]
     h = degree_bounds.index(max(degree_bounds))
     axes = [t for t in range(4) if t != h]
-    exponents = np.indices([degree_bounds[t] + 1 for t in axes]).reshape(3, -1)
+    shape = [degree_bounds[t] + 1 for t in axes]
+    inside = np.indices(shape).sum(axis=0) <= n
+    exponents = np.array(np.nonzero(inside))
     points = exponents + 1
 
     bound = prod(sum(abs(c) for e in row if e for c in e) for row in core)
@@ -298,11 +288,10 @@ def _core_det(core: list[list[tuple]], n: int) -> TPoly:
             (linear @ points[:, start : start + batch] + constant) % p
             for start in range(0, points.shape[1], batch)
         )
-        values = det_mod_p(chunks, p).reshape([degree_bounds[t] + 1 for t in axes])
-        residues[q] = _interpolate(values, p).reshape(-1)
+        values = np.zeros(shape, dtype=np.int64)
+        values[inside] = det_mod_p(chunks, p)
+        residues[q] = _interpolate(values, inside, p)[inside]
 
-    if residues[:, exponents.sum(axis=0) > n].any():
-        raise ArithmeticError("interpolated determinant exceeds its total degree")
     support = np.flatnonzero(residues.any(axis=0))
     combined, modulus = crt_combine(list(residues[:, support].astype(object)), primes)
     terms = {}
@@ -327,11 +316,11 @@ def bareiss_det(matrix) -> TPoly:
     * degree bound: deg_Tt det <= min(rows, columns of the core holding Tt),
       since each term of the permutation expansion takes one entry from
       every row and every column.  The variable with the largest bound is
-      set to 1 (the core's determinant is homogeneous of degree its size,
-      which restores that exponent) and each other one runs over
-      {1..bound+1}; the determinant at every grid point comes from
-      `modnull.det_mod_p` and the coefficients from the exact inverse
-      Vandermonde matrix reduced mod p.
+      set to 1 (the core's determinant is homogeneous of degree its size
+      n, which restores that exponent), so the exponents alpha of the other
+      three lie in the lower set {alpha_t <= bound_t, sum alpha <= n}; the
+      determinant at each node alpha + 1 comes from `modnull.det_mod_p` and
+      the coefficients from Newton interpolation on that set.
     * coefficient bound: every coefficient is at most
       B = prod_i sum_j ||a_ij||_1 in absolute value, since the coefficients
       of the permutation expansion sum in absolute value to at most the
@@ -339,10 +328,10 @@ def bareiss_det(matrix) -> TPoly:
       sums.  Primes are taken until their product exceeds 2B, so CRT into
       the symmetric range recovers every coefficient exactly.
 
-    The result for an n x n matrix is 0 or homogeneous of degree n; an
-    interpolated coefficient above the core's size in total degree raises
-    ArithmeticError.  The name is kept because it is part of the public
-    API.
+    The result for an n x n matrix is 0 or homogeneous of degree n.  The
+    nodes leave no surplus values to check the coefficients against; check
+    (b) of `certify_determinant` and `verify_substitution` guard the
+    result.  The name is kept because it is part of the public API.
     """
     rows = [[_linear_coefficients(entry) for entry in row] for row in matrix]
     n = len(rows)

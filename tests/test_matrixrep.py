@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import islice, permutations
@@ -321,17 +322,92 @@ class TestBareissDet:
         core = [[(c, 0, 0, 0), None], [None, (0, sign * c, 0, 0)]]
         assert _core_det(core, 2) == TPoly({(1, 1, 0, 0): sign * c * c})
 
-    def test_inverse_vandermonde(self):
-        # W times the Vandermonde matrix on the nodes 1..size is I mod p
-        primes = list(islice(prime_stream(), 3))
-        for p in primes:
-            for size in range(1, 41):
-                W = matrixrep._inverse_vandermonde_mod_p(size, p).astype(object)
-                V = np.array(
-                    [[pow(x, k, p) for k in range(size)] for x in range(1, size + 1)],
-                    dtype=object,
-                )
-                assert (W.dot(V) % p == np.eye(size, dtype=int)).all()
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_interpolate_lower_set(self, rng):
+        # coefficients supported on a lower set come back exactly from their
+        # values at the nodes alpha + 1, whatever the entries outside it hold
+        shape = [rng.randint(1, 40) for _ in range(3)]
+        n = rng.randint(0, sum(shape) - 3)
+        inside = np.indices(shape).sum(axis=0) <= n
+        draw = np.random.default_rng(rng.getrandbits(64))
+        for p in islice(prime_stream(), 3):
+            coefficients = np.zeros(shape, dtype=np.int64)
+            coefficients[inside] = draw.integers(0, p, inside.sum())
+            values = coefficients
+            for axis, size in enumerate(shape):
+                # the polynomial at the nodes 1..size along this axis
+                V = np.array([[pow(x, k, p) for k in range(size)] for x in range(1, size + 1)])
+                moved = np.moveaxis(values, axis, 0)
+                out = np.zeros_like(moved)
+                for k in range(size):
+                    out = (out + V[:, k, None, None] * moved[k] % p) % p
+                values = np.moveaxis(out, 0, axis)
+            values[~inside] = draw.integers(0, p, (~inside).sum())
+            assert np.array_equal(matrixrep._interpolate(values, inside, p), coefficients)
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("n", range(8, 19))
+    def test_core_det_beyond_linear_matrices(self, n, dense, monkeypatch):
+        # cores larger than linear_matrices() draws, with some rows missing
+        # one or two variables so that the degree bounds are uneven; the
+        # determinant is taken at exactly the lower set's nodes per prime
+        rng = random.Random(1000 * n + dense)
+        core = []
+        for i in range(n):
+            variables = rng.sample(range(4), rng.choice([4, 4, 3, 2]))
+            row = []
+            for j in range(n):
+                entry = tuple(rng.randint(-6, 6) if t in variables else 0 for t in range(4))
+                keep = dense or i == j or rng.random() < 0.3
+                row.append(entry if keep and any(entry) else None)
+            core.append(row)
+
+        bounds = [
+            min(
+                sum(any(e and e[t] for e in row) for row in core),
+                sum(any(row[j] and row[j][t] for row in core) for j in range(n)),
+            )
+            for t in range(4)
+        ]
+        h = bounds.index(max(bounds))
+        lower_set = sum(
+            sum(alpha) <= n
+            for alpha in np.ndindex(*(bounds[t] + 1 for t in range(4) if t != h))
+        )
+        batches = []
+        real_det_mod_p = matrixrep.det_mod_p
+
+        def counting_det_mod_p(chunks, p):
+            chunks = list(chunks)
+            batches.append(sum(A.shape[2] for A in chunks))
+            return real_det_mod_p(chunks, p)
+
+        monkeypatch.setattr(matrixrep, "det_mod_p", counting_det_mod_p)
+        det = matrixrep._core_det(core, n)
+        assert not det.is_zero()
+        assert batches and all(size == lower_set for size in batches)
+        for T in [(2, -3, 5, 7), (1, 4, -1, 3), (-5, 2, 3, -2)]:
+            numeric = [
+                [sum(c * x for c, x in zip(e, T)) if e else 0 for e in row] for row in core
+            ]
+            assert det.evaluate(T) == matrixrep._integer_det(numeric)
+
+
+@pytest.mark.parametrize(
+    "e, digest",
+    [
+        ((3, 2), "33a1401e3eac3d5e39919ba2147e6214331a4b1a578a7c65ed06751a7f3dedc6"),
+        ((3, 3), "788078965afa4ffa739aa0badad1046f5df7c22c096073fb1fb0b753ccfa1f35"),
+    ],
+    ids=["rand32", "rand33"],
+)
+def test_ladder_equation_pinned(e, digest):
+    # the 12x12 and 18x18 square strands of the first (3,2) and (3,3) draws
+    # at the default nu, pinned by the sha256 of the equation's text
+    F = random_parametrization(random.Random(7), e)
+    report = run_implicitize(InputSpec(Bidegree(*e), tuple(str(f) for f in F.polys)))
+    assert hashlib.sha256(str(report.equation).encode()).hexdigest() == digest
 
 
 class TestReduceEquation:
