@@ -35,7 +35,14 @@ from .matrixrep import (
     verify_substitution,
 )
 from .parser import MAX_DEGREE, ParseError, parse_poly, parse_tpoly
-from .poly import Bidegree, BigradedPoly, InputError, Parametrization, TPoly
+from .poly import (
+    Bidegree,
+    BigradedPoly,
+    InputError,
+    Parametrization,
+    TPoly,
+    as_bidegree,
+)
 
 INPUT_KEYS = {"bidegree", "polynomials", "nu", "seed", "minors"}
 
@@ -70,7 +77,11 @@ class InputSpec:
 
     def __post_init__(self):
         # every source of nu and minors (the JSON fields and the options)
-        # ends up here
+        # ends up here; a plain pair becomes the Bidegree the polynomials
+        # are compared with
+        object.__setattr__(self, "bidegree", as_bidegree(self.bidegree))
+        if self.nu is not None:
+            object.__setattr__(self, "nu", as_bidegree(self.nu))
         if self.nu is not None and min(self.nu) < 0:
             raise InputError(f"nu must be nonnegative, got {tuple(self.nu)}")
         if self.minors < 1:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import islice
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -71,6 +71,12 @@ MAX_TRIES = 25  # random evaluation points per minor proposal
 # exact elimination; no coordinate is zero, so a wrong coefficient of a
 # pure power of one Ti cannot vanish there
 CHECK_POINT = (2, -3, 5, 7)
+# the oracle's reconstruction bounds: a coordinate's denominator is at most
+# 2^16, and numerator bound times denominator bound times 2 is at most the
+# modulus over 2^20, so a wrong scale passes a coordinate with probability
+# about 2^-20
+ORACLE_DEN_BOUND = 2**16
+ORACLE_MARGIN_BITS = 20
 
 
 class PipelineError(Exception):
@@ -614,13 +620,13 @@ def interpolation_oracle(F: Parametrization, degree: int, seed: int = 0) -> TPol
     degree-`degree` monomial in T at the image points is formed modulo that
     prime and its nullspace found by forward elimination and back
     substitution.  One-dimensional nullspaces are grouped by their pivot
-    columns; when a group reaches 4, 8, 16 or 32 primes, its vectors are
-    combined by CRT and rationally reconstructed, and the resulting form is
-    returned only if it vanishes exactly at every sample, so the only
-    probabilistic ingredient is running time.  A nullity >= 2 is an unlucky
-    prime or too few points (rank only ever grows with more), so the second
-    one grows the sample, as do 32 primes without a certified form, a few
-    times before giving up.
+    columns, and every prime that joins a group is a chance to stop: the
+    group's vectors are combined by CRT and `_lattice_reconstruct` recovers
+    the integer form from them, which is returned only if it vanishes
+    exactly at every sample, so the only probabilistic ingredient is
+    running time.  A nullity >= 2 is an unlucky prime or too few points
+    (rank only ever grows with more), so the second one grows the sample,
+    as do 32 primes without a certified form, a few times before giving up.
 
     Raises NoEquationError when the nullspace is certified trivial (degree
     too small) and AmbiguousNullspaceError when a one-dimensional nullspace
@@ -679,17 +685,13 @@ def interpolation_oracle(F: Parametrization, degree: int, seed: int = 0) -> TPol
                 continue
             group = groups.setdefault(tuple(pivots), [])
             group.append((p, basis[0]))
-            if len(group) not in (4, 8, 16, 32):
-                continue
             moduli, vectors = zip(*group)
             combined, modulus = crt_combine(np.array(vectors, dtype=object), moduli)
-            coefficients = []
-            for c in combined:
-                f = rational_reconstruct(c, modulus)
-                if f is None:
-                    break
-                coefficients.append(f)
-            else:
+            free = min(set(range(len(monos))).difference(pivots))
+            coefficients = _lattice_reconstruct(
+                list(combined), modulus, free, len(group) - 1
+            )
+            if coefficients is not None:
                 equation = TPoly(dict(zip(monos, coefficients))).primitive()
                 if all(equation.evaluate(T) == 0 for T in images):
                     return equation
@@ -698,6 +700,68 @@ def interpolation_oracle(F: Parametrization, degree: int, seed: int = 0) -> TPol
         f"could not certify a one-dimensional space of degree-{degree} forms "
         "from the samples (degree too large or degenerate sampling)"
     )
+
+
+def _lattice_reconstruct(
+    v: list[int], m: int, free: int, attempt: int
+) -> list[int] | None:
+    """The primitive integer vector c, up to sign, with c = lambda * v
+    (mod m) for some scale lambda, if the modulus m suffices; else None.
+
+    With v scaled to v[free] = 1 (None if v[free] is not a unit mod m), the
+    scale that makes every coordinate small is c[free].  It is found on a few
+    coordinates: the free one and three other nonzero ones, which
+    successive attempts rotate through.  Their lattice, spanned by
+    (1, v_a, v_b, v_c) and m times the last three unit vectors, has
+    determinant m^3 and holds (c_free, c_a, c_b, c_c) / g, g the gcd of
+    those four entries; LLL finds it as its short vector once m^(3/4) is
+    well above its length (Bright and Storjohann, "Vector rational number
+    reconstruction", ISSAC 2011).  Every lambda * v_i mod m is then c_i / g,
+    recovered by `rational_reconstruct` with a denominator up to
+    ORACLE_DEN_BOUND: the coordinates of a form often share a factor with
+    c_free, so g is often more than 1.  The product of the numerator and
+    denominator bounds stays 2^ORACLE_MARGIN_BITS below m, so a wrong scale
+    fails on the first coordinates outside the lattice, and at one word
+    prime the bounds still admit small forms such as T1*T4 - T2*T3.  A g
+    above ORACLE_DEN_BOUND (a change of coordinates Ti -> K*Ti puts powers
+    of K into whole blocks of coefficients) gets a second pass with
+    balanced bounds, which succeeds once m covers |c_i| and g with the same
+    margin, about when Wang's reconstruction of c_i / c_free would.  With
+    four or fewer nonzero coordinates none is left outside the lattice, and
+    a modulus too small for c can give another short vector; the oracle's
+    exact certificate rejects it.  The fractions are cleared of their
+    denominators and content.
+    """
+    if gcd(v[free], m) != 1:
+        return None
+    if v[free] != 1:
+        inv = pow(v[free], -1, m)
+        v = [x * inv % m for x in v]
+    others = [i for i, x in enumerate(v) if x and i != free]
+    if len(others) > 3:
+        others = [others[(3 * attempt + j) % len(others)] for j in range(3)]
+    k = len(others)
+    lattice = [[1] + [v[i] for i in others]]
+    lattice += [[0] * (j + 1) + [m] + [0] * (k - 1 - j) for j in range(k)]
+    scale = abs(lll_reduce(lattice)[0][0])
+    if scale == 0:
+        return None
+    budget = m >> ORACLE_MARGIN_BITS
+    balanced = isqrt(budget // 2)
+    for den_bound in sorted({min(ORACLE_DEN_BOUND, balanced), balanced}):
+        num_bound = budget // (2 * den_bound)
+        fractions = []
+        for x in v:
+            f = rational_reconstruct(scale * x % m, m, num_bound, den_bound)
+            if f is None:
+                break
+            fractions.append(f)
+        else:
+            denominator = lcm(*(f.denominator for f in fractions))
+            c = [f.numerator * (denominator // f.denominator) for f in fractions]
+            content = gcd(*c)
+            return [x // content for x in c]
+    return None
 
 
 def _sample_matrix_mod_p(images, exponents: np.ndarray, degree: int, p: int):

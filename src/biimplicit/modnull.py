@@ -1,11 +1,13 @@
 """Arithmetic modulo word-sized primes: the nullspace of a matrix over a
 prime field (forward elimination to row echelon form, then back
 substitution) behind the interpolation cross-check, determinants of batches
-of matrices behind the minor determinants, Chinese remaindering and
-rational reconstruction, all vectorized with numpy; and the rank of a
-sparse integer matrix mod p behind the Koszul-slice dimensions, by
-elimination on {col: residue} rows in pure Python, which on the small,
-sparse slices of a strand beats the dense panels.
+of matrices behind the minor determinants, and Chinese remaindering, all
+vectorized with numpy; rational reconstruction under separate numerator
+and denominator bounds, so that the oracle recovers fractions with a small
+denominator from a smaller modulus than Wang's balanced bounds need; and
+the rank of a sparse integer matrix mod p behind the Koszul-slice
+dimensions, by elimination on {col: residue} rows in pure Python, which on
+the small, sparse slices of a strand beats the dense panels.
 
 The forward elimination takes the columns in panels.  Pivots inside a panel
 touch only the panel's columns and record their multipliers; the rest of
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 import numpy as np
 
@@ -300,21 +302,30 @@ def crt_combine(residues, moduli) -> tuple[int, int]:
     return value % modulus, modulus
 
 
-def rational_reconstruct(a: int, m: int) -> Fraction | None:
-    """Rational number p/q with p = q*a (mod m), |p|, q <= sqrt(m/2), if one
-    exists (Wang's algorithm)."""
+def rational_reconstruct(
+    a: int, m: int, num_bound: int, den_bound: int
+) -> Fraction | None:
+    """Rational number p/q with p = q*a (mod m), |p| <= num_bound and
+    0 < q <= den_bound, if one exists.
+
+    The extended Euclidean algorithm on (m, a) stops at the first remainder
+    at most num_bound; when 2 * num_bound * den_bound < m, a fraction within
+    the bounds is unique and is that remainder over its cofactor (von zur
+    Gathen and Gerhard, Modern Computer Algebra, Thm. 5.26).  Both bounds
+    sqrt(m/2) give Wang's balanced reconstruction; unbalanced ones trade
+    numerator room for denominator room.
+    """
     a %= m
-    bound = isqrt(m // 2)
     r0, r1 = m, a
     s0, s1 = 0, 1
-    while r1 > bound:
+    while r1 > num_bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         s0, s1 = s1, s0 - q * s1
     p, q = r1, s1
     if q < 0:
         p, q = -p, -q
-    if q == 0 or abs(q) > bound or gcd(q, m) != 1:
+    if q == 0 or q > den_bound or gcd(q, m) != 1:
         return None
     if gcd(abs(p), q) != 1:
         return None

@@ -101,6 +101,18 @@ class TestRunImplicitize:
             "timings",
         }
 
+    def test_plain_tuples_accepted(self):
+        # a pair that is not a Bidegree is converted, so the polynomials'
+        # bidegree compares equal to it
+        spec = InputSpec((1, 1), SEGRE_STRINGS, nu=(1, 0))
+        assert spec.bidegree == Bidegree(1, 1) and type(spec.bidegree) is Bidegree
+        assert type(spec.nu) is Bidegree
+        report = run_implicitize(spec)
+        assert report.equation == parse_tpoly("T1*T4-T2*T3")
+        assert report.to_dict() | {"timings": None} == run_implicitize(
+            InputSpec(Bidegree(1, 1), SEGRE_STRINGS, nu=Bidegree(1, 0))
+        ).to_dict() | {"timings": None}
+
     def test_nu_override_warning(self):
         spec = InputSpec(
             bidegree=Bidegree(1, 1),

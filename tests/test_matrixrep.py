@@ -2,7 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import islice, permutations
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
@@ -733,8 +733,8 @@ class TestInterpolationOracle:
         # so the exact certificate must reject them all
         real = matrixrep.rational_reconstruct
 
-        def off_by_one(a, m):
-            f = real(a, m)
+        def off_by_one(a, m, num_bound, den_bound):
+            f = real(a, m, num_bound, den_bound)
             return None if f is None else f + 1
 
         monkeypatch.setattr(matrixrep, "rational_reconstruct", off_by_one)
@@ -742,13 +742,20 @@ class TestInterpolationOracle:
             interpolation_oracle(segre_F, 2, seed=5)
 
     @pytest.mark.parametrize(
-        "instance, degree, primes", [("golden", 12, 4), ((2, 2), 8, 8), ((1, 4), 8, 8)]
+        "instance, degree, primes",
+        [("golden", 12, 3), ((2, 2), 8, 4), ((1, 4), 8, 5), ("segre", 2, 1)],
     )
-    def test_prime_use(self, golden_F, monkeypatch, instance, degree, primes):
-        # one nullspace per prime: a faster elimination must not change how
-        # many primes the oracle consumes
+    def test_prime_use(self, golden_F, segre_F, monkeypatch, instance, degree, primes):
+        # one nullspace per prime, and a reconstruction after every prime:
+        # golden's 53-bit coefficients need a modulus of about 2^90, three
+        # word primes, and rand22's 84 bits and rand14's 93 bits need four
+        # and five; at one prime the bounds (numerator times denominator
+        # about 2^10) still admit Segre's +-1 coefficients; a faster
+        # elimination must not change these counts
         if instance == "golden":
             F = golden_F
+        elif instance == "segre":
+            F = segre_F
         else:
             F = random_parametrization(random.Random(7), instance)
         real = matrixrep.nullspace_mod_p
@@ -762,9 +769,74 @@ class TestInterpolationOracle:
         interpolation_oracle(F, degree, seed=0)
         assert len(calls) == primes
 
+    @pytest.mark.parametrize("K, parent_primes", [(16, 8), (2**17, 16)])
+    def test_scaled_coordinate(self, golden_F, monkeypatch, K, parent_primes):
+        # T2 -> K*T2 multiplies each coefficient c_a by K^(12 - a2), so the
+        # free column T4^12 and every lattice coordinate share a power of K
+        # far above the 2^16 denominator bound; the balanced pass recovers
+        # the rescaled equation with no more primes than Wang's
+        # reconstruction at group sizes 4, 8, 16 and 32 needed
+        f = golden_F.polys
+        F = Parametrization.from_polys((f[0], f[1] * K, f[2], f[3]))
+        E = interpolation_oracle(golden_F, 12)
+        expected = TPoly({a: c * K ** (12 - a[1]) for a, c in E.terms.items()})
+        real = matrixrep.nullspace_mod_p
+        calls = []
+
+        def counting(A, p):
+            calls.append(p)
+            return real(A, p)
+
+        monkeypatch.setattr(matrixrep, "nullspace_mod_p", counting)
+        assert interpolation_oracle(F, 12) == expected.primitive()
+        assert len(calls) <= parent_primes
+
+    @settings(max_examples=160, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 100),
+        st.sampled_from([1, 8, 24, 2**17, 3 * 2**40]),
+        st.integers(0, 3),
+        st.data(),
+    )
+    def test_lattice_reconstruct_planted(self, k, bits, g, attempt, data):
+        # golden-like forms: dense, with the free coordinate and about half
+        # or three quarters of the others divisible by g, as golden's share
+        # 8 or 24 with c_free (a change of coordinates Ti -> K*Ti shares
+        # powers of K); they reach the reconstruction scaled by a unit mod
+        # m, and a product of k primes is either enough or yields None,
+        # never a wrong vector
+        m = prod(islice(prime_stream(), k))
+        entry = st.integers(-(2**bits), 2**bits).filter(bool)
+        share = data.draw(st.sampled_from([2, 4]))
+        c = [
+            data.draw(entry) * (g if data.draw(st.integers(1, share)) > 1 else 1)
+            for _ in range(data.draw(st.integers(8, 30)))
+        ]
+        free = len(c)
+        c.append(g * data.draw(entry))
+        content = gcd(*c)
+        c = [x // content for x in c]
+        assume(gcd(c[free], m) == 1)
+        unit = data.draw(st.integers(1, m - 1).filter(lambda u: gcd(u, m) == 1))
+        v = [unit * x % m for x in c]
+        got = matrixrep._lattice_reconstruct(v, m, free, attempt)
+        assert got in (None, c, [-x for x in c])
+        # enough: m is at least 2^40 times the 4/3 power of the largest
+        # entry, and either the lattice coordinates (the free one and three
+        # others, rotated by the attempt) share at most a 16-bit factor, or
+        # every entry is within the balanced bound sqrt(m / 2^21)
+        lattice = [c[(3 * attempt + j) % free] for j in range(3)] + [c[free]]
+        largest = max(abs(x) for x in c)
+        B = largest.bit_length()
+        if m.bit_length() >= B + 40 + B // 3 and (
+            gcd(*lattice) <= 2**16 or largest <= isqrt((m >> 20) // 2)
+        ):
+            assert got is not None
+
     def test_unlucky_pivots_cost_one_prime(self, golden_F, monkeypatch):
         # the first prime's vector has other pivot columns, as an unlucky
-        # prime's would: it forms a group of its own, and the next four
+        # prime's would: it forms a group of its own, and the next three
         # primes reconstruct the equation
         expected = interpolation_oracle(golden_F, 12)
         real = matrixrep.nullspace_mod_p
@@ -779,7 +851,7 @@ class TestInterpolationOracle:
 
         monkeypatch.setattr(matrixrep, "nullspace_mod_p", shifted_first)
         assert interpolation_oracle(golden_F, 12) == expected
-        assert len(calls) == 5
+        assert len(calls) == 4
 
     def test_two_fat_primes_grow_the_sample(self, golden_F, monkeypatch):
         # nullity 2 at the first two primes: the sample grows from

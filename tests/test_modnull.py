@@ -1,10 +1,10 @@
 from fractions import Fraction
 from itertools import islice
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from biimplicit import modnull
@@ -301,7 +301,31 @@ def test_crt_and_rational_reconstruction_round_trip(k, data):
     value, modulus = crt_combine(residues, moduli)
     assert modulus == m
     assert value == num * pow(den, -1, m) % m
-    assert rational_reconstruct(value, modulus) == Fraction(num, den)
+    assert rational_reconstruct(value, modulus, bound, bound) == Fraction(num, den)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.data())
+def test_rational_reconstruction_unbalanced_bounds(k, data):
+    # any split of the room 2 * N * D < m between numerator and denominator,
+    # the oracle's small denominators included; a/b round-trips for every
+    # |a| <= N and b <= D, the extremes included
+    m = prod(islice(prime_stream(), k))
+    den_bound = data.draw(
+        st.one_of(st.integers(1, 2**16), st.integers(1, (m - 1) // 2))
+    )
+    num_bound = (m - 1) // (2 * den_bound)
+    assert 2 * num_bound * den_bound < m
+    num = data.draw(
+        st.one_of(
+            st.sampled_from([-num_bound, 0, num_bound]),
+            st.integers(-num_bound, num_bound),
+        )
+    )
+    den = data.draw(st.one_of(st.just(den_bound), st.integers(1, den_bound)))
+    assume(gcd(den, m) == 1)
+    value = num * pow(den, -1, m) % m
+    assert rational_reconstruct(value, m, num_bound, den_bound) == Fraction(num, den)
 
 
 def test_is_prime_matches_sieve():
