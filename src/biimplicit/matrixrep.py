@@ -58,6 +58,7 @@ from .poly import (
     TPoly,
     as_bidegree,
     divide_content,
+    evaluate_many,
     exact,
     rational_content,
     # unused here; kept because perfbench/spans.py wraps matrixrep.substitute_T
@@ -619,7 +620,8 @@ def interpolation_oracle(F: Parametrization, degree: int, seed: int = 0) -> TPol
     each word-sized prime, up to 32 per sample, the matrix of every
     degree-`degree` monomial in T at the image points is formed modulo that
     prime and its nullspace found by forward elimination and back
-    substitution.  One-dimensional nullspaces are grouped by their pivot
+    substitution; the first prime with nullity 1 picks the rows the later
+    ones take.  One-dimensional nullspaces are grouped by their pivot
     columns, and every prime that joins a group is a chance to stop: the
     group's vectors are combined by CRT and `_lattice_reconstruct` recovers
     the integer form from them, which is returned only if it vanishes
@@ -654,23 +656,26 @@ def interpolation_oracle(F: Parametrization, degree: int, seed: int = 0) -> TPol
                 )
             # projectively equal points have proportional images, which
             # give dependent rows
-            pt = _projective_point(_sample_point(rng))
-            if pt in seen:
-                continue
-            seen.add(pt)
-            values = tuple(f.evaluate(pt) for f in F.polys)
-            if not any(values):
-                continue  # base point
-            # the same point of P3 with integer coordinates, which the
-            # residues mod p need
-            d = lcm(*(x.denominator for x in values))
-            images.append(values if d == 1 else tuple(exact(x * d) for x in values))
+            batch: list[tuple] = []
+            while len(batch) < target - len(images):
+                pt = _projective_point(_sample_point(rng))
+                if pt not in seen:
+                    seen.add(pt)
+                    batch.append(pt)
+            for values in zip(*(evaluate_many(f.terms, batch) for f in F.polys)):
+                if not any(values):
+                    continue  # base point
+                # the same point of P3 with integer coordinates, which the
+                # residues mod p need
+                d = lcm(*(x.denominator for x in values))
+                images.append(values if d == 1 else tuple(exact(x * d) for x in values))
 
         groups: dict[tuple[int, ...], list] = {}
         fat_primes = 0
+        sample = images
         for p in islice(primes, 32):
-            pivots, basis = nullspace_mod_p(
-                _sample_matrix_mod_p(images, exponents, degree, p), p
+            pivots, basis, rows = nullspace_mod_p(
+                _sample_matrix_mod_p(sample, exponents, degree, p), p
             )
             if len(basis) == 0:
                 raise NoEquationError(
@@ -683,6 +688,11 @@ def interpolation_oracle(F: Parametrization, degree: int, seed: int = 0) -> TPol
                 if fat_primes == 2:
                     break
                 continue
+            if sample is images:
+                # these rows are independent mod p, hence over Q, so the
+                # later primes of this round need only them; the
+                # certificate still takes every sample
+                sample = [images[i] for i in rows]
             group = groups.setdefault(tuple(pivots), [])
             group.append((p, basis[0]))
             moduli, vectors = zip(*group)
@@ -693,7 +703,7 @@ def interpolation_oracle(F: Parametrization, degree: int, seed: int = 0) -> TPol
             )
             if coefficients is not None:
                 equation = TPoly(dict(zip(monos, coefficients))).primitive()
-                if all(equation.evaluate(T) == 0 for T in images):
+                if not any(evaluate_many(equation.terms, images)):
                     return equation
         target += max(150, len(monos) // 2)
     raise AmbiguousNullspaceError(

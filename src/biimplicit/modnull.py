@@ -11,14 +11,16 @@ the small, sparse slices of a strand beats the dense panels.
 
 The forward elimination takes the columns in panels.  Pivots inside a panel
 touch only the panel's columns and record their multipliers; the rest of
-the matrix then catches up once per panel, the rows below the panel's
-pivots through one matrix product L21 @ U12 mod p.  That product runs as
-two float64 BLAS products on 16-bit halves of L21, whose partial sums stay
-below 2^53 and so are exact, taken over chunks of rows to bound the float
-temporaries.  This is the delayed reduction of Dumas, Giorgi and Pernet
-(FFLAS-FFPACK, ACM TOMS 2008); taking the first nonzero of each column as
-pivot keeps the column rank profile, so the pivots and echelon rows are
-those of elimination pivot by pivot.
+the matrix then catches up once per panel, the pivot rows through one
+product with the inverse of the panel's k x k lower-triangular factor L11
+and the rows below them through one product L21 @ U12 mod p.  Each product
+runs as two float64 BLAS products on 16-bit halves of its left factor,
+whose partial sums stay below 2^53 and so are exact, taken over chunks of
+rows to bound the float temporaries.  This is the delayed reduction of
+Dumas, Giorgi and Pernet (FFLAS-FFPACK, ACM TOMS 2008); taking the first
+nonzero of each column as pivot keeps the column rank profile, so the
+pivots and echelon rows are those of elimination pivot by pivot.  The
+rows of the matrix that the echelon rows came from are reported too.
 
 Callers stay exact: the interpolation oracle certifies every answer with
 integer arithmetic, so a bad prime can cost time but never correctness; the
@@ -142,12 +144,13 @@ def _split_matmul_mod_p(L: np.ndarray, U: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _echelon_mod_p(A: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+def _echelon_mod_p(A: np.ndarray, p: int) -> tuple[list[int], np.ndarray, list[int]]:
     """Row echelon form of an int64 matrix over Z/p with unit pivots.
 
-    Returns (pivot column indices, the nonzero rows of the echelon form):
-    the rows and pivots of pivot-by-pivot elimination in which each pivot is
-    the first nonzero at or below the current row and clears only the rows
+    Returns (pivot column indices, the nonzero rows U of the echelon form,
+    the rows of A they came from, whose own echelon form is U): the rows
+    and pivots of pivot-by-pivot elimination in which each pivot is the
+    first nonzero at or below the current row and clears only the rows
     below it, from its column rightwards.  The pivots are the column rank
     profile, the ones Gauss-Jordan elimination would pick.  Entries of A
     must already lie in [0, p), so every product stays below 2^62.
@@ -158,13 +161,14 @@ def _echelon_mod_p(A: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     swaps rows, scales its row and clears the rows below.  The multiplier
     of every row it clears, and its own inverse on the pivot row, go into a
     rows x PANEL array L whose rows swap with the panel's and with M's
-    trailing columns.  Those columns then catch up: each pivot row by
-    forward substitution with its recorded multipliers and the pivot rows
-    above it, and the rows below all at once, M[r:, c1:] -= L21 @ U12 mod p,
-    as one exact `_split_matmul_mod_p` product per ROW_CHUNK rows.
+    trailing columns.  Those columns then catch up: the k pivot rows by one
+    product with the inverse of their lower-triangular factor L11, and the
+    rows below all at once, M[r:, c1:] -= L21 @ U12 mod p, as one exact
+    `_split_matmul_mod_p` product per ROW_CHUNK rows.
     """
     M = A.copy()
     rows, cols = M.shape
+    order = np.arange(rows)
     pivots: list[int] = []
     r = 0
     for c0 in range(0, cols, PANEL):
@@ -178,14 +182,15 @@ def _echelon_mod_p(A: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
         for c in range(c1 - c0):
             if k == len(P):
                 break
-            nz = np.flatnonzero(P[k:, c])
-            if nz.size == 0:
-                continue
-            i = k + int(nz[0])
-            if i != k:
+            if not P[k, c]:
+                nz = np.flatnonzero(P[k:, c])
+                if nz.size == 0:
+                    continue
+                i = k + int(nz[0])
                 P[[k, i]] = P[[i, k]]
                 L[[k, i]] = L[[i, k]]
                 M[[r0 + k, r0 + i], c1:] = M[[r0 + i, r0 + k], c1:]
+                order[[r0 + k, r0 + i]] = order[[r0 + i, r0 + k]]
             inv = pow(int(P[k, c]), -1, p)
             L[k, k] = inv
             P[k, c:] = P[k, c:] * inv % p
@@ -199,25 +204,41 @@ def _echelon_mod_p(A: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
         if k == 0 or c1 == cols:
             continue
         U = M[r0:r, c1:]
-        for j in range(k):
-            U[j] -= _split_matmul_mod_p(L[j : j + 1, :j], U[:j], p)[0]
-            U[j] = U[j] % p * L[j, j] % p
+        U[:] = _split_matmul_mod_p(_lower_inverse_mod_p(L[:k], p), U, p)
         for i in range(r, rows, ROW_CHUNK):
             block = M[i : i + ROW_CHUNK, c1:]
             block -= _split_matmul_mod_p(L[i - r0 : i - r0 + ROW_CHUNK, :k], U, p)
             block %= p
-    return pivots, M[:r]
+    return pivots, M[:r], order[:r].tolist()
 
 
-def nullspace_mod_p(A: np.ndarray, p: int) -> tuple[list[int], list[np.ndarray]]:
-    """Pivot columns and the canonical basis of the nullspace of A over Z/p:
-    one vector per free column, 1 there and 0 in the other free columns.
+def _lower_inverse_mod_p(L: np.ndarray, p: int) -> np.ndarray:
+    """L11^-1 mod p for a panel's k pivot rows: L11 has the multipliers
+    L[:, :k] below its diagonal and the pivots 1 / diag(L) on it, so with
+    D = diag(L) and N = tril(L, -1) @ D, L11^-1 = D (I - N)(I + N^2)(I + N^4)..."""
+    k = len(L)
+    d = np.diagonal(L[:, :k])
+    S = (-np.tril(L[:, :k], -1) * d) % p
+    X = np.eye(k, dtype=np.int64) + S
+    span = 2
+    while span < k:
+        S = _split_matmul_mod_p(S, S, p)
+        X = (X + _split_matmul_mod_p(X, S, p)) % p
+        span *= 2
+    return X * d[:, None] % p
+
+
+def nullspace_mod_p(A: np.ndarray, p: int) -> tuple[list[int], list, list[int]]:
+    """Pivot columns and the canonical basis of the nullspace of A over Z/p,
+    one vector per free column, 1 there and 0 in the other free columns, and
+    the rows of A the echelon form came from: A[rows] has the same pivots
+    and nullspace.
 
     The pivot coordinates come from back substitution on the echelon form,
     for all free columns at once: `rhs` holds, row by row, the value the
     pivot variable of that row must take given the pivots solved so far.
     """
-    pivots, U = _echelon_mod_p(A, p)
+    pivots, U, rows = _echelon_mod_p(A, p)
     cols = A.shape[1]
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
@@ -227,7 +248,7 @@ def nullspace_mod_p(A: np.ndarray, p: int) -> tuple[list[int], list[np.ndarray]]
     for k in range(len(pivots) - 1, -1, -1):
         X[pivots[k]] = rhs[k]
         rhs[:k] = (rhs[:k] - np.outer(U[:k, pivots[k]], rhs[k])) % p
-    return pivots, list(X.T)
+    return pivots, list(X.T), rows
 
 
 def _pow_mod(base: np.ndarray, exponent: int, p: int) -> np.ndarray:

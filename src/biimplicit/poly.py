@@ -17,6 +17,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 # exponent 4-tuples: (a_s, a_u, a_t, a_v) for the source ring,
 # (a_T1, a_T2, a_T3, a_T4) for the target ring
 Monomial = tuple[int, int, int, int]
@@ -122,6 +124,30 @@ def as_bidegree(value) -> Bidegree:
 
 def mono_bidegree(m: Monomial) -> Bidegree:
     return Bidegree(m[0] + m[1], m[2] + m[3])
+
+
+def evaluate_many(terms: dict, points) -> list:
+    """The values `evaluate` gives at each of many integer points, computed
+    over numpy object arrays of Python ints: the terms grouped by (a, b) are
+    sums over power tables of the third and fourth coordinates, combined by
+    Horner's rule in the second coordinate, then the first."""
+    x1, x2, x3, x4 = np.array(points, dtype=object).reshape(-1, 4).T
+    groups: dict[int, dict[int, list]] = {}
+    for (a, b, c, d), coeff in terms.items():
+        groups.setdefault(a, {}).setdefault(b, []).append((c, d, coeff))
+    p3, p4 = [[np.ones(len(x1), dtype=object)] for _ in range(2)]
+    for x, table, i in ((x3, p3, 2), (x4, p4, 3)):
+        for _ in range(max((m[i] for m in terms), default=0)):
+            table.append(table[-1] * x)
+    total = 0
+    for a in range(max(groups, default=0), -1, -1):
+        row = groups.get(a, {})
+        inner = 0
+        for b in range(max(row, default=0), -1, -1):
+            part = sum(k * p3[c] * p4[d] for c, d, k in row.get(b, ()))
+            inner = inner * x2 + part
+        total = total * x1 + inner
+    return [exact(x) for x in total]
 
 
 class _SparsePoly:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from biimplicit.modnull import _echelon_mod_p
 from biimplicit.parser import parse_poly
 from biimplicit.poly import BigradedPoly, Parametrization, TPoly
 from biimplicit.linalg import QMatrix, graded_basis
@@ -113,6 +114,17 @@ def matvec(M: QMatrix, vec: list) -> list:
     if M.cols != len(vec):
         raise ValueError("incompatible shapes")
     return [sum(a * x for a, x in zip(row, vec) if a and x) for row in M.data]
+
+
+def check_kept_rows(A, p: int, kept: list[int]) -> None:
+    """The rows that `nullspace_mod_p` and `_echelon_mod_p` report are
+    distinct rows of A, and on their own they have the same pivots and
+    echelon form mod p, reached without a row swap."""
+    assert len(set(kept)) == len(kept) and all(0 <= i < len(A) for i in kept)
+    pivots, U, _ = _echelon_mod_p(A, p)
+    sub_pivots, sub_U, sub_kept = _echelon_mod_p(A[kept], p)
+    assert sub_pivots == pivots and sub_U.tolist() == U.tolist()
+    assert sub_kept == list(range(len(kept)))
 
 
 def gram_det(vectors) -> int:

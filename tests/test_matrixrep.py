@@ -39,6 +39,7 @@ from biimplicit.poly import Bidegree, BigradedPoly, Parametrization, TPoly, subs
 
 from conftest import (
     GOLDEN_STRINGS,
+    check_kept_rows,
     gram_det,
     lin,
     random_bipoly,
@@ -837,17 +838,18 @@ class TestInterpolationOracle:
     def test_unlucky_pivots_cost_one_prime(self, golden_F, monkeypatch):
         # the first prime's vector has other pivot columns, as an unlucky
         # prime's would: it forms a group of its own, and the next three
-        # primes reconstruct the equation
+        # primes, on the rows it picked, reconstruct the equation
         expected = interpolation_oracle(golden_F, 12)
         real = matrixrep.nullspace_mod_p
         calls = []
 
         def shifted_first(A, p):
             calls.append(p)
-            pivots, basis = real(A, p)
+            pivots, basis, rows = real(A, p)
+            check_kept_rows(A, p, rows)
             if len(calls) == 1:
                 pivots = [c + 1 for c in pivots]
-            return pivots, basis
+            return pivots, basis, rows
 
         monkeypatch.setattr(matrixrep, "nullspace_mod_p", shifted_first)
         assert interpolation_oracle(golden_F, 12) == expected
@@ -862,14 +864,29 @@ class TestInterpolationOracle:
 
         def fat_first_two(A, p):
             rows.append(A.shape[0])
-            pivots, basis = real(A, p)
+            pivots, basis, kept = real(A, p)
+            check_kept_rows(A, p, kept)
             if len(rows) <= 2:
                 basis = [basis[0], basis[0]]
-            return pivots, basis
+            return pivots, basis, kept
 
         monkeypatch.setattr(matrixrep, "nullspace_mod_p", fat_first_two)
         assert interpolation_oracle(golden_F, 12) == expected
         assert rows[:3] == [515, 515, 742]
+
+    def test_later_primes_use_the_picked_rows(self, golden_F, monkeypatch):
+        # the first prime keeps the 454 rows of its echelon form, and the
+        # other two primes of the round eliminate those rows only
+        real = matrixrep.nullspace_mod_p
+        shapes = []
+
+        def counting(A, p):
+            shapes.append(A.shape)
+            return real(A, p)
+
+        monkeypatch.setattr(matrixrep, "nullspace_mod_p", counting)
+        interpolation_oracle(golden_F, 12, seed=0)
+        assert shapes == [(515, 455), (454, 455), (454, 455)]
 
     def test_projective_point(self):
         assert matrixrep._projective_point((-2, -4, 3, -6)) == (1, 2, 1, -2)

@@ -23,6 +23,8 @@ from biimplicit.modnull import (
 )
 from biimplicit.linalg import QMatrix, exact_rank
 
+from conftest import check_kept_rows
+
 PRIMES = (7, 101, 2**31 - 1)
 
 
@@ -67,7 +69,8 @@ def _reference_nullspace(rows: list[list[int]], cols: int, p: int):
 
 def _check_against_reference(rows: list[list[int]], cols: int, p: int) -> list:
     A = np.array(rows, dtype=np.int64).reshape(len(rows), cols)
-    pivots, basis = nullspace_mod_p(A, p)
+    pivots, basis, kept = nullspace_mod_p(A, p)
+    check_kept_rows(A, p, kept)
     ref_pivots, ref_basis = _reference_nullspace(rows, cols, p)
     assert pivots == ref_pivots
     assert [[int(x) for x in v] for v in basis] == ref_basis
@@ -146,8 +149,10 @@ def test_rank_mod_p_is_a_lower_bound():
 
 
 def test_all_zero_matrix():
-    pivots, basis = nullspace_mod_p(np.zeros((3, 4), dtype=np.int64), 101)
-    assert pivots == []
+    A = np.zeros((3, 4), dtype=np.int64)
+    pivots, basis, kept = nullspace_mod_p(A, 101)
+    check_kept_rows(A, 101, kept)
+    assert pivots == [] and kept == []
     assert [list(v) for v in basis] == [
         [1, 0, 0, 0],
         [0, 1, 0, 0],
@@ -167,11 +172,13 @@ def test_large_entries_do_not_overflow():
 
 
 def _reference_echelon_mod_p(A: np.ndarray, p: int):
-    """Row echelon form over Z/p pivot by pivot: each pivot is the first
-    nonzero at or below the current row and clears the rows below it across
-    the whole remaining width, reducing every entry after each pivot."""
+    """Row echelon form over Z/p pivot by pivot, with the rows of A its rows
+    came from: each pivot is the first nonzero at or below the current row
+    and clears the rows below it across the whole remaining width, reducing
+    every entry after each pivot."""
     M = A.copy()
     rows, cols = M.shape
+    order = list(range(rows))
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -183,6 +190,7 @@ def _reference_echelon_mod_p(A: np.ndarray, p: int):
         i = r + int(nz[0])
         if i != r:
             M[[r, i]] = M[[i, r]]
+            order[r], order[i] = order[i], order[r]
         inv = pow(int(M[r, c]), p - 2, p)
         M[r, c:] = M[r, c:] * inv % p
         below = r + 1 + np.flatnonzero(M[r + 1 :, c])
@@ -190,22 +198,25 @@ def _reference_echelon_mod_p(A: np.ndarray, p: int):
             M[below, c:] = (M[below, c:] - np.outer(M[below, c], M[r, c:])) % p
         pivots.append(c)
         r += 1
-    return pivots, M[:r]
+    return pivots, M[:r], order[:r]
 
 
 def _check_against_reference_echelon(A: np.ndarray, p: int) -> list:
     """The panel elimination against the pivot-by-pivot reference: the same
-    pivots and echelon rows, and the same nullspace basis when the reference
-    stands in for it inside `nullspace_mod_p`."""
-    pivots, U = _echelon_mod_p(A, p)
-    ref_pivots, ref_U = _reference_echelon_mod_p(A, p)
+    pivots, echelon rows and rows of A, and the same nullspace basis when the
+    reference stands in for it inside `nullspace_mod_p`."""
+    pivots, U, kept = _echelon_mod_p(A, p)
+    ref_pivots, ref_U, ref_kept = _reference_echelon_mod_p(A, p)
     assert pivots == ref_pivots
     assert U.tolist() == ref_U.tolist()
+    assert kept == ref_kept
+    check_kept_rows(A, p, kept)
     got = nullspace_mod_p(A, p)
     with mock.patch.object(modnull, "_echelon_mod_p", _reference_echelon_mod_p):
         want = nullspace_mod_p(A, p)
     assert got[0] == want[0]
     assert [v.tolist() for v in got[1]] == [v.tolist() for v in want[1]]
+    assert got[2] == want[2] == kept
     return got[1]
 
 

@@ -14,6 +14,7 @@ from biimplicit.poly import (
     Parametrization,
     TPoly,
     ZeroPolynomialError,
+    evaluate_many,
     exact,
     integer_primitive,
     substitute_T,
@@ -124,6 +125,36 @@ class TestEvaluate:
     def test_fraction_point(self):
         p = bp("s*t+u*v")
         assert p.evaluate((Fraction(1, 2), 1, Fraction(1, 3), 1)) == Fraction(7, 6)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            st.just({}),
+            st.dictionaries(st.just((0, 0, 0, 0)), coeffs, min_size=1),
+            st.dictionaries(st.tuples(*[st.integers(0, 5)] * 4), coeffs, max_size=12),
+        ).map(TPoly),
+        st.lists(
+            st.tuples(
+                *[
+                    st.one_of(
+                        st.sampled_from([0, -1, 2**70, -(2**70)]),
+                        st.integers(-10, 10),
+                        st.integers(-(2**70), 2**70),
+                    )
+                ]
+                * 4
+            ),
+            max_size=6,
+        ),
+    )
+    def test_many_points_at_once(self, p, points):
+        # the zero and constant polynomials, Fraction coefficients, and
+        # zero, negative and 2^70-sized coordinates: the same values, with
+        # integral ones as ints, as evaluating one point at a time
+        values = evaluate_many(p.terms, points)
+        expected = [p.evaluate(x) for x in points]
+        assert values == expected
+        assert [type(v) for v in values] == [type(v) for v in expected]
 
 
 class TestSubstituteT:
