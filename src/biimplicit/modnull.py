@@ -5,9 +5,11 @@ of matrices behind the minor determinants, and Chinese remaindering, all
 vectorized with numpy; rational reconstruction under separate numerator
 and denominator bounds, so that the oracle recovers fractions with a small
 denominator from a smaller modulus than Wang's balanced bounds need; and
-the rank of a sparse integer matrix mod p behind the Koszul-slice
-dimensions, by elimination on {col: residue} rows in pure Python, which on
-the small, sparse slices of a strand beats the dense panels.
+the rank of an integer matrix mod p behind the Koszul-slice dimensions,
+pivot by pivot, each pivot updating only the rows that are nonzero in its
+column.  On the slices of a strand, a few hundred rows and columns with
+most entries zero, that is about twice as fast as the panels below, whose
+products only pay off on larger, denser matrices.
 
 The forward elimination takes the columns in panels.  Pivots inside a panel
 touch only the panel's columns and record their multipliers; the rest of
@@ -82,41 +84,44 @@ def prime_stream():
 
 
 def rank_mod_p(rows, cols: int, p: int) -> int:
-    """Rank over Z/p of an integer matrix given as `cols`-wide rows; it is
-    at most the rank over Q.
+    """Rank over Z/p, p < 2^31, of an integer matrix given as a list of
+    `cols`-wide rows; it is at most the rank over Q.
 
-    Sparse elimination in pure Python, in the order of the fraction-free
-    `linalg._echelon`: each row is kept as {col: residue} and filed under
-    its leading column, and at each column the row filed there with the
-    fewest nonzeros (earliest on ties) is the pivot that clears the column
-    from the others.
+    The residues go into an int64 array (through Python ints when an entry
+    does not fit), transposed to have no more rows than columns.  Each
+    column then takes its first nonzero at or below the current row as
+    pivot, clears the rows below that are nonzero there with one outer
+    product, and moves the row it displaces into the pivot's place; the
+    pivot row itself is not needed again.  Entries stay in [0, p), so every
+    product stays below 2^62, and the loop ends once every row has a pivot.
     """
-    waiting: dict[int, list[dict]] = {}
-    for row in rows:
-        residues = {j: r for j, x in enumerate(row) if x and (r := x % p)}
-        if residues:
-            waiting.setdefault(min(residues), []).append(residues)
-    rank = 0
+    n = len(rows)
+    try:
+        A = np.fromiter(itertools.chain.from_iterable(rows), np.int64, n * cols)
+    except OverflowError:
+        A = np.fromiter((x % p for row in rows for x in row), np.int64, n * cols)
+    A = A.reshape(n, cols) % p
+    if n > cols:
+        A = np.ascontiguousarray(A.T)
+        n, cols = cols, n
+    r = 0
     for c in range(cols):
-        bucket = waiting.pop(c, None)
-        if not bucket:
+        if r == n:
+            break
+        nz = A[r:, c].nonzero()[0]
+        if not len(nz):
             continue
-        k = min(range(len(bucket)), key=lambda i: len(bucket[i]))
-        prow = bucket.pop(k)
-        inv = pow(prow.pop(c), -1, p)
-        pivot = [(j, y * inv % p) for j, y in prow.items()]
-        for row in bucket:
-            f = row.pop(c)
-            for j, y in pivot:
-                x = (row.get(j, 0) - f * y) % p
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
-            if row:
-                waiting.setdefault(min(row), []).append(row)
-        rank += 1
-    return rank
+        i = r + nz[0]
+        if len(nz) > 1:
+            below = r + nz[1:]
+            f = A[below, c] * pow(int(A[i, c]), -1, p) % p
+            block = A[below, c + 1 :]
+            block -= f[:, None] * A[i, c + 1 :]
+            block %= p
+            A[below, c + 1 :] = block
+        A[i] = A[r]
+        r += 1
+    return r
 
 
 # Columns eliminated per panel, and rows per trailing-update product; the

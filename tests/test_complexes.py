@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -32,6 +34,8 @@ from biimplicit.parser import parse_poly
 from biimplicit.poly import Bidegree, BigradedPoly, Parametrization
 
 from conftest import GOLDEN_STRINGS, matmul, random_bipoly, random_parametrization
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestKoszulSlice:
@@ -434,6 +438,26 @@ class TestRankCertificate:
         assert complex_summary(F, M).dims == dims
         assert [(p, tuple(mu)) for _, p, mu in built] == slices
         assert not fallbacks
+
+    @pytest.mark.parametrize(
+        "name, nu",
+        [
+            ("golden", (5, 4)),
+            ("rand22", (6, 4)),
+            ("segre", (5, 5)),
+            ("line", (4, 4)),
+            ("rand12", (2, 2)),
+        ],
+    )
+    def test_slice_ranks_mod_p_are_exact(self, name, nu):
+        # the K2 slice and the K1 slice at nu+2d that complex_summary ranks
+        # mod p, on the pinned strands: both ranks are the ranks over Q
+        doc = json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
+        F = Parametrization.from_polys(parse_poly(t) for t in doc["polynomials"])
+        F = complexes._integer_multiple(F)
+        for k in (2, 1):
+            K = koszul_slice(F, k, Bidegree(*nu) + 2 * F.bidegree).matrix
+            assert rank_mod_p(K.data, K.cols, next(prime_stream())) == exact_rank(K)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(

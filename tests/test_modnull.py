@@ -137,6 +137,45 @@ def test_rank_mod_p_is_the_rank_over_q_for_small_entries(case, transpose):
     assert rank_mod_p(rows, cols, 2**31 - 1) == rank
 
 
+@st.composite
+def rank_cases(draw):
+    """Tall and wide matrices up to 40 x 40 with their residues mod p:
+    dense or sparse random entries, or a planted low rank as the product of
+    two random factors, with zero and duplicate rows mixed in."""
+    p = draw(st.sampled_from(PRIMES))
+    nrows, cols = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(nrows, cols)))
+        U = [[rng.randrange(p) for _ in range(k)] for _ in range(nrows)]
+        V = [[rng.randrange(p) for _ in range(k)] for _ in range(cols)]
+        rows = [[sum(u * v for u, v in zip(row, col)) % p for col in V] for row in U]
+    else:
+        density = draw(st.sampled_from([0.05, 0.3, 1.0]))
+        rows = [
+            [rng.randrange(p) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(nrows)
+        ]
+    for i in range(nrows):
+        kind = rng.choice(["keep", "keep", "keep", "zero", "duplicate"])
+        if kind == "zero":
+            rows[i] = [0] * cols
+        elif kind == "duplicate":
+            rows[i] = list(rows[rng.randrange(nrows)])
+    return rows, cols, p, rng
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rank_cases(), st.sampled_from(["none", "small", "huge"]))
+def test_rank_mod_p_on_tall_and_wide_matrices(case, shift):
+    # entries shifted by multiples of p, negative ones included; huge
+    # shifts reach 2^70, past int64
+    rows, cols, p, rng = case
+    k = {"none": 0, "small": 2, "huge": 2**70 // p}[shift]
+    shifted = [[x + rng.randint(-k, k) * p for x in row] for row in rows]
+    assert rank_mod_p(shifted, cols, p) == len(_reference_nullspace(rows, cols, p)[0])
+
+
 def test_rank_mod_p_is_a_lower_bound():
     # the determinant p of [[p, 1], [0, 1]] vanishes mod p only
     p = 2**31 - 1

@@ -42,6 +42,9 @@ CASES = {
     # rand22's by the closed-form rank of d3 at nu+2d
     "golden.nu54.hilbert.json": ["hilbert", "golden.json", "--nu", "5,4"],
     "rand22.nu64.hilbert.json": ["hilbert", "rand22.json", "--nu", "6,4"],
+    # the sparsest strand ranked mod p: Segre's 196x216 K2 of monomial
+    # entries, dims (36, 95, 84, 25), MacRae degree 2
+    "segre.nu55.hilbert.json": ["hilbert", "segre.json", "--nu", "5,5"],
     # common factors s*t and v, of bidegrees (1,1) and (0,1): dim Z3 is
     # dim S_(nu-d+delta), 9 and 20
     "point.nu22.hilbert.json": ["hilbert", "point.json", "--nu", "2,2"],
