@@ -11,18 +11,19 @@ f_i) and each differential into an exact rational block matrix.
 
 A run builds each slice once.  K1 is eliminated over Q in `syzygy_basis`,
 whose nullspace gives the matrix columns.  `complex_summary` reads dim Z3
-off the bidegree of gcd(f1..f4) and builds no K3.  It ranks K2 modulo a
-word-sized prime, which can only underestimate a rank, and keeps the rank
-when it meets an upper bound that the complex gives (a differential's image
-lies in the kernel of the next one down), building K1 at nu+2d for the
-second; otherwise fraction-free elimination over Z finds it.
+off the bidegree of gcd(f1..f4) and builds no K3.  It ranks K2, a slice of
+the f_i's primitive parts, modulo a word-sized prime, which can only
+underestimate a rank, and keeps the rank when it meets an upper bound that
+the complex gives (a differential's image lies in the kernel of the next one
+down), building K1 at nu+2d for the second; otherwise fraction-free
+elimination over Z finds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 
 from .linalg import (
     GradedBasis,
@@ -241,10 +242,9 @@ def complex_summary(F: Parametrization, M) -> ComplexSummary:
 
 
 def _integer_multiple(F: Parametrization) -> Parametrization:
-    """F with each f_i multiplied by c_i, the lcm of its denominators.  The
-    map e_I -> prod_(i in I) c_i * e_I carries the Koszul complex of
-    (c_i f_i) isomorphically onto that of (f_i), so every slice rank is the
-    same."""
-    polys = (f * lcm(*(x.denominator for x in f.terms.values())) for f in F.polys)
-    return Parametrization(tuple(polys), F.bidegree)
+    """F with each f_i replaced by its primitive part c_i * f_i, c_i a
+    nonzero rational.  The map e_I -> prod_(i in I) c_i * e_I carries the
+    Koszul complex of (c_i f_i) isomorphically onto that of (f_i), so every
+    slice rank is the same."""
+    return Parametrization(tuple(f.primitive() for f in F.polys), F.bidegree)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import islice
-from math import comb, gcd, isqrt, lcm, prod
+from math import comb, gcd, isqrt, prod
 
 import numpy as np
 
@@ -59,7 +59,6 @@ from .poly import (
     as_bidegree,
     divide_content,
     evaluate_many,
-    exact,
     rational_content,
     # unused here; kept because perfbench/spans.py wraps matrixrep.substitute_T
     substitute_T,  # noqa: F401
@@ -128,17 +127,20 @@ class MatrixRep:
         return [[row[j] for j in columns] for row in self.entries]
 
     @cached_property
-    def _integer_form(self) -> tuple[tuple[int, ...], tuple[tuple[tuple, ...], ...]]:
-        """(scales, rows): scales[j] is the lcm of the denominators in
-        column j, and rows holds the coefficients of every entry with
-        column j multiplied by scales[j]."""
+    def _integer_form(self) -> tuple[tuple[Fraction, ...], tuple[tuple[tuple, ...], ...]]:
+        """(contents, rows): contents[j] is the rational content of column j
+        (1 for a zero column), and rows holds the coefficients of every
+        entry with column j divided by contents[j]."""
         rows = [[_linear_coefficients(entry) for entry in row] for row in self.entries]
-        scales = tuple(
-            lcm(*(c.denominator for row in rows for c in row[j]))
+        contents = tuple(
+            rational_content(c for row in rows for c in row[j]) or Fraction(1)
             for j in range(self.cols)
         )
-        return scales, tuple(
-            tuple(tuple(exact(c * d) for c in coeffs) for coeffs, d in zip(row, scales))
+        return contents, tuple(
+            tuple(
+                tuple(divide_content(c, k) for c in e) if any(e) else e
+                for e, k in zip(row, contents)
+            )
             for row in rows
         )
 
@@ -157,8 +159,8 @@ class MatrixRep:
         return tuple(tuple(v) for v in basis)
 
     def evaluate(self, values) -> QMatrix:
-        """The matrix at T = values with each column j multiplied by the
-        positive integer d_j, the lcm of the denominators in column j.
+        """The matrix at T = values with each column j divided by its
+        positive rational content.
 
         Column scaling keeps the rank and which sets of columns are
         independent, which is all that rank queries and minor selection read.
@@ -461,7 +463,7 @@ def certify_determinant(M: MatrixRep, F: Parametrization, columns, det: TPoly) -
     the matrix at f(x) is zero for every x, and det(f1..f4) = 0.  The proof
     is check (a): the matrix has a row, and sum_i a_i*f_i == 0 for every
     column, expanded exactly.  The matrix is the reduced basis for a square
-    M and M's columns at `columns`, each scaled to integers, otherwise.
+    M, else M's columns at `columns` divided by their rational contents.
     Check (b) is a guard against a wrong determinant, not part of the proof:
     det at CHECK_POINT must equal the determinant of the integer matrix
     there, computed by fraction-free elimination.  Neither check expands
@@ -472,9 +474,9 @@ def certify_determinant(M: MatrixRep, F: Parametrization, columns, det: TPoly) -
     if M.rows == M.cols:
         vectors, scale = M._reduced_basis, 1
     else:
-        scales, rows = M._integer_form
+        contents, rows = M._integer_form
         vectors = [[c for row in rows for c in row[j]] for j in columns]
-        scale = prod(scales[j] for j in columns)
+        scale = prod(contents[j] for j in columns)
     monomials = M.row_basis.monomials
     for j, v in enumerate(vectors):
         identity = BigradedPoly.zero()
@@ -489,7 +491,7 @@ def certify_determinant(M: MatrixRep, F: Parametrization, columns, det: TPoly) -
         [sum(c * t for c, t in zip(v[4 * r : 4 * r + 4], CHECK_POINT)) for v in vectors]
         for r in range(M.rows)
     ]
-    if det.evaluate(CHECK_POINT) * scale != _integer_det(numeric):
+    if det.evaluate(CHECK_POINT) != _integer_det(numeric) * scale:
         raise PipelineError(
             f"the determinant disagrees with exact elimination at T = {CHECK_POINT}"
         )
@@ -665,10 +667,9 @@ def interpolation_oracle(F: Parametrization, degree: int, seed: int = 0) -> TPol
             for values in zip(*(evaluate_many(f.terms, batch) for f in F.polys)):
                 if not any(values):
                     continue  # base point
-                # the same point of P3 with integer coordinates, which the
-                # residues mod p need
-                d = lcm(*(x.denominator for x in values))
-                images.append(values if d == 1 else tuple(exact(x * d) for x in values))
+                # the same point of P3 in coprime integers, for the residues
+                content = rational_content(values)
+                images.append(tuple(divide_content(x, content) for x in values))
 
         groups: dict[tuple[int, ...], list] = {}
         fat_primes = 0
@@ -739,8 +740,8 @@ def _lattice_reconstruct(
     margin, about when Wang's reconstruction of c_i / c_free would.  With
     four or fewer nonzero coordinates none is left outside the lattice, and
     a modulus too small for c can give another short vector; the oracle's
-    exact certificate rejects it.  The fractions are cleared of their
-    denominators and content.
+    exact certificate rejects it.  The fractions are divided by their
+    rational content.
     """
     if gcd(v[free], m) != 1:
         return None
@@ -767,10 +768,8 @@ def _lattice_reconstruct(
                 break
             fractions.append(f)
         else:
-            denominator = lcm(*(f.denominator for f in fractions))
-            c = [f.numerator * (denominator // f.denominator) for f in fractions]
-            content = gcd(*c)
-            return [x // content for x in c]
+            content = rational_content(fractions)
+            return [divide_content(f, content) for f in fractions]
     return None
 
 

@@ -252,7 +252,21 @@ class _SparsePoly:
         total = 0
         for (a, b, c, d), coeff in self.terms.items():
             total += coeff * x1**a * x2**b * x3**c * x4**d
-        return exact(Fraction(total)) if isinstance(total, Fraction) else total
+        return exact(total)
+
+    def content(self) -> Fraction:
+        """Positive rational content: gcd of numerators / lcm of denominators."""
+        return rational_content(self.terms.values())
+
+    def primitive(self):
+        """Divide by the content and normalize the sign so the canonical
+        leading term (descending lex on exponents) is positive."""
+        if not self.terms:
+            return self
+        cont = self.content()
+        if self.terms[max(self.terms)] < 0:
+            cont = -cont
+        return self._raw({m: divide_content(c, cont) for m, c in self.terms.items()})
 
     def sorted_terms(self) -> list[tuple[Monomial, object]]:
         """Terms in descending lexicographic order on exponent tuples."""
@@ -339,20 +353,6 @@ class TPoly(_SparsePoly):
     def is_homogeneous(self) -> bool:
         degrees = {sum(m) for m in self.terms}
         return len(degrees) <= 1
-
-    def content(self) -> Fraction:
-        """Positive rational content: gcd of numerators / lcm of denominators."""
-        return rational_content(self.terms.values())
-
-    def primitive(self) -> "TPoly":
-        """Divide by the content and normalize the sign so the canonical
-        leading term (descending lex on T-exponents) is positive."""
-        if not self.terms:
-            return self
-        cont = self.content()
-        if self.terms[max(self.terms)] < 0:
-            cont = -cont
-        return self._raw({m: divide_content(c, cont) for m, c in self.terms.items()})
 
 
 def substitute_T(q: TPoly, values: Iterable[BigradedPoly]) -> BigradedPoly:

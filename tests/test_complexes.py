@@ -402,6 +402,35 @@ class TestRankCertificate:
             assert not fallbacks
             monkeypatch.undo()
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        e=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+        seed=st.integers(0, 2**16),
+        common=st.sampled_from([2, -3, 10, Fraction(1, 3), Fraction(-5, 2)]),
+        own=st.lists(
+            st.fractions(-9, 9, max_denominator=9).filter(bool), min_size=4, max_size=4
+        ),
+    )
+    def test_scaled_maps(self, e, seed, common, own):
+        # a random map, rational when a factor of `own` is: one scalar for
+        # all four f_i keeps the syzygies, hence the matrix, and each f_i's
+        # own scalar keeps every Koszul rank; the integer multiple is each
+        # f_i's primitive part
+        F = random_parametrization(random.Random(seed), e)
+        G = Parametrization.from_polys(f * c for f, c in zip(F.polys, own))
+        for f in complexes._integer_multiple(G).polys:
+            assert all(type(c) is int for c in f.terms.values())
+            assert f.content() == 1 and f.terms[max(f.terms)] > 0
+        nu = suggested_nu(e)
+        below = nu - (Bidegree(1, 0) if nu.d1 else Bidegree(0, 1))
+        H = Parametrization.from_polys(f * common for f in F.polys)
+        for mu in (nu, below):
+            M = build_matrix(F, mu)
+            dims = complex_summary(F, M).dims
+            assert build_matrix(H, mu).entries == M.entries
+            assert complex_summary(H, M).dims == dims
+            assert complex_summary(G, build_matrix(G, mu)).dims == dims
+
     def test_large_k1_slice_never_built(self, monkeypatch):
         # the point map at nu=(0,0): K2 misses the closed-form bound, and
         # K2 has 16 x 6 cells, K1 at nu+2d 9 x 16, so the K1 bound is

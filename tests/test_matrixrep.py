@@ -660,8 +660,8 @@ class TestInterpolationOracle:
         assert interpolation_oracle(segre_F, 2, seed=5) == tp("T1*T4-T2*T3")
 
     def test_rational_coefficients(self):
-        # (s*t/2, s*v, u*t, u*v/3): image points with Fractions are scaled to
-        # integers before they are reduced mod p
+        # (s*t/2, s*v, u*t, u*v/3): image points with Fractions are divided
+        # by their rational content before they are reduced mod p
         F = Parametrization.from_polys(
             BigradedPoly({mono: c})
             for mono, c in (
@@ -672,6 +672,17 @@ class TestInterpolationOracle:
             )
         )
         assert interpolation_oracle(F, 2) == tp("6*T1*T4-T2*T3")
+
+    @pytest.mark.parametrize("c", [-6, Fraction(7, 3)])
+    @pytest.mark.parametrize("name", ["segre", "rand11"])
+    def test_scaled_map(self, segre_F, name, c):
+        # c*F has the image of F scaled by c, the same surface in P3
+        if name == "segre":
+            F = segre_F
+        else:
+            F = random_parametrization(random.Random(7), (1, 1))
+        scaled = Parametrization.from_polys(f * c for f in F.polys)
+        assert interpolation_oracle(scaled, 2) == interpolation_oracle(F, 2)
 
     def test_degree_too_small(self, golden_F):
         # independent check first: the degree-1 evaluation matrix has full

@@ -1,11 +1,14 @@
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biimplicit
 from biimplicit.parser import parse_poly, parse_tpoly
 from biimplicit.poly import (
     Bidegree,
@@ -286,6 +289,20 @@ def test_integer_primitive(terms):
     assert math.gcd(*quotient.values()) == 1
     if content == 1:
         assert quotient is terms
+
+
+def test_only_poly_reads_numerators_and_denominators():
+    """Rationals become integers in one place: outside `poly`, every module
+    goes through `rational_content` and `divide_content` (or `primitive`)
+    rather than reading a Fraction's parts."""
+    readers = []
+    for path in sorted(Path(biimplicit.__file__).parent.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
+                readers.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert readers == []
 
 
 class TestParametrization:
