@@ -1,8 +1,8 @@
 """Matrix representations of the image surface and their determinants.
 
 The degree-nu syzygies of the parametrization are rewritten as a matrix of
-linear forms in T1..T4, each entry a TPoly of degree 1, over the monomial
-basis of the degree-nu graded piece.
+linear forms in T1..T4, each entry held as its four coefficients, over the
+monomial basis of the degree-nu graded piece.
 A square matrix is its own maximal minor; for a rectangular one a minor is
 proposed by evaluating the matrix at a random point and taking the pivot
 columns of the integer elimination in `linalg`, so its determinant is
@@ -108,69 +108,69 @@ _T_MONOMIALS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 @dataclass(frozen=True)
 class MatrixRep:
     """Rows indexed by the degree-nu monomial basis, columns by the canonical
-    syzygy basis; entry (m, j) is the linear TPoly c1*T1 + .. + c4*T4 whose
-    c_i is the coefficient of monomial m in component i of syzygy column j."""
+    syzygy basis; entry (m, j) is c1*T1 + .. + c4*T4 with (c1, .., c4) =
+    coefficients[m][j], c_i the exact coefficient of monomial m in component
+    i of syzygy column j.  Without columns, each row is an empty tuple."""
 
     nu: Bidegree
     row_basis: GradedBasis
-    entries: tuple[tuple[TPoly, ...], ...]
+    coefficients: tuple[tuple[tuple, ...], ...]
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.coefficients)
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def submatrix(self, columns) -> list[list[TPoly]]:
-        return [[row[j] for j in columns] for row in self.entries]
+        return len(self.coefficients[0]) if self.coefficients else 0
 
     @cached_property
-    def _integer_form(self) -> tuple[tuple[Fraction, ...], tuple[tuple[tuple, ...], ...]]:
-        """(contents, rows): contents[j] is the rational content of column j
-        (1 for a zero column), and rows holds the coefficients of every
-        entry with column j divided by contents[j]."""
-        rows = [[_linear_coefficients(entry) for entry in row] for row in self.entries]
-        contents = tuple(
-            rational_content(c for row in rows for c in row[j]) or Fraction(1)
-            for j in range(self.cols)
+    def entries(self) -> tuple[tuple[TPoly, ...], ...]:
+        """The entries as linear TPolys, for reports; zeros share one TPoly."""
+        zero, T, raw = TPoly.zero(), _T_MONOMIALS, TPoly._raw
+        return tuple(
+            tuple(raw({m: c for m, c in zip(T, e) if c}) if any(e) else zero for e in row)
+            for row in self.coefficients
         )
-        return contents, tuple(
-            tuple(
-                tuple(divide_content(c, k) for c in e) if any(e) else e
-                for e, k in zip(row, contents)
-            )
-            for row in rows
-        )
+
+    @cached_property
+    def _integer_coefficients(self) -> tuple[tuple[tuple, ...], ...]:
+        """The coefficients with each column divided by its positive
+        rational content, which keeps the rank and the independent column
+        sets at every point.  A column of content 1 is integral already."""
+        columns = []
+        for column in zip(*self.coefficients):
+            content = rational_content(c for e in column for c in e)
+            if content and content != 1:
+                column = [
+                    tuple(divide_content(c, content) for c in e) if any(e) else e
+                    for e in column
+                ]
+            columns.append(column)
+        return tuple(zip(*columns)) or self.coefficients
+
+    def _integer_columns(self, columns) -> list[list[int]]:
+        """The integer columns at `columns` as vectors, entry m at 4m..4m+3."""
+        rows = self._integer_coefficients
+        return [[c for row in rows for c in row[j]] for j in columns]
 
     @cached_property
     def _reduced_basis(self) -> tuple[tuple[int, ...], ...]:
-        """An LLL-reduced basis of the integer points of the columns' span,
-        each column read as the vector of its entries' integer coefficients,
-        entry (m, j) at coordinates 4m..4m+3.  For a matrix from
-        `build_matrix` these points are the integer syzygies.  Dependent
-        columns raise RankDeficientError."""
-        rows = self._integer_form[1]
-        columns = [[c for row in rows for c in row[j]] for j in range(self.cols)]
-        basis = lll_reduce(saturation(columns))
+        """An LLL-reduced basis of the integer points of the span of the
+        integer columns.  For a matrix from `build_matrix` these points are
+        the integer syzygies.  Dependent columns raise RankDeficientError."""
+        basis = lll_reduce(saturation(self._integer_columns(range(self.cols))))
         if len(basis) < self.cols:
             raise RankDeficientError("the columns of the matrix are dependent")
         return tuple(tuple(v) for v in basis)
 
     def evaluate(self, values) -> QMatrix:
-        """The matrix at T = values with each column j divided by its
-        positive rational content.
-
-        Column scaling keeps the rank and which sets of columns are
-        independent, which is all that rank queries and minor selection read.
-        The scaled coefficients are integers, computed once per matrix, so
-        integer values give an integer matrix.
-        """
+        """The integer columns at T = values: the rank and independent column
+        sets that rank queries and minor selection read are M's there."""
         t1, t2, t3, t4 = values
         data = [
             [a * t1 + b * t2 + c * t3 + d * t4 for a, b, c, d in row]
-            for row in self._integer_form[1]
+            for row in self._integer_coefficients
         ]
         return QMatrix(self.rows, self.cols, data)
 
@@ -179,13 +179,25 @@ def build_matrix(F: Parametrization, nu) -> MatrixRep:
     nu = as_bidegree(nu)
     columns = syzygy_basis(F, nu).columns
     basis = graded_basis(nu)
-    terms = [[{} for _ in columns] for _ in range(basis.dim)]
+    coefficients = [[(0, 0, 0, 0)] * len(columns) for _ in range(basis.dim)]
     for j, column in enumerate(columns):
-        for variable, component in zip(_T_MONOMIALS, column):
+        for i, component in enumerate(column):
             for mono, c in component.terms.items():
-                terms[basis.index_of(mono)][j][variable] = c
-    entries = tuple(tuple(TPoly(entry) for entry in row) for row in terms)
-    return MatrixRep(nu=nu, row_basis=basis, entries=entries)
+                row = coefficients[basis.index_of(mono)]
+                row[j] = row[j][:i] + (c,) + row[j][i + 1 :]
+    return MatrixRep(nu, basis, tuple(map(tuple, coefficients)))
+
+
+def _linear_form(coefficients) -> TPoly:
+    """c1*T1 + .. + c4*T4 from (c1, c2, c3, c4)."""
+    return TPoly({m: c for m, c in zip(_T_MONOMIALS, coefficients) if c})
+
+
+def _linear_matrix(vectors) -> list[list[TPoly]]:
+    """The matrix of linear TPolys whose column j is the nonempty integer
+    vector vectors[j], entry (m, j) at coordinates 4m..4m+3."""
+    rows = range(0, len(vectors[0]), 4)
+    return [[_linear_form(v[r : r + 4]) for v in vectors] for r in rows]
 
 
 def _linear_coefficients(entry) -> tuple:
@@ -371,16 +383,8 @@ def bareiss_det(matrix) -> TPoly:
         core = [[grid[i].get(j) for j in core_cols] for i in core_rows]
         det = _core_det(core, len(core))
     for coeffs in factors:
-        det = det * TPoly(dict(zip(_T_MONOMIALS, coeffs)))
+        det = det * _linear_form(coeffs)
     return det * (scale * sign)
-
-
-def _reduced_matrix(M: MatrixRep) -> list[list[TPoly]]:
-    """M on its reduced basis, `MatrixRep._reduced_basis`."""
-    return [
-        [TPoly(dict(zip(_T_MONOMIALS, v[4 * m : 4 * m + 4]))) for v in M._reduced_basis]
-        for m in range(M.rows)
-    ]
 
 
 def _proposals(M: MatrixRep, seed: int, shuffle: bool = False):
@@ -404,25 +408,26 @@ def minor_determinants(M: MatrixRep, seed: int, count: int):
     """Column sets and determinants for up to `count` distinct maximal
     minors; returns (columns of the first minor, list of determinants).
 
-    A square matrix has only the one minor, all of its columns, and its
-    determinant is taken on `_reduced_matrix`, another basis of the same
-    Q-span without the integer content of the canonical columns, which the
-    coefficient bound would pay primes for: it is scaled by the nonzero
-    determinant of the change of basis, which `reduce_equation`'s primitive
-    part removes.
+    Every determinant is taken on integer columns of the same Q-span as
+    the minor's, so it is the minor's determinant times a nonzero
+    constant, which `reduce_equation`'s primitive part removes.  A square
+    matrix has only the one minor, all of its columns, taken on
+    `MatrixRep._reduced_basis`, which lacks the integer content of the
+    canonical columns that the coefficient bound would pay primes for.
 
     Otherwise the first minor is the first proposal, and each extra minor
     is the first proposal of a shuffled scan under its own seed; repeated
     column sets are skipped.  A proposal's columns are independent in
-    `M.evaluate` at its point, so its determinant is nonzero there.
-    RankDeficientError is raised when MAX_TRIES points give no proposal.
+    `M.evaluate` at its point, so its determinant is nonzero there; it is
+    taken on the minor's integer columns.  RankDeficientError is raised
+    when MAX_TRIES points give no proposal.
     """
     if M.rows == 0:
         return [], [TPoly.constant(1)]
-    if all(entry.is_zero() for row in M.entries for entry in row):
+    if not any(any(e) for row in M._integer_coefficients for e in row):
         raise RankDeficientError("matrix of linear forms is zero")
     if M.rows == M.cols:
-        det = bareiss_det(_reduced_matrix(M))
+        det = bareiss_det(_linear_matrix(M._reduced_basis))
         if det.is_zero():
             raise RankDeficientError(f"the {M.rows}x{M.rows} matrix is singular")
         return list(range(M.cols)), [det]
@@ -436,7 +441,7 @@ def minor_determinants(M: MatrixRep, seed: int, count: int):
         candidate = next(_proposals(M, seed + 1000 * i, shuffle=True), None)
         if candidate is not None and candidate not in column_sets:
             column_sets.append(candidate)
-    return columns, [bareiss_det(M.submatrix(c)) for c in column_sets]
+    return columns, [bareiss_det(_linear_matrix(M._integer_columns(c))) for c in column_sets]
 
 
 def reduce_equation(dets) -> TPoly:
@@ -463,20 +468,14 @@ def certify_determinant(M: MatrixRep, F: Parametrization, columns, det: TPoly) -
     the matrix at f(x) is zero for every x, and det(f1..f4) = 0.  The proof
     is check (a): the matrix has a row, and sum_i a_i*f_i == 0 for every
     column, expanded exactly.  The matrix is the reduced basis for a square
-    M, else M's columns at `columns` divided by their rational contents.
-    Check (b) is a guard against a wrong determinant, not part of the proof:
-    det at CHECK_POINT must equal the determinant of the integer matrix
-    there, computed by fraction-free elimination.  Neither check expands
-    det(f1..f4).
+    M, else M's integer columns at `columns`.  Check (b) is a guard against
+    a wrong determinant, not part of the proof: det at CHECK_POINT must
+    equal the determinant of that integer matrix there, computed by
+    fraction-free elimination.  Neither check expands det(f1..f4).
     """
     if M.rows < 1:
         raise PipelineError("the matrix has no rows, so its minors certify nothing")
-    if M.rows == M.cols:
-        vectors, scale = M._reduced_basis, 1
-    else:
-        contents, rows = M._integer_form
-        vectors = [[c for row in rows for c in row[j]] for j in columns]
-        scale = prod(contents[j] for j in columns)
+    vectors = M._reduced_basis if M.rows == M.cols else M._integer_columns(columns)
     monomials = M.row_basis.monomials
     for j, v in enumerate(vectors):
         identity = BigradedPoly.zero()
@@ -491,7 +490,7 @@ def certify_determinant(M: MatrixRep, F: Parametrization, columns, det: TPoly) -
         [sum(c * t for c, t in zip(v[4 * r : 4 * r + 4], CHECK_POINT)) for v in vectors]
         for r in range(M.rows)
     ]
-    if det.evaluate(CHECK_POINT) != _integer_det(numeric) * scale:
+    if det.evaluate(CHECK_POINT) != _integer_det(numeric):
         raise PipelineError(
             f"the determinant disagrees with exact elimination at T = {CHECK_POINT}"
         )

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from biimplicit.matrixrep import MatrixRep
 from biimplicit.modnull import _echelon_mod_p
 from biimplicit.parser import parse_poly
-from biimplicit.poly import BigradedPoly, Parametrization, TPoly
+from biimplicit.poly import Bidegree, BigradedPoly, Parametrization, TPoly
 from biimplicit.linalg import QMatrix, graded_basis
 
 # one-line descriptions registered by test_acceptance, printed per criterion
@@ -79,10 +80,22 @@ def random_parametrization(rng: random.Random, deg) -> Parametrization:
     )
 
 
+LINEAR_EXPONENTS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
 def lin(c1=0, c2=0, c3=0, c4=0) -> TPoly:
     """The linear form c1*T1 + c2*T2 + c3*T3 + c4*T4."""
-    exponents = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    return TPoly(dict(zip(exponents, (c1, c2, c3, c4))))
+    return TPoly(dict(zip(LINEAR_EXPONENTS, (c1, c2, c3, c4))))
+
+
+def matrix_of(entries, nu=Bidegree(0, 0), row_basis=None) -> MatrixRep:
+    """The MatrixRep whose entries are the given linear TPolys, rows over
+    `row_basis` (the degree-nu basis by default)."""
+    coefficients = tuple(
+        tuple(tuple(e.coefficient(m) for m in LINEAR_EXPONENTS) for e in row)
+        for row in entries
+    )
+    return MatrixRep(nu, row_basis or graded_basis(nu), coefficients)
 
 
 def identity(n: int) -> QMatrix:

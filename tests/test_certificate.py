@@ -18,7 +18,7 @@ from biimplicit.matrixrep import MatrixRep, PipelineError, _integer_det
 from biimplicit.parser import parse_poly
 from biimplicit.poly import Bidegree, Parametrization, TPoly
 
-from conftest import GOLDEN_STRINGS, SEGRE_STRINGS, random_parametrization
+from conftest import GOLDEN_STRINGS, SEGRE_STRINGS, matrix_of, random_parametrization
 
 SEGRE_F = Parametrization.from_polys(parse_poly(text) for text in SEGRE_STRINGS)
 
@@ -85,6 +85,23 @@ class TestNegative:
         assert captured.err.startswith("error: ")
         assert "is not a syzygy" in captured.err
 
+    @pytest.mark.parametrize("name", sorted(RECT_SINGLE))
+    def test_changed_integer_column_is_not_a_syzygy(self, monkeypatch, name):
+        # a rectangular minor's determinant and check (a) read the same
+        # integer columns; add 1 to the first coefficient of the first
+        real = MatrixRep._integer_columns
+
+        def corrupted(self, columns):
+            vectors = real(self, columns)
+            vectors[0][0] += 1
+            return vectors
+
+        monkeypatch.setattr(MatrixRep, "_integer_columns", corrupted)
+        with pytest.raises(PipelineError, match="column 0 .* is not a syzygy"):
+            cli.run_implicitize(RECT_SINGLE[name])
+        report = cli.run_implicitize(RECT_SINGLE[name], verify=False)
+        assert report.verified is None
+
     @pytest.mark.parametrize(
         "spec", [GOLDEN, RAND22, *RECT_SINGLE.values()], ids=["golden", "rand22", *RECT_SINGLE]
     )
@@ -102,7 +119,7 @@ class TestNegative:
             cli.run_implicitize(spec)
 
     def test_no_rows(self):
-        M = MatrixRep(nu=Bidegree(0, 0), row_basis=None, entries=())
+        M = matrix_of(())
         with pytest.raises(PipelineError, match="no rows"):
             matrixrep.certify_determinant(M, SEGRE_F, [], TPoly.constant(1))
 

@@ -35,13 +35,21 @@ from biimplicit.matrixrep import (
 )
 from biimplicit.modnull import prime_stream
 from biimplicit.parser import parse_poly, parse_tpoly
-from biimplicit.poly import Bidegree, BigradedPoly, Parametrization, TPoly, substitute_T
+from biimplicit.poly import (
+    Bidegree,
+    BigradedPoly,
+    Parametrization,
+    TPoly,
+    rational_content,
+    substitute_T,
+)
 
 from conftest import (
     GOLDEN_STRINGS,
     check_kept_rows,
     gram_det,
     lin,
+    matrix_of,
     random_bipoly,
     random_parametrization,
 )
@@ -54,6 +62,11 @@ def tp(text):
 @pytest.fixture(scope="module")
 def golden_matrix(golden_F):
     return build_matrix(golden_F, (3, 2))
+
+
+def entries_at(M, columns) -> list[list[TPoly]]:
+    """The square minor of M's rational entries at `columns`."""
+    return [[row[j] for j in columns] for row in M.entries]
 
 
 def naive_det(matrix) -> TPoly:
@@ -147,14 +160,35 @@ class TestBuildMatrix:
         M = build_matrix(golden_F, (1, 5))
         assert (M.rows, M.cols) == (12, 12)
 
-    def test_entry_formula(self, golden_matrix, golden_F):
+    @pytest.mark.parametrize("name", ["golden", "rand12", "segre"])
+    def test_entry_formula(self, golden_F, segre_F, name):
         # entry (m, j) must collect the coefficient of monomial m in each
-        # component of syzygy column j
-        basis = golden_matrix.row_basis
-        for j, column in enumerate(syzygy_basis(golden_F, (3, 2)).columns):
+        # component of syzygy column j: golden is square, rand12 is 9x16
+        # with Fraction coefficients and no column of content 1, and Segre
+        # is 36x95 with mostly zero entries, which share one zero TPoly
+        F, nu = {
+            "golden": (golden_F, (3, 2)),
+            "rand12": (random_parametrization(random.Random(7), (1, 2)), (2, 2)),
+            "segre": (segre_F, (5, 5)),
+        }[name]
+        M = build_matrix(F, nu)
+        basis = M.row_basis
+        for j, column in enumerate(syzygy_basis(F, nu).columns):
             vecs = [coeff_vector(a, basis) for a in column]
             for r in range(basis.dim):
-                assert golden_matrix.entries[r][j] == lin(*(vecs[i][r] for i in range(4)))
+                coefficients = tuple(vecs[i][r] for i in range(4))
+                assert M.coefficients[r][j] == coefficients
+                assert M.entries[r][j] == lin(*coefficients)
+        zeros = [entry for row in M.entries for entry in row if entry.is_zero()]
+        assert len({id(entry) for entry in zeros}) <= 1
+        if name == "segre":
+            assert 2 * len(zeros) > M.rows * M.cols
+        if name == "rand12":
+            assert (M.rows, M.cols) == (9, 16)
+            assert all(
+                rational_content(c for row in M.coefficients for c in row[j]) != 1
+                for j in range(M.cols)
+            )
 
     def test_single_component_column(self):
         # a column supported in one component contributes only that T variable
@@ -170,55 +204,41 @@ class TestSelectMaxMinor:
         assert minor_determinants(golden_matrix, 0, 1)[0] == list(range(12))
 
     def test_duplicate_column_not_selected_twice(self):
-        entries = (
-            (lin(c1=1), lin(c1=1), lin(c2=1)),
-            (lin(c3=1), lin(c3=1), lin(c4=1)),
-        )
-        M = MatrixRep(
-            nu=Bidegree(0, 0),
-            row_basis=graded_basis((0, 0)),
-            entries=entries,
+        M = matrix_of(
+            (
+                (lin(c1=1), lin(c1=1), lin(c2=1)),
+                (lin(c3=1), lin(c3=1), lin(c4=1)),
+            )
         )
         cols = minor_determinants(M, 1, 1)[0]
         assert len(cols) == len(set(cols)) == 2
         assert cols == [0, 2]
-        assert not bareiss_det(M.submatrix(cols)).is_zero()
+        assert not bareiss_det(entries_at(M, cols)).is_zero()
 
     def test_zero_matrix(self):
-        entries = ((lin(), lin()), (lin(), lin()))
-        M = MatrixRep(
-            nu=Bidegree(0, 0),
-            row_basis=graded_basis((0, 0)),
-            entries=entries,
-        )
+        M = matrix_of(((lin(), lin()), (lin(), lin())))
         with pytest.raises(RankDeficientError):
             minor_determinants(M, 0, 1)
 
     def test_rank_deficient_square(self):
         # the second column is twice the first: the columns span one
         # dimension, so the square matrix has no nonsingular minor
-        entries = (
-            (lin(c1=1), lin(c1=2)),
-            (lin(c2=1), lin(c2=2)),
-        )
-        M = MatrixRep(
-            nu=Bidegree(0, 0),
-            row_basis=graded_basis((0, 0)),
-            entries=entries,
+        M = matrix_of(
+            (
+                (lin(c1=1), lin(c1=2)),
+                (lin(c2=1), lin(c2=2)),
+            )
         )
         with pytest.raises(RankDeficientError):
             minor_determinants(M, 0, 1)
 
     def test_rank_deficient_rectangular(self):
         # two proportional rows: symbolic rank 1 < 2 rows
-        entries = (
-            (lin(c1=1), lin(c2=1)),
-            (lin(c1=2), lin(c2=2)),
-        )
-        M = MatrixRep(
-            nu=Bidegree(0, 0),
-            row_basis=graded_basis((0, 0)),
-            entries=entries,
+        M = matrix_of(
+            (
+                (lin(c1=1), lin(c2=1)),
+                (lin(c1=2), lin(c2=2)),
+            )
         )
         with pytest.raises(RankDeficientError):
             minor_determinants(M, 0, 1)
@@ -241,7 +261,7 @@ class TestSelectMaxMinor:
         M = build_matrix(F, region(e).corners[corner] + Bidegree(*offset))
         assume(0 < M.rows < M.cols and M.rows <= 12)
         for columns in islice(matrixrep._proposals(M, seed, shuffle), 2):
-            assert not bareiss_det(M.submatrix(columns)).is_zero()
+            assert not bareiss_det(entries_at(M, columns)).is_zero()
 
 
 class TestBareissDet:
@@ -476,7 +496,7 @@ def pipeline_cases(draw):
         cols = minor_determinants(M, 0, 1)[0]
     except RankDeficientError:
         assume(False)
-    return F, reduce_equation([bareiss_det(M.submatrix(cols))])
+    return F, reduce_equation([bareiss_det(entries_at(M, cols))])
 
 
 @st.composite
@@ -571,13 +591,10 @@ class TestMatrixEvaluate:
 
 class TestRankDrop:
     def test_zeroed_column_drops_everywhere(self, golden_matrix, golden_F):
-        entries = tuple(
-            tuple(list(row[:-1]) + [lin()]) for row in golden_matrix.entries
-        )
-        M = MatrixRep(
-            nu=golden_matrix.nu,
-            row_basis=golden_matrix.row_basis,
-            entries=entries,
+        M = matrix_of(
+            (list(row[:-1]) + [lin()] for row in golden_matrix.entries),
+            golden_matrix.nu,
+            golden_matrix.row_basis,
         )
         assert rank_drop_check(M, golden_F, trials=10, seed=0)
 
@@ -1009,7 +1026,11 @@ class TestImplicitEquation:
         column_sets = [scan(1000 * i, i > 0) for i in range(3)]
         assert cols == column_sets[0]
         assert len({tuple(c) for c in column_sets}) == 3
-        assert dets == [bareiss_det(M.submatrix(c)) for c in column_sets]
+        # each determinant is taken on the minor's integer columns
+        assert dets == [
+            bareiss_det(matrixrep._linear_matrix(M._integer_columns(c)))
+            for c in column_sets
+        ]
 
     def test_minor_determinants_dedupes(self, segre_F):
         M = build_matrix(segre_F, suggested_nu((1, 1)))
@@ -1066,11 +1087,7 @@ class TestLatticeBasis:
         nu = suggested_nu(e)
         M = build_matrix(F, nu)
         n = M.rows
-        reduced = matrixrep._reduced_matrix(M)
-        basis = [
-            [c for row in reduced for c in matrixrep._linear_coefficients(row[j])]
-            for j in range(M.cols)
-        ]
+        basis = M._reduced_basis
         assert all(type(x) is int for v in basis for x in v)
         # coordinate 4*m + i of the basis is coordinate i*n + m of K1's source
         K1 = koszul_slice(F, 1, nu + F.bidegree).matrix
@@ -1081,7 +1098,7 @@ class TestLatticeBasis:
         assert len(kernel) == len(basis)
         assert gram_det(syzygies) == gram_det(kernel)
         if M.rows == M.cols:
-            canonical = bareiss_det(M.submatrix(range(M.cols)))
+            canonical = bareiss_det(M.entries)
             assert reduce_equation(minor_determinants(M, seed, 1)[1]) == canonical.primitive()
 
     def test_golden_bound_shrinks(self, monkeypatch):
@@ -1104,7 +1121,7 @@ class TestEndToEndSmall:
         M = build_matrix(segre_F, nu)
         assert (M.rows, M.cols) == (2, 2)
         cols = minor_determinants(M, 0, 1)[0]
-        eq = reduce_equation([bareiss_det(M.submatrix(cols))])
+        eq = reduce_equation([bareiss_det(entries_at(M, cols))])
         assert eq == tp("T1*T4-T2*T3")
         assert verify_substitution(eq, segre_F)
 
@@ -1140,7 +1157,7 @@ class TestEndToEndSmall:
                 cols = minor_determinants(M, checked, 1)[0]
             except RankDeficientError:
                 continue
-            det = bareiss_det(M.submatrix(cols))
+            det = bareiss_det(entries_at(M, cols))
             summary = complex_summary(F, M)
             if summary.dims[2] == 0 and summary.dims[3] == 0 and M.rows == M.cols:
                 # two-term slice: the raw determinant degree is predicted

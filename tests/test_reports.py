@@ -32,6 +32,8 @@ CASES = {
     "rand12.nu22.implicitize.json": ["implicitize", "rand12.json", "--nu", "2,2"],
     # 12x12 with Fraction coefficients in the entries
     "golden.nu32.matrix.json": ["matrix", "golden.json", "--nu", "3,2"],
+    # no syzygies at nu=(0,0): 1x0, entries [[]], dims (1, 0, 0, 0)
+    "segre.nu00.matrix.json": ["matrix", "segre.json", "--nu", "0,0"],
     # 12x12 square strands at both corners: the full determinant path
     "golden.nu32.implicitize.json": ["implicitize", "golden.json", "--nu", "3,2"],
     "golden.nu15.implicitize.json": ["implicitize", "golden.json", "--nu", "1,5"],
