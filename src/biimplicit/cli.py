@@ -42,6 +42,7 @@ from .poly import (
     Parametrization,
     TPoly,
     as_bidegree,
+    linear_form_str,
 )
 
 INPUT_KEYS = {"bidegree", "polynomials", "nu", "seed", "minors"}
@@ -125,7 +126,7 @@ class OutputReport:
                 "row_basis": [
                     str(BigradedPoly.monomial(m)) for m in M.row_basis.monomials
                 ],
-                "entries": [[str(entry) for entry in row] for row in M.entries],
+                "entries": [[linear_form_str(e) for e in row] for row in M.coefficients],
             },
             "minor_columns": lambda: (
                 list(self.minor_columns) if self.minor_columns is not None else None

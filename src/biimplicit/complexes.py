@@ -9,28 +9,37 @@ pos 0-based within the sorted subset.  Slicing in one bidegree mu turns each
 summand into the graded piece of bidegree mu - p*d (d the bidegree of the
 f_i) and each differential into an exact rational block matrix.
 
+`koszul_slice` places the blocks in one numpy array, of int64 entries when
+every coefficient fits, by index arithmetic: s^a u^(k-a) t^b v^(l-b) is entry
+(k-a)*(l+1) + l-b of the basis of bidegree (k, l).  Elimination over Q reads
+the slice as rows of Python numbers, rank mod p as int64 residues.
+
 A run builds each slice once.  K1 is eliminated over Q in `syzygy_basis`,
-whose nullspace gives the matrix columns.  `complex_summary` reads dim Z3
-off the bidegree of gcd(f1..f4) and builds no K3.  It ranks K2, a slice of
-the f_i's primitive parts, modulo a word-sized prime, which can only
-underestimate a rank, and keeps the rank when it meets an upper bound that
-the complex gives (a differential's image lies in the kernel of the next one
-down), building K1 at nu+2d for the second; otherwise fraction-free
+whose canonical nullspace vectors give the matrix columns.  `complex_summary`
+reads dim Z3 off the bidegree of gcd(f1..f4) and builds no K3.  It ranks K2,
+a slice of the f_i's primitive parts, modulo a word-sized prime, which can
+only underestimate a rank, and keeps the rank when it meets an upper bound
+that the complex gives (a differential's image lies in the kernel of the
+next one down), building K1 at nu+2d for the second; otherwise fraction-free
 elimination over Z finds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
+
+import numpy as np
 
 from .linalg import (
     GradedBasis,
     QMatrix,
     exact_rank,
     graded_basis,
-    multiplication_matrix,
+    # unused here; kept because perfbench/spans.py wraps complexes.multiplication_matrix
+    multiplication_matrix,  # noqa: F401
     poly_from_vector,
     rref_nullspace,
 )
@@ -50,7 +59,7 @@ class InvalidBidegreeError(InputError):
     """Parametrization bidegree components must be >= 1."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KoszulSlice:
     """One bidegree slice of a Koszul differential, with its block layout.
 
@@ -61,20 +70,41 @@ class KoszulSlice:
 
     p: int
     degree: Bidegree
-    matrix: QMatrix
+    array: np.ndarray
     row_blocks: tuple[tuple[tuple[int, ...], GradedBasis], ...]
     col_blocks: tuple[tuple[tuple[int, ...], GradedBasis], ...]
+
+    @cached_property
+    def matrix(self) -> QMatrix:
+        """The exact entries as rows of Python numbers."""
+        return QMatrix(*self.array.shape, self.array.tolist())
+
+    def residues(self, prime: int) -> np.ndarray:
+        """The entries mod prime, as int64; the entries must be integers."""
+        if self.array.dtype == object and any(type(x) is not int for x in self.array.flat):
+            raise TypeError("a slice with non-integer entries has no residues")
+        return (self.array % prime).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
 class SyzygyBasis:
-    """Independent degree-nu syzygies of f1..f4, one 4-tuple per column."""
+    """Independent degree-nu syzygies of f1..f4: K1's canonical nullspace
+    vectors, component i of vector v being v[i*n : (i+1)*n] over S_nu."""
 
     nu: Bidegree
-    columns: tuple[tuple[BigradedPoly, BigradedPoly, BigradedPoly, BigradedPoly], ...]
+    vectors: list[list]
+
+    @cached_property
+    def columns(self) -> tuple[tuple[BigradedPoly, BigradedPoly, BigradedPoly, BigradedPoly], ...]:
+        """Each syzygy as its four components, built on first use."""
+        basis, n = graded_basis(self.nu), _dim(self.nu)
+        return tuple(
+            tuple(poly_from_vector(v[i * n : (i + 1) * n], basis) for i in range(4))
+            for v in self.vectors
+        )
 
     def __len__(self) -> int:
-        return len(self.columns)
+        return len(self.vectors)
 
 
 @dataclass(frozen=True)
@@ -110,29 +140,24 @@ def koszul_slice(F: Parametrization, p: int, target_degree) -> KoszulSlice:
         )
     col_basis = graded_basis(col_deg)
     row_basis = graded_basis(row_deg)
-
     col_subsets = list(combinations((1, 2, 3, 4), p))
     row_subsets = list(combinations((1, 2, 3, 4), p - 1))
-    row_offset = {J: k * row_basis.dim for k, J in enumerate(row_subsets)}
-
-    mult = [multiplication_matrix(f, col_deg) for f in F.polys]
-
-    M = QMatrix.zeros(row_basis.dim * len(row_subsets), col_basis.dim * len(col_subsets))
+    m, n = row_basis.dim, col_basis.dim
+    small = all(type(c) is int and abs(c) < 2**63 for f in F.polys for c in f.terms.values())
+    A = np.zeros((m * len(row_subsets), n * len(col_subsets)), np.int64 if small else object)
+    # the target row of each term of f_i at each source column, and its coefficient
+    k1, k2 = row_deg
+    index = np.array([(k1 - a) * (k2 + 1) + k2 - b for a, _, b, _ in col_basis.monomials], int)
+    rows = [index - np.array([[a * (k2 + 1) + b] for a, _, b, _ in f.terms]) for f in F.polys]
+    values = [np.array([[c] for c in f.terms.values()], A.dtype) for f in F.polys]
     for bj, I in enumerate(col_subsets):
-        c0 = bj * col_basis.dim
         for pos, i in enumerate(I):
-            J = tuple(x for x in I if x != i)
-            r0 = row_offset[J]
-            sign = -1 if pos % 2 else 1
-            block = mult[i - 1]
-            for src, dst in zip(block.data, M.data[r0:]):
-                for c, val in enumerate(src):
-                    if val:
-                        dst[c0 + c] = sign * val
+            r0 = row_subsets.index(I[:pos] + I[pos + 1 :]) * m
+            A[r0 + rows[i - 1], bj * n + np.arange(n)] = (-1) ** pos * values[i - 1]
     return KoszulSlice(
         p=p,
         degree=mu,
-        matrix=M,
+        array=A,
         row_blocks=tuple((J, row_basis) for J in row_subsets),
         col_blocks=tuple((I, col_basis) for I in col_subsets),
     )
@@ -146,18 +171,12 @@ def _dim(deg: Bidegree) -> int:
 def syzygy_basis(F: Parametrization, nu) -> SyzygyBasis:
     """Canonical basis of the degree-nu syzygies of f1..f4.
 
-    Columns come from the canonical nullspace of the first Koszul slice;
-    every column (a1..a4) satisfies sum(a_i * f_i) = 0 exactly.
+    Its vectors are the canonical nullspace of the first Koszul slice;
+    every syzygy (a1..a4) satisfies sum(a_i * f_i) = 0 exactly.
     """
     nu = as_bidegree(nu)
     _, nullbasis = rref_nullspace(koszul_slice(F, 1, nu + F.bidegree).matrix)
-    basis = graded_basis(nu)
-    n = basis.dim
-    columns = tuple(
-        tuple(poly_from_vector(vec[i * n : (i + 1) * n], basis) for i in range(4))
-        for vec in nullbasis
-    )
-    return SyzygyBasis(nu=nu, columns=columns)
+    return SyzygyBasis(nu=nu, vectors=nullbasis)
 
 
 def region(e) -> RegionSpec:
@@ -211,7 +230,8 @@ def complex_summary(F: Parametrization, M) -> ComplexSummary:
     """
     d, nu = F.bidegree, M.nu
     F = _integer_multiple(F)
-    K2 = koszul_slice(F, 2, nu + 2 * d).matrix
+    K2 = koszul_slice(F, 2, nu + 2 * d)
+    cols = K2.array.shape[1]
     # delta from the f_i at u = v = 1, whose gcd has g's degrees less the
     # powers of u and v in g, the least exponents of u and v in any term
     g: dict = {}
@@ -225,14 +245,14 @@ def complex_summary(F: Parametrization, M) -> ComplexSummary:
         max(c for _, c in g) + min(m[3] for m in monomials),
     )
     p = next(prime_stream())
-    r2 = rank_mod_p(K2.data, K2.cols, p)
-    bound = K2.cols - 4 * _dim(nu - d) + _dim(nu - 2 * d + delta)
-    if r2 != bound and _dim(nu + 2 * d) <= K2.cols:
-        K1 = koszul_slice(F, 1, nu + 2 * d).matrix
-        bound = K1.cols - rank_mod_p(K1.data, K1.cols, p)
+    r2 = rank_mod_p(K2.residues(p), cols, p)
+    bound = cols - 4 * _dim(nu - d) + _dim(nu - 2 * d + delta)
+    if r2 != bound and _dim(nu + 2 * d) <= cols:
+        K1 = koszul_slice(F, 1, nu + 2 * d).residues(p)
+        bound = K1.shape[1] - rank_mod_p(K1, K1.shape[1], p)
     if r2 != bound:
-        r2 = exact_rank(K2)
-    h0, h1, h2, h3 = M.rows, M.cols, K2.cols - r2, _dim(nu - d + delta)
+        r2 = exact_rank(K2.matrix)
+    h0, h1, h2, h3 = M.rows, M.cols, cols - r2, _dim(nu - d + delta)
     return ComplexSummary(
         nu=nu,
         dims=(h0, h1, h2, h3),

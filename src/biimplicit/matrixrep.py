@@ -126,7 +126,8 @@ class MatrixRep:
 
     @cached_property
     def entries(self) -> tuple[tuple[TPoly, ...], ...]:
-        """The entries as linear TPolys, for reports; zeros share one TPoly."""
+        """The entries as linear TPolys, for tests and library callers;
+        zeros share one TPoly.  Reports print `coefficients` directly."""
         zero, T, raw = TPoly.zero(), _T_MONOMIALS, TPoly._raw
         return tuple(
             tuple(raw({m: c for m, c in zip(T, e) if c}) if any(e) else zero for e in row)
@@ -176,16 +177,15 @@ class MatrixRep:
 
 
 def build_matrix(F: Parametrization, nu) -> MatrixRep:
+    """Entry (m, j) is (v[m], v[n+m], v[2n+m], v[3n+m]), v syzygy vector j."""
     nu = as_bidegree(nu)
-    columns = syzygy_basis(F, nu).columns
     basis = graded_basis(nu)
-    coefficients = [[(0, 0, 0, 0)] * len(columns) for _ in range(basis.dim)]
-    for j, column in enumerate(columns):
-        for i, component in enumerate(column):
-            for mono, c in component.terms.items():
-                row = coefficients[basis.index_of(mono)]
-                row[j] = row[j][:i] + (c,) + row[j][i + 1 :]
-    return MatrixRep(nu, basis, tuple(map(tuple, coefficients)))
+    n, zero = basis.dim, (0, 0, 0, 0)
+    columns = [
+        [e if any(e) else zero for e in zip(v[:n], v[n : 2 * n], v[2 * n : 3 * n], v[3 * n :])]
+        for v in syzygy_basis(F, nu).vectors
+    ]
+    return MatrixRep(nu, basis, tuple(zip(*columns)) if columns else ((),) * n)
 
 
 def _linear_form(coefficients) -> TPoly:

@@ -286,33 +286,32 @@ class _SparsePoly:
     def __str__(self) -> str:
         """Canonical rendering: descending lex term order, explicit signs,
         '^' for powers, '*' between factors, no implicit multiplication."""
-        items = self.sorted_terms()
-        if not items:
-            return "0"
-        chunks: list[str] = []
-        for mono, coeff in items:
-            neg = coeff < 0
-            mag = -coeff if neg else coeff
-            factors = []
-            for name, e in zip(self._var_names, mono):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = str(mag) + "*" + "*".join(factors)
-            if not chunks:
-                chunks.append(("-" if neg else "") + body)
-            else:
-                chunks.append((" - " if neg else " + ") + body)
-        return "".join(chunks)
+        return _join_terms(
+            (c, "*".join(x if e == 1 else f"{x}^{e}" for x, e in zip(self._var_names, mono) if e))
+            for mono, c in self.sorted_terms()
+        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self)!r})"
+
+
+def _join_terms(terms) -> str:
+    """The text of a sum of (coefficient, factors) terms in print order,
+    `factors` the '*'-joined variable powers of the monomial, '' for 1: a
+    unit magnitude is left out before factors, and no terms read "0"."""
+    chunks: list[str] = []
+    for coeff, factors in terms:
+        text = str(coeff)
+        neg = text[0] == "-"
+        mag = text[1:] if neg else text
+        body = mag if not factors else factors if mag == "1" else mag + "*" + factors
+        chunks.append(((" - " if neg else " + ") if chunks else ("-" if neg else "")) + body)
+    return "".join(chunks) or "0"
+
+
+def linear_form_str(coefficients) -> str:
+    """str(TPoly) of c1*T1 + .. + c4*T4, from (c1, c2, c3, c4) alone."""
+    return _join_terms((c, name) for c, name in zip(coefficients, TARGET_VARS) if c)
 
 
 class BigradedPoly(_SparsePoly):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biimplicit
-from biimplicit import cli
+from biimplicit import cli, complexes
 from biimplicit.complexes import (
     MAX_SLICE_CELLS,
     InvalidBidegreeError,
@@ -145,6 +145,18 @@ class TestSliceLimit:
         )
         with pytest.raises(InputError, match=f"more than {MAX_SLICE_CELLS} cells"):
             koszul_slice(F, 1, (179, 119))
+
+    def test_refused_before_any_array(self, monkeypatch):
+        # with numpy gone from complexes, the refusal still comes, while an
+        # admitted slice fails at its first array
+        F = Parametrization.from_polys(
+            parse_poly(text) for text in ("s^60*t^60", "s^60*v^60", "u^60*t^60", "u^60*v^60")
+        )
+        monkeypatch.setattr(complexes, "np", None)
+        with pytest.raises(InputError, match=f"more than {MAX_SLICE_CELLS} cells"):
+            koszul_slice(F, 1, (179, 119))
+        with pytest.raises(AttributeError):
+            koszul_slice(F, 1, (61, 61))
 
     def test_largest_slice_of_a_bidegree_44_map_admitted(self):
         F = Parametrization.from_polys(

@@ -1,9 +1,11 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -77,6 +79,77 @@ class TestKoszulSlice:
     def test_bad_index(self, segre_F):
         with pytest.raises(ValueError):
             koszul_slice(segre_F, 5, (1, 1))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        e=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+        seed=st.integers(0, 2**16),
+        scales=st.lists(
+            st.sampled_from([1, -1, 7, -(2**62), 2**63 - 1, 2**63, -(2**70), 3**50]),
+            min_size=4,
+            max_size=4,
+        ),
+        p=st.integers(1, 4),
+        offset=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    )
+    def test_residues_match_exact_slice(self, e, seed, scales, p, offset):
+        # f_i scaled past int64 (negative too) or not, and mu - p*d with a
+        # negative component, where the column piece is empty: the exact
+        # rows are the blocks of multiplication matrices, and the int64
+        # residues are those rows mod 2^31 - 1
+        F = random_parametrization(random.Random(seed), e)
+        F = Parametrization.from_polys(f * k for f, k in zip(F.polys, scales))
+        mu = p * Bidegree(*e) + Bidegree(*offset)
+        sl = koszul_slice(F, p, mu)
+        assert sl.matrix.data == _block_layout(F, p, mu)
+        prime = 2**31 - 1
+        residues = sl.residues(prime)
+        assert residues.dtype == np.int64
+        assert residues.shape == (sl.matrix.rows, sl.matrix.cols)
+        assert residues.tolist() == [[x % prime for x in row] for row in sl.matrix.data]
+
+    @pytest.mark.parametrize(
+        "scales, dtype",
+        [
+            ((2**63 - 1, -(2**63 - 1), 1, -1), np.int64),
+            ((2**63, 1, 1, 1), object),
+            ((1, -(2**63), 1, 1), object),  # fits int64, its negative does not
+        ],
+    )
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_int64_edge(self, segre_F, scales, dtype, p):
+        F = Parametrization.from_polys(f * k for f, k in zip(segre_F.polys, scales))
+        mu = Bidegree(p + 1, p)
+        sl = koszul_slice(F, p, mu)
+        assert sl.array.dtype == dtype
+        assert sl.matrix.data == _block_layout(F, p, mu)
+        prime = 2**31 - 1
+        assert sl.residues(prime).tolist() == [[x % prime for x in row] for row in sl.matrix.data]
+
+    def test_fraction_slice_has_no_residues(self, golden_F):
+        F = Parametrization.from_polys(f * Fraction(-1, 3) for f in golden_F.polys)
+        sl = koszul_slice(F, 2, (6, 7))
+        assert sl.matrix.data == _block_layout(F, 2, Bidegree(6, 7))
+        with pytest.raises(TypeError):
+            sl.residues(2**31 - 1)
+
+
+def _block_layout(F, p, mu):
+    """The rows of the p-th Koszul slice at mu, block (J, I) being
+    (-1)^pos(i, I) times multiplication by f_i where J = I minus i."""
+    col_deg, row_deg = mu - p * F.bidegree, mu - (p - 1) * F.bidegree
+    col_subsets = list(combinations((1, 2, 3, 4), p))
+    row_subsets = list(combinations((1, 2, 3, 4), p - 1))
+    m, n = graded_basis(row_deg).dim, graded_basis(col_deg).dim
+    rows = [[0] * (n * len(col_subsets)) for _ in range(m * len(row_subsets))]
+    for bj, I in enumerate(col_subsets):
+        for pos, i in enumerate(I):
+            bi = row_subsets.index(tuple(x for x in I if x != i))
+            block = multiplication_matrix(F.polys[i - 1], col_deg).data
+            for r in range(m):
+                for c in range(n):
+                    rows[bi * m + r][bj * n + c] = (-1) ** pos * block[r][c]
+    return rows
 
 
 class TestSyzygyBasis:

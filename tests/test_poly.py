@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import biimplicit
@@ -20,10 +20,12 @@ from biimplicit.poly import (
     evaluate_many,
     exact,
     integer_primitive,
+    linear_form_str,
     substitute_T,
 )
+from biimplicit.matrixrep import build_matrix
 
-from conftest import golden_polys
+from conftest import golden_polys, lin, random_parametrization
 
 
 def bp(text):
@@ -320,3 +322,33 @@ class TestParametrization:
             Parametrization.from_polys(
                 [bp("s*t"), BigradedPoly.zero(), bp("u*t"), bp("u*v")]
             )
+
+
+# coefficients of linear forms as MatrixRep holds them: exact ints and
+# Fractions, with zeros, units, ints past 2^64 and unit numerators
+linear_coeffs = st.one_of(
+    st.sampled_from([0, 0, 1, -1]),
+    st.integers(-(2**70), 2**70),
+    st.builds(lambda n, sign: sign * n, st.integers(2**64, 2**80), st.sampled_from([1, -1])),
+    st.builds(Fraction, st.sampled_from([1, -1]) | st.integers(-99, 99), st.integers(2, 99)),
+).map(exact)
+
+
+class TestLinearFormStr:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.tuples(*[linear_coeffs] * 4))
+    @example((0, 0, 0, 0))
+    @example((1, -1, Fraction(-1, 2), Fraction(1, 3)))
+    @example((0, 0, 0, -(2**65)))
+    def test_matches_tpoly_text(self, coefficients):
+        assert linear_form_str(coefficients) == str(lin(*coefficients))
+
+    @pytest.mark.parametrize("name, nu", [("golden", (5, 4)), ("rand22", (6, 4))])
+    def test_every_strand_entry(self, golden_F, name, nu):
+        # perfbench's two strands: the report prints each entry from its
+        # coefficients, and must print what str of its TPoly prints
+        F = golden_F if name == "golden" else random_parametrization(random.Random(7), (2, 2))
+        M = build_matrix(F, nu)
+        assert any(type(c) is Fraction for row in M.coefficients for e in row for c in e)
+        for coefficients, entries in zip(M.coefficients, M.entries):
+            assert [linear_form_str(e) for e in coefficients] == [str(e) for e in entries]

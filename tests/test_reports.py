@@ -12,6 +12,7 @@ argv of its case through `main` and dumping the parsed report, minus
 `timings`, with indent 2 and a final newline.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -67,3 +68,18 @@ def test_pinned_report(expected, capsys):
         del doc["timings"]
     text = json.dumps(doc, indent=2) + "\n"
     assert text == (DATA / expected).read_text(encoding="utf-8")
+
+
+# the `matrix` reports of perfbench's two strands, 30x56 and 35x77, pinned
+# by the sha256 of their text on stdout
+STRAND_DIGESTS = {
+    ("golden.json", "5,4"): "7e8706be4a1fe31e65d2847dfa7bcf968ac65f5bc7d250e80882344677e55205",
+    ("rand22.json", "6,4"): "334e37fb5e41395b0b701097c442a58c0484aeb7aaed7f0b834775502dc1b674",
+}
+
+
+@pytest.mark.parametrize("input_name, nu", sorted(STRAND_DIGESTS))
+def test_strand_matrix_digest(input_name, nu, capsys):
+    assert main(["matrix", str(DATA / input_name), "--nu", nu]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == STRAND_DIGESTS[input_name, nu]
