@@ -245,11 +245,11 @@ def complex_summary(F: Parametrization, M) -> ComplexSummary:
         max(c for _, c in g) + min(m[3] for m in monomials),
     )
     p = next(prime_stream())
-    r2 = rank_mod_p(K2.residues(p), cols, p)
+    r2 = rank_mod_p(K2.residues(p), p)
     bound = cols - 4 * _dim(nu - d) + _dim(nu - 2 * d + delta)
     if r2 != bound and _dim(nu + 2 * d) <= cols:
         K1 = koszul_slice(F, 1, nu + 2 * d).residues(p)
-        bound = K1.shape[1] - rank_mod_p(K1, K1.shape[1], p)
+        bound = K1.shape[1] - rank_mod_p(K1, p)
     if r2 != bound:
         r2 = exact_rank(K2.matrix)
     h0, h1, h2, h3 = M.rows, M.cols, cols - r2, _dim(nu - d + delta)

@@ -6,18 +6,21 @@ monomial basis of the degree-nu graded piece.
 A square matrix is its own maximal minor; for a rectangular one a minor is
 proposed by evaluating the matrix at a random point and taking the pivot
 columns of the integer elimination in `linalg`, so its determinant is
-nonzero at that point.  The determinant is computed exactly: rows and
-columns with a single nonzero entry are peeled off, and the rest is
-evaluated modulo primes on the lower set of exponents its determinant can
-carry, interpolated by Newton differences, and recombined by CRT up to a
-proven coefficient bound; a square matrix is first given an
-LLL-reduced basis of the integer points of its columns' span, which drops
-integer content the bound would pay primes for.  The primitive part of the
-determinant, or of the gcd of several, is the reported implicit equation.
-A single determinant is certified by the syzygy identity: every column of
-the matrix it was taken on is a syzygy, so every maximal minor vanishes on
-the image, and the determinant is compared with exact elimination at one
-point.  A gcd is certified by exact evaluation of eq(f1..f4) on a grid.
+nonzero at that point.  A determinant is taken on one integer matrix per
+minor, in the layout of the entries, rows of coefficient 4-tuples: the
+minor's columns divided by their rational contents, or, for a square
+matrix, an LLL-reduced basis of the integer points of its columns' span,
+which drops integer content the coefficient bound would pay primes for.
+It is computed exactly: rows and columns with a single nonzero entry are
+peeled off, and the rest is evaluated modulo primes on the lower set of
+exponents its determinant can carry, interpolated by Newton differences,
+and recombined by CRT up to a proven coefficient bound.  The primitive
+part of the determinant, or of the gcd of several, is the reported
+implicit equation.  A single determinant is certified on the same integer
+matrix by the syzygy identity: every column of it is a syzygy, so every
+maximal minor vanishes on the image, and the determinant is compared with
+exact elimination at one point.  A gcd is certified by exact evaluation
+of eq(f1..f4) on a grid.
 Rank drops at surface points, certified by the same identity, and a fully
 independent interpolation oracle cross-check either.
 """
@@ -127,7 +130,8 @@ class MatrixRep:
     @cached_property
     def entries(self) -> tuple[tuple[TPoly, ...], ...]:
         """The entries as linear TPolys, for tests and library callers;
-        zeros share one TPoly.  Reports print `coefficients` directly."""
+        zeros share one TPoly.  Reports print `coefficients` directly, and
+        `bareiss_det` takes them as they are."""
         zero, T, raw = TPoly.zero(), _T_MONOMIALS, TPoly._raw
         return tuple(
             tuple(raw({m: c for m, c in zip(T, e) if c}) if any(e) else zero for e in row)
@@ -150,20 +154,27 @@ class MatrixRep:
             columns.append(column)
         return tuple(zip(*columns)) or self.coefficients
 
-    def _integer_columns(self, columns) -> list[list[int]]:
-        """The integer columns at `columns` as vectors, entry m at 4m..4m+3."""
-        rows = self._integer_coefficients
-        return [[c for row in rows for c in row[j]] for j in columns]
-
     @cached_property
     def _reduced_basis(self) -> tuple[tuple[int, ...], ...]:
         """An LLL-reduced basis of the integer points of the span of the
-        integer columns.  For a matrix from `build_matrix` these points are
-        the integer syzygies.  Dependent columns raise RankDeficientError."""
-        basis = lll_reduce(saturation(self._integer_columns(range(self.cols))))
+        integer columns, each a vector with entry m at 4m..4m+3.  For a
+        matrix from `build_matrix` these points are the integer syzygies.
+        Dependent columns raise RankDeficientError."""
+        columns = [[c for e in column for c in e] for column in zip(*self._integer_coefficients)]
+        basis = lll_reduce(saturation(columns))
         if len(basis) < self.cols:
             raise RankDeficientError("the columns of the matrix are dependent")
         return tuple(tuple(v) for v in basis)
+
+    def _minor(self, columns) -> tuple[tuple[tuple, ...], ...]:
+        """The integer matrix that a determinant on `columns` is taken on,
+        as rows of coefficient 4-tuples: the reduced basis for a square M,
+        else the integer coefficients at `columns`.  Its columns span the
+        same Q-space as M's at `columns`."""
+        if self.rows == self.cols:
+            basis = self._reduced_basis
+            return tuple(tuple(v[4 * r : 4 * r + 4] for v in basis) for r in range(self.rows))
+        return tuple(tuple(row[j] for j in columns) for row in self._integer_coefficients)
 
     def evaluate(self, values) -> QMatrix:
         """The integer columns at T = values: the rank and independent column
@@ -191,20 +202,6 @@ def build_matrix(F: Parametrization, nu) -> MatrixRep:
 def _linear_form(coefficients) -> TPoly:
     """c1*T1 + .. + c4*T4 from (c1, c2, c3, c4)."""
     return TPoly({m: c for m, c in zip(_T_MONOMIALS, coefficients) if c})
-
-
-def _linear_matrix(vectors) -> list[list[TPoly]]:
-    """The matrix of linear TPolys whose column j is the nonempty integer
-    vector vectors[j], entry (m, j) at coordinates 4m..4m+3."""
-    rows = range(0, len(vectors[0]), 4)
-    return [[_linear_form(v[r : r + 4]) for v in vectors] for r in rows]
-
-
-def _linear_coefficients(entry) -> tuple:
-    """(c1, c2, c3, c4) of a linear TPoly c1*T1 + .. + c4*T4."""
-    if not isinstance(entry, TPoly) or any(sum(mono) != 1 for mono in entry.terms):
-        raise ValueError(f"matrix entries must be linear forms in T1..T4, got {entry!r}")
-    return tuple(entry.coefficient(mono) for mono in _T_MONOMIALS)
 
 
 def _peel(grid: list[dict], n: int):
@@ -278,13 +275,13 @@ _BATCH_ENTRIES = 2**15
 
 def _core_det(core: list[list[tuple]], n: int) -> TPoly:
     """Determinant of an n x n matrix of integer linear forms, given as
-    coefficient 4-tuples (None for zero), by evaluation and interpolation
+    rows of coefficient 4-tuples, by evaluation and interpolation
     modulo primes on the lower set of exponents that can carry a
     coefficient; see bareiss_det for the two bounds this relies on."""
     degree_bounds = [
         min(
-            sum(any(e and e[t] for e in row) for row in core),
-            sum(any(row[b] and row[b][t] for row in core) for b in range(n)),
+            sum(any(e[t] for e in row) for row in core),
+            sum(any(row[b][t] for row in core) for b in range(n)),
         )
         for t in range(4)
     ]
@@ -295,14 +292,13 @@ def _core_det(core: list[list[tuple]], n: int) -> TPoly:
     exponents = np.array(np.nonzero(inside))
     points = exponents + 1
 
-    bound = prod(sum(abs(c) for e in row if e for c in e) for row in core)
+    bound = prod(sum(abs(c) for e in row for c in e) for row in core)
     primes = _primes_above((2 * bound).bit_length())
-    coefficients = [[e or (0, 0, 0, 0) for e in row] for row in core]
     batch = max(1, _BATCH_ENTRIES // (n * n))
     residues = np.empty((len(primes), points.shape[1]), dtype=np.int64)
     for q, p in enumerate(primes):
         reduced = np.array(
-            [[[c % p for c in e] for e in row] for row in coefficients], dtype=np.int64
+            [[[c % p for c in e] for e in row] for row in core], dtype=np.int64
         )
         linear, constant = reduced[:, :, axes], reduced[:, :, h, None]
         chunks = (
@@ -328,11 +324,14 @@ def _core_det(core: list[list[tuple]], n: int) -> TPoly:
 def bareiss_det(matrix) -> TPoly:
     """Exact determinant of a square matrix of linear forms in T1..T4.
 
-    Entries are linear TPolys; anything else raises ValueError.
-    Each row's rational content is pulled out first, leaving integer
-    coefficients.  Rows and columns with a single nonzero entry are peeled
-    off by Laplace expansion (a zero row or column gives 0), and the
-    remaining core is evaluated modulo primes and interpolated:
+    The matrix is given as rows of coefficient 4-tuples (c1, .., c4) of
+    exact numbers, entry c1*T1 + .. + c4*T4, the layout of
+    `MatrixRep.coefficients`; a non-square matrix or an entry that is not a
+    4-tuple raises ValueError.  Each row's rational content is pulled out
+    first, leaving integer coefficients.  Rows and columns with a single
+    nonzero entry are peeled off by Laplace expansion (a zero row or column
+    gives 0), and the remaining core is evaluated modulo primes and
+    interpolated:
 
     * degree bound: deg_Tt det <= min(rows, columns of the core holding Tt),
       since each term of the permutation expansion takes one entry from
@@ -354,14 +353,17 @@ def bareiss_det(matrix) -> TPoly:
     (b) of `certify_determinant` and `verify_substitution` guard the
     result.  The name is kept because it is part of the public API.
     """
-    rows = [[_linear_coefficients(entry) for entry in row] for row in matrix]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise ValueError("determinant of a non-square matrix")
+    for row in matrix:
+        for entry in row:
+            if not isinstance(entry, tuple) or len(entry) != 4:
+                raise ValueError(f"matrix entries must be coefficient 4-tuples, got {entry!r}")
 
     scale = Fraction(1)
     grid: list[dict] = []
-    for row in rows:
+    for row in matrix:
         content = rational_content(c for coeffs in row for c in coeffs)
         if not content:
             return TPoly.zero()
@@ -380,7 +382,7 @@ def bareiss_det(matrix) -> TPoly:
     sign, factors, core_rows, core_cols = peeled
     det = TPoly.constant(1)
     if core_rows:
-        core = [[grid[i].get(j) for j in core_cols] for i in core_rows]
+        core = [[grid[i].get(j, (0, 0, 0, 0)) for j in core_cols] for i in core_rows]
         det = _core_det(core, len(core))
     for coeffs in factors:
         det = det * _linear_form(coeffs)
@@ -408,26 +410,26 @@ def minor_determinants(M: MatrixRep, seed: int, count: int):
     """Column sets and determinants for up to `count` distinct maximal
     minors; returns (columns of the first minor, list of determinants).
 
-    Every determinant is taken on integer columns of the same Q-span as
-    the minor's, so it is the minor's determinant times a nonzero
-    constant, which `reduce_equation`'s primitive part removes.  A square
-    matrix has only the one minor, all of its columns, taken on
-    `MatrixRep._reduced_basis`, which lacks the integer content of the
+    Every determinant is `bareiss_det` of `MatrixRep._minor` at the
+    minor's columns, integer columns of the same Q-span as the minor's, so
+    it is the minor's determinant times a nonzero constant, which
+    `reduce_equation`'s primitive part removes.  A square matrix has only
+    the one minor, all of its columns, and `_minor` gives the LLL-reduced
+    basis of its integer syzygies, which lacks the integer content of the
     canonical columns that the coefficient bound would pay primes for.
 
     Otherwise the first minor is the first proposal, and each extra minor
     is the first proposal of a shuffled scan under its own seed; repeated
     column sets are skipped.  A proposal's columns are independent in
-    `M.evaluate` at its point, so its determinant is nonzero there; it is
-    taken on the minor's integer columns.  RankDeficientError is raised
-    when MAX_TRIES points give no proposal.
+    `M.evaluate` at its point, so its determinant is nonzero there.
+    RankDeficientError is raised when MAX_TRIES points give no proposal.
     """
     if M.rows == 0:
         return [], [TPoly.constant(1)]
     if not any(any(e) for row in M._integer_coefficients for e in row):
         raise RankDeficientError("matrix of linear forms is zero")
     if M.rows == M.cols:
-        det = bareiss_det(_linear_matrix(M._reduced_basis))
+        det = bareiss_det(M._minor(range(M.cols)))
         if det.is_zero():
             raise RankDeficientError(f"the {M.rows}x{M.rows} matrix is singular")
         return list(range(M.cols)), [det]
@@ -441,7 +443,7 @@ def minor_determinants(M: MatrixRep, seed: int, count: int):
         candidate = next(_proposals(M, seed + 1000 * i, shuffle=True), None)
         if candidate is not None and candidate not in column_sets:
             column_sets.append(candidate)
-    return columns, [bareiss_det(_linear_matrix(M._integer_columns(c))) for c in column_sets]
+    return columns, [bareiss_det(M._minor(c)) for c in column_sets]
 
 
 def reduce_equation(dets) -> TPoly:
@@ -467,29 +469,27 @@ def certify_determinant(M: MatrixRep, F: Parametrization, columns, det: TPoly) -
     vector is nonzero when there is at least one row.  So the determinant of
     the matrix at f(x) is zero for every x, and det(f1..f4) = 0.  The proof
     is check (a): the matrix has a row, and sum_i a_i*f_i == 0 for every
-    column, expanded exactly.  The matrix is the reduced basis for a square
-    M, else M's integer columns at `columns`.  Check (b) is a guard against
-    a wrong determinant, not part of the proof: det at CHECK_POINT must
-    equal the determinant of that integer matrix there, computed by
-    fraction-free elimination.  Neither check expands det(f1..f4).
+    column, expanded exactly.  The matrix is `MatrixRep._minor` at
+    `columns`, the one `minor_determinants` took the determinant on.  Check
+    (b) is a guard against a wrong determinant, not part of the proof: det
+    at CHECK_POINT must equal the determinant of that integer matrix there,
+    computed by fraction-free elimination.  Neither check expands
+    det(f1..f4).
     """
     if M.rows < 1:
         raise PipelineError("the matrix has no rows, so its minors certify nothing")
-    vectors = M._reduced_basis if M.rows == M.cols else M._integer_columns(columns)
+    minor = M._minor(columns)
     monomials = M.row_basis.monomials
-    for j, v in enumerate(vectors):
+    for j, column in enumerate(zip(*minor)):
         identity = BigradedPoly.zero()
         for i, f in enumerate(F.polys):
-            component = BigradedPoly({m: v[4 * r + i] for r, m in enumerate(monomials)})
+            component = BigradedPoly({m: e[i] for m, e in zip(monomials, column)})
             identity = identity + component * f
         if identity:
             raise PipelineError(
                 f"column {j} of the determinant's matrix is not a syzygy of the map"
             )
-    numeric = [
-        [sum(c * t for c, t in zip(v[4 * r : 4 * r + 4], CHECK_POINT)) for v in vectors]
-        for r in range(M.rows)
-    ]
+    numeric = [[sum(c * t for c, t in zip(e, CHECK_POINT)) for e in row] for row in minor]
     if det.evaluate(CHECK_POINT) != _integer_det(numeric):
         raise PipelineError(
             f"the determinant disagrees with exact elimination at T = {CHECK_POINT}"

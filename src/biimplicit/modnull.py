@@ -6,11 +6,11 @@ vectorized with numpy; rational reconstruction under separate numerator
 and denominator bounds, so that the oracle recovers fractions with a small
 denominator from a smaller modulus than Wang's balanced bounds need; and
 the rank of an integer matrix mod p behind the Koszul-slice dimensions,
-taken on the slices' int64 residues, pivot by pivot, each pivot updating
-only the rows that are nonzero in its column.  On the slices of a strand,
-a few hundred rows and columns with most entries zero, that is about twice
-as fast as the panels below, whose products only pay off on larger, denser
-matrices.
+taken in place on the int64 residues a slice gives, pivot by pivot, each
+pivot updating only the rows that are nonzero in its column.  On the
+slices of a strand, a few hundred rows and columns with most entries zero,
+that is about twice as fast as the panels below, whose products only pay
+off on larger, denser matrices.
 
 The forward elimination takes the columns in panels.  Pivots inside a panel
 touch only the panel's columns and record their multipliers; the rest of
@@ -84,23 +84,20 @@ def prime_stream():
         yield _PRIMES[i]
 
 
-def rank_mod_p(rows, cols: int, p: int) -> int:
-    """Rank over Z/p, p < 2^31, of an integer matrix, an int64 array such as
-    a Koszul slice's residues or a list of `cols`-wide rows; at most the rank over Q.
+def rank_mod_p(A: np.ndarray, p: int) -> int:
+    """Rank over Z/p, p < 2^31, of a 2-d int64 array of residues in [0, p),
+    such as a Koszul slice's `residues(p)`; at most the rank over Q of the
+    integer matrix they came from.  A may be overwritten, as `det_mod_p`
+    overwrites its chunks.
 
-    The residues go into a new int64 array (through Python ints when an
-    entry does not fit), transposed to have no more rows than columns.
-    Each column then takes its first nonzero at or below the current row as
+    A matrix with more rows than columns is ranked as its transpose.  Each
+    column then takes its first nonzero at or below the current row as
     pivot, clears the rows below that are nonzero there with one outer
     product, and moves the row it displaces into the pivot's place; the
     pivot row itself is not needed again.  Entries stay in [0, p), so every
     product stays below 2^62, and the loop ends once every row has a pivot.
     """
-    n = len(rows)
-    try:
-        A = np.asarray(rows, np.int64).reshape(n, cols) % p
-    except OverflowError:
-        A = np.array([[x % p for x in row] for row in rows], np.int64).reshape(n, cols)
+    n, cols = A.shape
     if n > cols:
         A = np.ascontiguousarray(A.T)
         n, cols = cols, n

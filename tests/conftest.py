@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from biimplicit.matrixrep import MatrixRep
@@ -88,14 +89,19 @@ def lin(c1=0, c2=0, c3=0, c4=0) -> TPoly:
     return TPoly(dict(zip(LINEAR_EXPONENTS, (c1, c2, c3, c4))))
 
 
-def matrix_of(entries, nu=Bidegree(0, 0), row_basis=None) -> MatrixRep:
-    """The MatrixRep whose entries are the given linear TPolys, rows over
-    `row_basis` (the degree-nu basis by default)."""
-    coefficients = tuple(
+def coefficient_rows(entries) -> tuple:
+    """Rows of linear TPolys as rows of their coefficient 4-tuples, the
+    layout of `MatrixRep.coefficients` that `bareiss_det` takes."""
+    return tuple(
         tuple(tuple(e.coefficient(m) for m in LINEAR_EXPONENTS) for e in row)
         for row in entries
     )
-    return MatrixRep(nu, row_basis or graded_basis(nu), coefficients)
+
+
+def matrix_of(entries, nu=Bidegree(0, 0), row_basis=None) -> MatrixRep:
+    """The MatrixRep whose entries are the given linear TPolys, rows over
+    `row_basis` (the degree-nu basis by default)."""
+    return MatrixRep(nu, row_basis or graded_basis(nu), coefficient_rows(entries))
 
 
 def identity(n: int) -> QMatrix:
@@ -138,6 +144,12 @@ def check_kept_rows(A, p: int, kept: list[int]) -> None:
     sub_pivots, sub_U, sub_kept = _echelon_mod_p(A[kept], p)
     assert sub_pivots == pivots and sub_U.tolist() == U.tolist()
     assert sub_kept == list(range(len(kept)))
+
+
+def residues(rows, cols: int, p: int) -> np.ndarray:
+    """The residues mod p of an integer matrix of `cols`-wide rows, as the
+    int64 array in [0, p) that `modnull.rank_mod_p` takes."""
+    return np.array([[x % p for x in row] for row in rows], np.int64).reshape(len(rows), cols)
 
 
 def gram_det(vectors) -> int:

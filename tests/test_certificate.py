@@ -47,35 +47,55 @@ RECT_SINGLE = {
 }
 
 
-def corrupt_reduced_basis(monkeypatch):
-    """Add 1 to the first coefficient of the first reduced column, for the
-    determinant and the certificate alike."""
-    real = MatrixRep._reduced_basis.func
+def corrupt_minor(monkeypatch) -> list:
+    """Add 1 to the first coefficient of entry (0, 0) of the integer minor,
+    the one matrix that the determinant and check (a) both read; returns
+    the list of the changed minors handed out."""
+    real = MatrixRep._minor
+    changed = []
 
-    def corrupted(self):
-        basis = [list(v) for v in real(self)]
-        basis[0][0] += 1
-        return tuple(tuple(v) for v in basis)
+    def corrupted(self, columns):
+        rows = [list(row) for row in real(self, columns)]
+        first = rows[0][0]
+        rows[0][0] = (first[0] + 1, *first[1:])
+        changed.append(tuple(tuple(row) for row in rows))
+        return changed[-1]
 
-    monkeypatch.setattr(MatrixRep, "_reduced_basis", property(corrupted))
+    monkeypatch.setattr(MatrixRep, "_minor", corrupted)
+    return changed
+
+
+def assert_changed_minor_is_caught(monkeypatch, spec):
+    """With the minor changed, the determinant is taken on it and check (a)
+    fails on it; without verification the run still gives a report."""
+    changed = corrupt_minor(monkeypatch)
+    dets = counting(monkeypatch, matrixrep, "bareiss_det")
+    with pytest.raises(PipelineError, match="column 0 .* is not a syzygy"):
+        cli.run_implicitize(spec)
+    assert len(changed) == 2 and changed[0] == changed[1]
+    assert dets == [(changed[0],)]
+    report = cli.run_implicitize(spec, verify=False)
+    assert report.verified is None
 
 
 class TestNegative:
     @pytest.mark.parametrize("spec", [GOLDEN, RAND22], ids=["golden", "rand22"])
     def test_changed_reduced_column_is_not_a_syzygy(self, monkeypatch, spec):
-        corrupt_reduced_basis(monkeypatch)
-        with pytest.raises(PipelineError, match="column 0 .* is not a syzygy"):
-            cli.run_implicitize(spec)
-        report = cli.run_implicitize(spec, verify=False)
-        assert report.verified is None
+        # a square strand's minor is the reduced basis of its integer syzygies
+        assert_changed_minor_is_caught(monkeypatch, spec)
+
+    @pytest.mark.parametrize("name", sorted(RECT_SINGLE))
+    def test_changed_integer_column_is_not_a_syzygy(self, monkeypatch, name):
+        # a rectangular strand's minor is its integer columns at the proposal
+        assert_changed_minor_is_caught(monkeypatch, RECT_SINGLE[name])
 
     def test_changed_reduced_column_exits_2(self, tmp_path, capsys):
-        # `python -m biimplicit implicitize` with the reduced basis changed
-        # in the same interpreter
+        # `python -m biimplicit implicitize` with golden's minor changed in
+        # the same interpreter
         path = tmp_path / "golden.json"
         path.write_text(json.dumps({"bidegree": [2, 3], "polynomials": list(GOLDEN_STRINGS)}))
         with pytest.MonkeyPatch.context() as patch:
-            corrupt_reduced_basis(patch)
+            corrupt_minor(patch)
             patch.setattr(sys, "argv", ["biimplicit", "implicitize", str(path)])
             with pytest.raises(SystemExit) as exit_info:
                 runpy.run_module("biimplicit", run_name="__main__", alter_sys=True)
@@ -84,23 +104,6 @@ class TestNegative:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "is not a syzygy" in captured.err
-
-    @pytest.mark.parametrize("name", sorted(RECT_SINGLE))
-    def test_changed_integer_column_is_not_a_syzygy(self, monkeypatch, name):
-        # a rectangular minor's determinant and check (a) read the same
-        # integer columns; add 1 to the first coefficient of the first
-        real = MatrixRep._integer_columns
-
-        def corrupted(self, columns):
-            vectors = real(self, columns)
-            vectors[0][0] += 1
-            return vectors
-
-        monkeypatch.setattr(MatrixRep, "_integer_columns", corrupted)
-        with pytest.raises(PipelineError, match="column 0 .* is not a syzygy"):
-            cli.run_implicitize(RECT_SINGLE[name])
-        report = cli.run_implicitize(RECT_SINGLE[name], verify=False)
-        assert report.verified is None
 
     @pytest.mark.parametrize(
         "spec", [GOLDEN, RAND22, *RECT_SINGLE.values()], ids=["golden", "rand22", *RECT_SINGLE]

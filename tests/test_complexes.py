@@ -35,7 +35,7 @@ from biimplicit.modnull import prime_stream, rank_mod_p
 from biimplicit.parser import parse_poly
 from biimplicit.poly import Bidegree, BigradedPoly, Parametrization
 
-from conftest import GOLDEN_STRINGS, matmul, random_bipoly, random_parametrization
+from conftest import GOLDEN_STRINGS, matmul, random_bipoly, random_parametrization, residues
 
 DATA = Path(__file__).parent / "data"
 
@@ -103,10 +103,10 @@ class TestKoszulSlice:
         sl = koszul_slice(F, p, mu)
         assert sl.matrix.data == _block_layout(F, p, mu)
         prime = 2**31 - 1
-        residues = sl.residues(prime)
-        assert residues.dtype == np.int64
-        assert residues.shape == (sl.matrix.rows, sl.matrix.cols)
-        assert residues.tolist() == [[x % prime for x in row] for row in sl.matrix.data]
+        values = sl.residues(prime)
+        assert values.dtype == np.int64
+        assert values.shape == (sl.matrix.rows, sl.matrix.cols)
+        assert values.tolist() == [[x % prime for x in row] for row in sl.matrix.data]
 
     @pytest.mark.parametrize(
         "scales, dtype",
@@ -449,7 +449,7 @@ class TestRankCertificate:
         M = build_matrix(F, nu)
         expected = complex_summary(F, M).dims
         monkeypatch.setattr(
-            complexes, "rank_mod_p", lambda rows, cols, p: rank_mod_p(rows, cols, p) - 1
+            complexes, "rank_mod_p", lambda A, p: rank_mod_p(A, p) - 1
         )
         fallbacks = _counting(monkeypatch, "exact_rank")
         assert complex_summary(F, M).dims == expected
@@ -559,7 +559,8 @@ class TestRankCertificate:
         F = complexes._integer_multiple(F)
         for k in (2, 1):
             K = koszul_slice(F, k, Bidegree(*nu) + 2 * F.bidegree).matrix
-            assert rank_mod_p(K.data, K.cols, next(prime_stream())) == exact_rank(K)
+            p = next(prime_stream())
+            assert rank_mod_p(residues(K.data, K.cols, p), p) == exact_rank(K)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -595,6 +596,7 @@ class TestRankCertificate:
         K2 = koszul_slice(complexes._integer_multiple(F), 2, nu + 2 * d).matrix
         K3 = koszul_slice(F, 3, nu + 2 * d).matrix
         closed_form = K2.cols - exact_rank(K3)
-        missed = rank_mod_p(K2.data, K2.cols, next(prime_stream())) != closed_form
+        p = next(prime_stream())
+        missed = rank_mod_p(residues(K2.data, K2.cols, p), p) != closed_form
         k1_fits = graded_basis(nu + 2 * d).dim <= K2.cols
         assert ((1, tuple(nu + 2 * d)) in degrees) == (missed and k1_fits)

@@ -47,6 +47,7 @@ from biimplicit.poly import (
 from conftest import (
     GOLDEN_STRINGS,
     check_kept_rows,
+    coefficient_rows,
     gram_det,
     lin,
     matrix_of,
@@ -64,9 +65,9 @@ def golden_matrix(golden_F):
     return build_matrix(golden_F, (3, 2))
 
 
-def entries_at(M, columns) -> list[list[TPoly]]:
-    """The square minor of M's rational entries at `columns`."""
-    return [[row[j] for j in columns] for row in M.entries]
+def minor_at(M, columns) -> list[list[tuple]]:
+    """The square minor of M's rational coefficient rows at `columns`."""
+    return [[row[j] for j in columns] for row in M.coefficients]
 
 
 def naive_det(matrix) -> TPoly:
@@ -92,15 +93,11 @@ def _sympy_det(matrix) -> TPoly:
 
     ring, *T = sympy.ring("T1:5", sympy.QQ)
     rows = [
-        [sum((c * t for c, t in zip(_coefficients(e), T)), ring.zero) for e in row]
-        for row in matrix
+        [sum((c * t for c, t in zip(e, T)), ring.zero) for e in row]
+        for row in coefficient_rows(matrix)
     ]
     det = DomainMatrix(rows, (len(rows), len(rows)), ring.to_domain()).det()
     return TPoly({m: Fraction(int(c.numerator), int(c.denominator)) for m, c in det.terms()})
-
-
-def _coefficients(entry) -> tuple:
-    return tuple(entry.coefficient(tuple(int(i == t) for i in range(4))) for t in range(4))
 
 
 @st.composite
@@ -213,7 +210,7 @@ class TestSelectMaxMinor:
         cols = minor_determinants(M, 1, 1)[0]
         assert len(cols) == len(set(cols)) == 2
         assert cols == [0, 2]
-        assert not bareiss_det(entries_at(M, cols)).is_zero()
+        assert not bareiss_det(minor_at(M, cols)).is_zero()
 
     def test_zero_matrix(self):
         M = matrix_of(((lin(), lin()), (lin(), lin())))
@@ -261,34 +258,34 @@ class TestSelectMaxMinor:
         M = build_matrix(F, region(e).corners[corner] + Bidegree(*offset))
         assume(0 < M.rows < M.cols and M.rows <= 12)
         for columns in islice(matrixrep._proposals(M, seed, shuffle), 2):
-            assert not bareiss_det(entries_at(M, columns)).is_zero()
+            assert not bareiss_det(minor_at(M, columns)).is_zero()
 
 
 class TestBareissDet:
     def test_one_by_one(self):
-        assert bareiss_det([[tp("T1")]]) == tp("T1")
+        assert bareiss_det([[(1, 0, 0, 0)]]) == tp("T1")
 
     def test_two_by_two(self):
         M = [[lin(c1=1), lin(c2=1)], [lin(c3=1), lin(c4=1)]]
-        assert bareiss_det(M) == tp("T1*T4-T2*T3")
+        assert bareiss_det(coefficient_rows(M)) == tp("T1*T4-T2*T3")
 
     def test_singular(self):
         M = [[lin(c1=1), lin(c1=1)], [lin(c2=1), lin(c2=1)]]
-        assert bareiss_det(M).is_zero()
+        assert bareiss_det(coefficient_rows(M)).is_zero()
 
     def test_fractional_entries(self):
         M = [
             [lin(c1=Fraction(1, 2)), lin(c2=Fraction(1, 3))],
             [lin(c3=3), lin(c4=5)],
         ]
-        assert bareiss_det(M) == tp("T1*T4") * Fraction(5, 2) - tp("T2*T3")
+        assert bareiss_det(coefficient_rows(M)) == tp("T1*T4") * Fraction(5, 2) - tp("T2*T3")
 
     def test_matches_naive_expansion(self):
         rng = random.Random(12)
         for _ in range(40):
             n = rng.randint(2, 4)
             M = [[lin(*(rng.randint(-4, 4) for _ in range(4))) for _ in range(n)] for _ in range(n)]
-            assert bareiss_det(M) == naive_det(M)
+            assert bareiss_det(coefficient_rows(M)) == naive_det(M)
 
     def test_homogeneity(self):
         rng = random.Random(13)
@@ -301,30 +298,36 @@ class TestBareissDet:
                 ]
                 for _ in range(n)
             ]
-            det = bareiss_det(M)
+            det = bareiss_det(coefficient_rows(M))
             assert det.is_zero() or (
                 det.is_homogeneous() and det.total_degree() == n
             )
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            bareiss_det([[tp("T1"), tp("T2")]])
+            bareiss_det([[(1, 0, 0, 0), (0, 1, 0, 0)]])
 
-    @pytest.mark.parametrize("entry", ["T1^2", "T1+1", "3", "T1*T2"])
+    @pytest.mark.parametrize(
+        "entry",
+        [tp("T1^2"), tp("T1+1"), tp("3"), tp("T1*T2"), tp("T1"), (1, 0, 0), [1, 0, 0, 0], None],
+        ids=["T1^2", "T1+1", "3", "T1*T2", "T1", "3-tuple", "list", "None"],
+    )
     def test_non_linear_entry_rejected(self, entry):
+        # an entry is the 4-tuple of its coefficients; a TPoly, linear or
+        # not, and any other shape are rejected
         with pytest.raises(ValueError):
-            bareiss_det([[tp(entry), tp("T2")], [tp("T3"), tp("T4")]])
+            bareiss_det([[entry, (0, 1, 0, 0)], [(0, 0, 1, 0), (0, 0, 0, 1)]])
 
     def test_peeled_sign(self):
         M = [[lin(), lin(), lin(c1=1)], [lin(), lin(c2=1), lin()], [lin(c3=1), lin(), lin()]]
-        assert bareiss_det(M) == -tp("T1*T2*T3")
+        assert bareiss_det(coefficient_rows(M)) == -tp("T1*T2*T3")
         M = [[lin(c1=1), lin(c2=1), lin()], [lin(c3=1), lin(c4=1), lin()], [lin(), lin(), lin(c1=2)]]
-        assert bareiss_det(M) == tp("2*T1^2*T4-2*T1*T2*T3")
+        assert bareiss_det(coefficient_rows(M)) == tp("2*T1^2*T4-2*T1*T2*T3")
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(linear_matrices())
     def test_agrees_with_reference(self, M):
-        det = bareiss_det(M)
+        det = bareiss_det(coefficient_rows(M))
         assert det == (naive_det(M) if len(M) <= 4 else _sympy_det(M))
         assert det.is_zero() or (det.is_homogeneous() and det.total_degree() == len(M))
 
@@ -340,7 +343,7 @@ class TestBareissDet:
         four = prod(next(stream) for _ in range(4))
         c = isqrt(four // 2) + 1
         assert four // 2 < c * c < four and 2**61 < c < 2**62
-        core = [[(c, 0, 0, 0), None], [None, (0, sign * c, 0, 0)]]
+        core = [[(c, 0, 0, 0), (0, 0, 0, 0)], [(0, 0, 0, 0), (0, sign * c, 0, 0)]]
         assert _core_det(core, 2) == TPoly({(1, 1, 0, 0): sign * c * c})
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -381,13 +384,13 @@ class TestBareissDet:
             for j in range(n):
                 entry = tuple(rng.randint(-6, 6) if t in variables else 0 for t in range(4))
                 keep = dense or i == j or rng.random() < 0.3
-                row.append(entry if keep and any(entry) else None)
+                row.append(entry if keep else (0, 0, 0, 0))
             core.append(row)
 
         bounds = [
             min(
-                sum(any(e and e[t] for e in row) for row in core),
-                sum(any(row[j] and row[j][t] for row in core) for j in range(n)),
+                sum(any(e[t] for e in row) for row in core),
+                sum(any(row[j][t] for row in core) for j in range(n)),
             )
             for t in range(4)
         ]
@@ -410,7 +413,7 @@ class TestBareissDet:
         assert batches and all(size == lower_set for size in batches)
         for T in [(2, -3, 5, 7), (1, 4, -1, 3), (-5, 2, 3, -2)]:
             numeric = [
-                [sum(c * x for c, x in zip(e, T)) if e else 0 for e in row] for row in core
+                [sum(c * x for c, x in zip(e, T)) for e in row] for row in core
             ]
             assert det.evaluate(T) == matrixrep._integer_det(numeric)
 
@@ -496,7 +499,7 @@ def pipeline_cases(draw):
         cols = minor_determinants(M, 0, 1)[0]
     except RankDeficientError:
         assume(False)
-    return F, reduce_equation([bareiss_det(entries_at(M, cols))])
+    return F, reduce_equation([bareiss_det(minor_at(M, cols))])
 
 
 @st.composite
@@ -1028,7 +1031,7 @@ class TestImplicitEquation:
         assert len({tuple(c) for c in column_sets}) == 3
         # each determinant is taken on the minor's integer columns
         assert dets == [
-            bareiss_det(matrixrep._linear_matrix(M._integer_columns(c)))
+            bareiss_det([[row[j] for j in c] for row in M._integer_coefficients])
             for c in column_sets
         ]
 
@@ -1098,7 +1101,7 @@ class TestLatticeBasis:
         assert len(kernel) == len(basis)
         assert gram_det(syzygies) == gram_det(kernel)
         if M.rows == M.cols:
-            canonical = bareiss_det(M.entries)
+            canonical = bareiss_det(M.coefficients)
             assert reduce_equation(minor_determinants(M, seed, 1)[1]) == canonical.primitive()
 
     def test_golden_bound_shrinks(self, monkeypatch):
@@ -1121,7 +1124,7 @@ class TestEndToEndSmall:
         M = build_matrix(segre_F, nu)
         assert (M.rows, M.cols) == (2, 2)
         cols = minor_determinants(M, 0, 1)[0]
-        eq = reduce_equation([bareiss_det(entries_at(M, cols))])
+        eq = reduce_equation([bareiss_det(minor_at(M, cols))])
         assert eq == tp("T1*T4-T2*T3")
         assert verify_substitution(eq, segre_F)
 
@@ -1157,7 +1160,7 @@ class TestEndToEndSmall:
                 cols = minor_determinants(M, checked, 1)[0]
             except RankDeficientError:
                 continue
-            det = bareiss_det(entries_at(M, cols))
+            det = bareiss_det(minor_at(M, cols))
             summary = complex_summary(F, M)
             if summary.dims[2] == 0 and summary.dims[3] == 0 and M.rows == M.cols:
                 # two-term slice: the raw determinant degree is predicted

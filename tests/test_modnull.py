@@ -23,7 +23,7 @@ from biimplicit.modnull import (
 )
 from biimplicit.linalg import QMatrix, exact_rank
 
-from conftest import check_kept_rows
+from conftest import check_kept_rows, residues
 
 PRIMES = (7, 101, 2**31 - 1)
 
@@ -113,7 +113,7 @@ def test_rank_mod_p_agrees_with_gauss_jordan(case, shift):
     # same residues
     rows, cols, p = case
     shifted = [[x + shift * p for x in row] for row in rows]
-    assert rank_mod_p(shifted, cols, p) == len(_reference_nullspace(rows, cols, p)[0])
+    assert rank_mod_p(residues(shifted, cols, p), p) == len(_reference_nullspace(rows, cols, p)[0])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -134,7 +134,7 @@ def test_rank_mod_p_is_the_rank_over_q_for_small_entries(case, transpose):
     if transpose:
         rows, cols = [list(c) for c in zip(*rows)] if rows else [], len(rows)
     rank = exact_rank(QMatrix(len(rows), cols, rows))
-    assert rank_mod_p(rows, cols, 2**31 - 1) == rank
+    assert rank_mod_p(residues(rows, cols, 2**31 - 1), 2**31 - 1) == rank
 
 
 @st.composite
@@ -169,11 +169,11 @@ def rank_cases(draw):
 @given(rank_cases(), st.sampled_from(["none", "small", "huge"]))
 def test_rank_mod_p_on_tall_and_wide_matrices(case, shift):
     # entries shifted by multiples of p, negative ones included; huge
-    # shifts reach 2^70, past int64
+    # shifts reach 2^70, past int64, and have the same residues
     rows, cols, p, rng = case
     k = {"none": 0, "small": 2, "huge": 2**70 // p}[shift]
     shifted = [[x + rng.randint(-k, k) * p for x in row] for row in rows]
-    assert rank_mod_p(shifted, cols, p) == len(_reference_nullspace(rows, cols, p)[0])
+    assert rank_mod_p(residues(shifted, cols, p), p) == len(_reference_nullspace(rows, cols, p)[0])
 
 
 def test_rank_mod_p_is_a_lower_bound():
@@ -181,10 +181,10 @@ def test_rank_mod_p_is_a_lower_bound():
     p = 2**31 - 1
     rows = [[p, 1], [0, 1]]
     assert exact_rank(QMatrix(2, 2, rows)) == 2
-    assert rank_mod_p(rows, 2, p) == 1
-    assert rank_mod_p([[3 * p**3, -(p**2)], [5, 0]], 2, p) == 1
-    assert rank_mod_p([[7 * p**3]], 1, p) == 0
-    assert rank_mod_p([], 0, p) == 0
+    assert rank_mod_p(residues(rows, 2, p), p) == 1
+    assert rank_mod_p(residues([[3 * p**3, -(p**2)], [5, 0]], 2, p), p) == 1
+    assert rank_mod_p(residues([[7 * p**3]], 1, p), p) == 0
+    assert rank_mod_p(residues([], 0, p), p) == 0
 
 
 def test_all_zero_matrix():

@@ -3,8 +3,9 @@ with key order, against the files in tests/data.  The `implicitize`
 reports are stored without their `timings`, the only field that changes
 between runs.
 
-segre.json is the Segre map, rand12.json and rand22.json the first (1,2)
-and (2,2) maps drawn by conftest.random_parametrization(random.Random(7), e),
+segre.json is the Segre map, rand11.json, rand12.json and rand22.json the
+first (1,1), (1,2) and (2,2) maps drawn by
+conftest.random_parametrization(random.Random(7), e),
 golden.json the golden bidegree-(2,3) map, point.json (st, 2st, 3st, 4st)
 and line.json (uv, -2uv, -4uv, -2uv-2sv) two maps whose polynomials share a
 common factor; each expected file was written by running the
@@ -28,6 +29,11 @@ CASES = {
     # 6x12: three minors, an extraneous factor and its warning
     "segre.nu21.minors3.implicitize.json": [
         "implicitize", "segre.json", "--nu", "2,1", "--minors", "3"
+    ],
+    # 12x28: three peeled minors of integer columns and their gcd, the
+    # degree-2 equation, verified on the grid
+    "rand11.nu32.minors3.implicitize.json": [
+        "implicitize", "rand11.json", "--nu", "3,2", "--minors", "3"
     ],
     # 9x16 with the MacRae-degree warning
     "rand12.nu22.implicitize.json": ["implicitize", "rand12.json", "--nu", "2,2"],
