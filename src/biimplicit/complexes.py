@@ -15,7 +15,8 @@ every coefficient fits, by index arithmetic: s^a u^(k-a) t^b v^(l-b) is entry
 the slice as rows of Python numbers, rank mod p as int64 residues.
 
 A run builds each slice once.  K1 is eliminated over Q in `syzygy_basis`,
-whose canonical nullspace vectors give the matrix columns.  `complex_summary`
+whose canonical nullspace vectors are the only form in which the syzygies
+are held: `build_matrix` writes the matrix columns from them.  `complex_summary`
 reads dim Z3 off the bidegree of gcd(f1..f4) and builds no K3.  It ranks K2,
 a slice of the f_i's primitive parts, modulo a word-sized prime, which can
 only underestimate a rank, and keeps the rank when it meets an upper bound
@@ -34,17 +35,15 @@ from math import comb
 import numpy as np
 
 from .linalg import (
-    GradedBasis,
     QMatrix,
     exact_rank,
     graded_basis,
     # unused here; kept because perfbench/spans.py wraps complexes.multiplication_matrix
     multiplication_matrix,  # noqa: F401
-    poly_from_vector,
     rref_nullspace,
 )
 from .modnull import prime_stream, rank_mod_p
-from .poly import Bidegree, BigradedPoly, InputError, Parametrization, _gcd, as_bidegree
+from .poly import Bidegree, InputError, Parametrization, _gcd, as_bidegree
 
 # Most cells (rows x cols) of one dense Koszul slice, checked before the slice
 # is allocated.  The largest slice of a strand, K2, has
@@ -61,18 +60,10 @@ class InvalidBidegreeError(InputError):
 
 @dataclass(frozen=True, eq=False)
 class KoszulSlice:
-    """One bidegree slice of a Koszul differential, with its block layout.
+    """One bidegree slice of a Koszul differential, in the block layout
+    that `koszul_slice` documents."""
 
-    Blocks of columns are indexed by size-p subsets of {1,2,3,4}, blocks of
-    rows by size-(p-1) subsets, both in lexicographic subset order; each
-    carries the graded basis of the corresponding shifted piece.
-    """
-
-    p: int
-    degree: Bidegree
     array: np.ndarray
-    row_blocks: tuple[tuple[tuple[int, ...], GradedBasis], ...]
-    col_blocks: tuple[tuple[tuple[int, ...], GradedBasis], ...]
 
     @cached_property
     def matrix(self) -> QMatrix:
@@ -84,27 +75,6 @@ class KoszulSlice:
         if self.array.dtype == object and any(type(x) is not int for x in self.array.flat):
             raise TypeError("a slice with non-integer entries has no residues")
         return (self.array % prime).astype(np.int64, copy=False)
-
-
-@dataclass(frozen=True)
-class SyzygyBasis:
-    """Independent degree-nu syzygies of f1..f4: K1's canonical nullspace
-    vectors, component i of vector v being v[i*n : (i+1)*n] over S_nu."""
-
-    nu: Bidegree
-    vectors: list[list]
-
-    @cached_property
-    def columns(self) -> tuple[tuple[BigradedPoly, BigradedPoly, BigradedPoly, BigradedPoly], ...]:
-        """Each syzygy as its four components, built on first use."""
-        basis, n = graded_basis(self.nu), _dim(self.nu)
-        return tuple(
-            tuple(poly_from_vector(v[i * n : (i + 1) * n], basis) for i in range(4))
-            for v in self.vectors
-        )
-
-    def __len__(self) -> int:
-        return len(self.vectors)
 
 
 @dataclass(frozen=True)
@@ -125,7 +95,13 @@ class ComplexSummary:
 
 
 def koszul_slice(F: Parametrization, p: int, target_degree) -> KoszulSlice:
-    """Exact matrix of the p-th Koszul differential in one bidegree slice."""
+    """Exact matrix of the p-th Koszul differential in one bidegree slice.
+
+    Blocks of columns are indexed by the size-p subsets of {1,2,3,4}, blocks
+    of rows by the size-(p-1) subsets, both in lexicographic subset order.
+    Within a block, columns follow `graded_basis(mu - p*d)` and rows
+    `graded_basis(mu - (p-1)*d)`.
+    """
     if not 1 <= p <= 4:
         raise ValueError("homological index must be in 1..4")
     mu = as_bidegree(target_degree)
@@ -139,10 +115,9 @@ def koszul_slice(F: Parametrization, p: int, target_degree) -> KoszulSlice:
             f"{MAX_SLICE_CELLS} cells"
         )
     col_basis = graded_basis(col_deg)
-    row_basis = graded_basis(row_deg)
     col_subsets = list(combinations((1, 2, 3, 4), p))
     row_subsets = list(combinations((1, 2, 3, 4), p - 1))
-    m, n = row_basis.dim, col_basis.dim
+    m, n = _dim(row_deg), col_basis.dim
     small = all(type(c) is int and abs(c) < 2**63 for f in F.polys for c in f.terms.values())
     A = np.zeros((m * len(row_subsets), n * len(col_subsets)), np.int64 if small else object)
     # the target row of each term of f_i at each source column, and its coefficient
@@ -154,13 +129,7 @@ def koszul_slice(F: Parametrization, p: int, target_degree) -> KoszulSlice:
         for pos, i in enumerate(I):
             r0 = row_subsets.index(I[:pos] + I[pos + 1 :]) * m
             A[r0 + rows[i - 1], bj * n + np.arange(n)] = (-1) ** pos * values[i - 1]
-    return KoszulSlice(
-        p=p,
-        degree=mu,
-        array=A,
-        row_blocks=tuple((J, row_basis) for J in row_subsets),
-        col_blocks=tuple((I, col_basis) for I in col_subsets),
-    )
+    return KoszulSlice(A)
 
 
 def _dim(deg: Bidegree) -> int:
@@ -168,15 +137,14 @@ def _dim(deg: Bidegree) -> int:
     return (deg.d1 + 1) * (deg.d2 + 1) if min(deg) >= 0 else 0
 
 
-def syzygy_basis(F: Parametrization, nu) -> SyzygyBasis:
-    """Canonical basis of the degree-nu syzygies of f1..f4.
+def syzygy_basis(F: Parametrization, nu) -> list[list]:
+    """Canonical basis of the degree-nu syzygies of f1..f4: the canonical
+    nullspace vectors of the first Koszul slice.
 
-    Its vectors are the canonical nullspace of the first Koszul slice;
-    every syzygy (a1..a4) satisfies sum(a_i * f_i) = 0 exactly.
+    Component i of a vector v is v[i*n : (i+1)*n], the coordinates of a_i in
+    `graded_basis(nu)`, n = dim S_nu; sum(a_i * f_i) = 0 exactly.
     """
-    nu = as_bidegree(nu)
-    _, nullbasis = rref_nullspace(koszul_slice(F, 1, nu + F.bidegree).matrix)
-    return SyzygyBasis(nu=nu, vectors=nullbasis)
+    return rref_nullspace(koszul_slice(F, 1, as_bidegree(nu) + F.bidegree).matrix)[1]
 
 
 def region(e) -> RegionSpec:

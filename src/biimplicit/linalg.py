@@ -1,5 +1,8 @@
 """Monomial bases of graded pieces and exact linear algebra over Q.
 
+A vector over a graded piece lists its coordinates in `graded_basis`
+order.
+
 Rank and nullspace come from one fraction-free elimination over Z.  Each
 row is divided by its rational content and stored as a sparse primitive
 integer row {col: int}; scaling rows leaves the row space alone,
@@ -25,10 +28,6 @@ from math import gcd, lcm
 
 from .poly import Bidegree, BigradedPoly, Monomial, as_bidegree, exact
 from .poly import divide_content, integer_primitive, rational_content
-
-
-class DegreeMismatchError(ValueError):
-    """Nonzero polynomial offered against a basis of a different bidegree."""
 
 
 @dataclass(frozen=True)
@@ -71,29 +70,6 @@ def graded_basis(deg) -> GradedBasis:
     return _graded_basis_cached(deg.d1, deg.d2)
 
 
-def coeff_vector(p: BigradedPoly, basis: GradedBasis) -> list:
-    """Coordinates of p in the basis; p must be 0 or bihomogeneous of the
-    basis bidegree."""
-    vec = [0] * basis.dim
-    if p.is_zero():
-        return vec
-    if p.bidegree() != basis.bidegree:
-        raise DegreeMismatchError(
-            f"polynomial of bidegree {p.bidegree()} against basis of "
-            f"bidegree {basis.bidegree}"
-        )
-    for mono, c in p.terms.items():
-        vec[basis.index_of(mono)] = c
-    return vec
-
-
-def poly_from_vector(vec, basis: GradedBasis) -> BigradedPoly:
-    """Inverse of coeff_vector."""
-    return BigradedPoly(
-        {m: c for m, c in zip(basis.monomials, vec) if c}
-    )
-
-
 class QMatrix:
     """Dense matrix over Q, stored row-major as lists of int/Fraction."""
 
@@ -109,26 +85,6 @@ class QMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
         return cls(rows, cols, [[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def from_rows(cls, rows: list[list]) -> "QMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        return cls(nrows, ncols, [list(r) for r in rows])
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        return all(
-            a == b
-            for ra, rb in zip(self.data, other.data)
-            for a, b in zip(ra, rb)
-        )
 
     def __repr__(self) -> str:
         return f"QMatrix({self.rows}x{self.cols})"

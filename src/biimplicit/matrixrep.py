@@ -190,11 +190,12 @@ class MatrixRep:
 def build_matrix(F: Parametrization, nu) -> MatrixRep:
     """Entry (m, j) is (v[m], v[n+m], v[2n+m], v[3n+m]), v syzygy vector j."""
     nu = as_bidegree(nu)
+    vectors = syzygy_basis(F, nu)  # refuses an oversized strand before S_nu is listed
     basis = graded_basis(nu)
     n, zero = basis.dim, (0, 0, 0, 0)
     columns = [
         [e if any(e) else zero for e in zip(v[:n], v[n : 2 * n], v[2 * n : 3 * n], v[3 * n :])]
-        for v in syzygy_basis(F, nu).vectors
+        for v in vectors
     ]
     return MatrixRep(nu, basis, tuple(zip(*columns)) if columns else ((),) * n)
 

@@ -61,6 +61,20 @@ def segre_F():
     return Parametrization.from_polys(parse_poly(t) for t in SEGRE_STRINGS)
 
 
+def syzygy_columns(vectors, nu) -> list[tuple]:
+    """Each vector of `syzygy_basis(F, nu)` as its components (a1, a2, a3,
+    a4), component i being v[i*n : (i+1)*n] over `graded_basis(nu)`."""
+    monomials = graded_basis(nu).monomials
+    n = len(monomials)
+    return [
+        tuple(
+            BigradedPoly({m: c for m, c in zip(monomials, v[i * n : (i + 1) * n]) if c})
+            for i in range(4)
+        )
+        for v in vectors
+    ]
+
+
 def random_bipoly(rng: random.Random, deg, density=0.8, bound=9) -> BigradedPoly:
     """Random nonzero bihomogeneous polynomial of the given bidegree."""
     basis = graded_basis(deg)

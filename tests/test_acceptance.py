@@ -19,6 +19,7 @@ from conftest import (
     matvec,
     random_bipoly,
     random_parametrization,
+    syzygy_columns,
 )
 
 from biimplicit.cli import InputSpec, main, run_implicitize
@@ -156,7 +157,7 @@ def test_criterion_6a_koszul_composition():
         mu = Bidegree(rng.randint(0, 2 * p), rng.randint(0, 2 * p))
         outer = koszul_slice(F, p - 1, mu)
         inner = koszul_slice(F, p, mu)
-        assert matmul(outer.matrix, inner.matrix).is_zero()
+        assert not any(map(any, matmul(outer.matrix, inner.matrix).data))
         cases += 1
 
 
@@ -167,7 +168,7 @@ def test_criterion_6b_syzygy_identity():
         deg = Bidegree(rng.randint(1, 2), rng.randint(1, 2))
         F = random_parametrization(rng, deg)
         nu = Bidegree(rng.randint(0, 2), rng.randint(0, 2))
-        for column in syzygy_basis(F, nu).columns:
+        for column in syzygy_columns(syzygy_basis(F, nu), nu):
             total = sum(
                 (a * f for a, f in zip(column, F.polys)), BigradedPoly.zero()
             )

@@ -18,13 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biimplicit
-from biimplicit import cli, complexes
+from biimplicit import cli, complexes, matrixrep
 from biimplicit.complexes import (
     MAX_SLICE_CELLS,
     InvalidBidegreeError,
     koszul_slice,
 )
-from biimplicit.linalg import DegreeMismatchError
 from biimplicit.matrixrep import (
     AllZeroError,
     AmbiguousNullspaceError,
@@ -95,8 +94,12 @@ class TestErrorBases:
         assert issubclass(cls, PipelineError) and issubclass(cls, builtin)
         assert not issubclass(cls, InputError)
 
-    def test_bug_signals_stay_outside_both_bases(self):
-        assert not issubclass(DegreeMismatchError, (InputError, PipelineError))
+    def test_bug_signals_stay_outside_both_bases(self, segre_F):
+        # a call the program never makes is a bug, not bad input or a
+        # pipeline failure: it must not be reported as either
+        with pytest.raises(ValueError) as bad_index:
+            koszul_slice(segre_F, 5, (1, 1))
+        assert not isinstance(bad_index.value, (InputError, PipelineError))
 
     def test_exported_once(self):
         assert biimplicit.InputError is cli.InputError is InputError
@@ -164,6 +167,33 @@ class TestSliceLimit:
         )
         K = koszul_slice(F, 2, (15, 11)).matrix  # nu=(7,3), the default
         assert K.rows * K.cols == 73728 <= MAX_SLICE_CELLS
+
+    def test_oversized_nu_refused_before_its_basis(self, segre_F, monkeypatch):
+        # S_nu at nu=(10^5, 10^5) has 10^10 monomials: the K1 cell count
+        # must refuse the strand before build_matrix lists them
+        def no_basis(deg):
+            raise AssertionError(f"graded_basis({deg}) asked for before the refusal")
+
+        monkeypatch.setattr(matrixrep, "graded_basis", no_basis)
+        with pytest.raises(InputError, match="strand too large"):
+            matrixrep.build_matrix(segre_F, (10**5, 10**5))
+
+    @pytest.mark.parametrize(
+        "argv, document",
+        [
+            (["hilbert", "--nu", "100000,100000"], {}),
+            (["matrix", "--nu", "100000,100000"], {}),
+            (["implicitize", "--nu", "100000,100000"], {}),
+            (["implicitize"], {"nu": [100000, 100000]}),
+        ],
+    )
+    def test_oversized_nu_exits_1_at_once(self, tmp_path, argv, document):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({**json.loads((DATA / "segre.json").read_text()), **document}))
+        result, seconds = run_timed(argv[0], str(path), *argv[1:])
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr.startswith("error: strand too large")
+        assert seconds < 2
 
 
 HANG_INPUTS = [

@@ -14,7 +14,6 @@ from biimplicit.cli import InputSpec, run_implicitize
 from biimplicit.complexes import region, suggested_nu, syzygy_basis
 from biimplicit.linalg import (
     QMatrix,
-    coeff_vector,
     exact_rank,
     graded_basis,
     independent_columns,
@@ -53,6 +52,7 @@ from conftest import (
     matrix_of,
     random_bipoly,
     random_parametrization,
+    syzygy_columns,
 )
 
 
@@ -170,10 +170,10 @@ class TestBuildMatrix:
         }[name]
         M = build_matrix(F, nu)
         basis = M.row_basis
-        for j, column in enumerate(syzygy_basis(F, nu).columns):
-            vecs = [coeff_vector(a, basis) for a in column]
-            for r in range(basis.dim):
-                coefficients = tuple(vecs[i][r] for i in range(4))
+        for j, column in enumerate(syzygy_columns(syzygy_basis(F, nu), nu)):
+            for m in basis.monomials:
+                r = basis.index_of(m)
+                coefficients = tuple(a.coefficient(m) for a in column)
                 assert M.coefficients[r][j] == coefficients
                 assert M.entries[r][j] == lin(*coefficients)
         zeros = [entry for row in M.entries for entry in row if entry.is_zero()]
@@ -190,9 +190,7 @@ class TestBuildMatrix:
     def test_single_component_column(self):
         # a column supported in one component contributes only that T variable
         v = parse_poly("t+2*v")
-        basis = graded_basis((0, 1))
-        vec = coeff_vector(v, basis)
-        column = [lin(vec[r]) for r in range(basis.dim)]
+        column = [lin(v.coefficient(m)) for m in graded_basis((0, 1)).monomials]
         assert [str(c) for c in column] == ["T1", "2*T1"]
 
 
@@ -715,9 +713,7 @@ class TestInterpolationOracle:
                 if (pt[0], pt[1]) != (0, 0) and (pt[2], pt[3]) != (0, 0):
                     break
             rows.append([f.evaluate(pt) for f in golden_F.polys])
-        from biimplicit.linalg import QMatrix
-
-        assert exact_rank(QMatrix.from_rows(rows)) == 4
+        assert exact_rank(QMatrix(12, 4, rows)) == 4
         with pytest.raises(NoEquationError):
             interpolation_oracle(golden_F, 1, seed=31)
 
