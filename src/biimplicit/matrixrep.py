@@ -775,12 +775,17 @@ def _lattice_reconstruct(
 
 def _sample_matrix_mod_p(images, exponents: np.ndarray, degree: int, p: int):
     """Monomial values at the image points modulo p, one row per point, one
-    column per row of `exponents`; every product stays below 2^62."""
+    column per row of `exponents`.  Each point's products T1^a T2^b and
+    T3^c T4^d mod p, a, b, c, d <= degree, fill two tables, so a monomial is
+    one product of an entry of each; every product stays below 2^62."""
     V = np.array([[x % p for x in T] for T in images], dtype=np.int64)
     P = np.ones((len(images), 4, degree + 1), dtype=np.int64)
     for k in range(1, degree + 1):
         P[:, :, k] = P[:, :, k - 1] * V % p
-    A = P[:, 0, exponents[:, 0]]
-    for i in range(1, 4):
-        A = A * P[:, i, exponents[:, i]] % p
+    n = degree + 1
+    T12 = (P[:, 0, :, None] * P[:, 1, None, :] % p).reshape(len(images), n * n)
+    T34 = (P[:, 2, :, None] * P[:, 3, None, :] % p).reshape(len(images), n * n)
+    A = T12[:, exponents[:, 0] * n + exponents[:, 1]]
+    A *= T34[:, exponents[:, 2] * n + exponents[:, 3]]
+    A %= p
     return A

@@ -12,18 +12,23 @@ slices of a strand, a few hundred rows and columns with most entries zero,
 that is about twice as fast as the panels below, whose products only pay
 off on larger, denser matrices.
 
-The forward elimination takes the columns in panels.  Pivots inside a panel
-touch only the panel's columns and record their multipliers; the rest of
-the matrix then catches up once per panel, the pivot rows through one
-product with the inverse of the panel's k x k lower-triangular factor L11
-and the rows below them through one product L21 @ U12 mod p.  Each product
-runs as two float64 BLAS products on 16-bit halves of its left factor,
-whose partial sums stay below 2^53 and so are exact, taken over chunks of
-rows to bound the float temporaries.  This is the delayed reduction of
-Dumas, Giorgi and Pernet (FFLAS-FFPACK, ACM TOMS 2008); taking the first
-nonzero of each column as pivot keeps the column rank profile, so the
-pivots and echelon rows are those of elimination pivot by pivot.  The
-rows of the matrix that the echelon rows came from are reported too.
+The forward elimination takes the columns in panels.  Only a panel's top
+block of rows is eliminated pivot by pivot, in the panel's columns, with
+its multipliers recorded; the rows below the block take all of theirs in
+one product with the inverse of the block's unit upper-triangular factor
+U11, unless one of them would have been the first nonzero of a column,
+and then the whole panel goes pivot by pivot.  The rest of the matrix
+catches up once per panel, the pivot rows through one product with the
+inverse of the panel's k x k lower-triangular factor L11 and the rows
+below them through one product L21 @ U12 mod p.  Each product runs as two
+float64 BLAS products on 16-bit halves of its left factor, whose partial
+sums stay below 2^53 and so are exact, taken over chunks of rows to bound
+the float temporaries.  This is the delayed reduction of Dumas, Giorgi and
+Pernet (FFLAS-FFPACK, ACM TOMS 2008); taking the first nonzero of each
+column as pivot keeps the column rank profile (Jeannerod, Pernet and
+Storjohann, J. Symb. Comput. 2013), so the pivots and echelon rows are
+those of elimination pivot by pivot.  The rows of the matrix that the
+echelon rows came from are reported too.
 
 Callers stay exact: the interpolation oracle certifies every answer with
 integer arithmetic, so a bad prime can cost time but never correctness; the
@@ -121,28 +126,48 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
     return r
 
 
-# Columns eliminated per panel, and rows per trailing-update product; the
-# chunk bounds the float64 temporaries of `_split_matmul_mod_p`.
+# Columns eliminated per panel; rows of a panel's top block, which takes the
+# panel's pivots unless a row below it must take one; and rows per
+# trailing-update product, which bounds the float64 temporaries.
 PANEL = 32
+TOP_ROWS = 2 * PANEL
 ROW_CHUNK = 128
 
 
-def _split_matmul_mod_p(L: np.ndarray, U: np.ndarray, p: int) -> np.ndarray:
-    """L @ U mod p for int64 matrices with entries in [0, p), p < 2^31, and
-    at most 64 columns in L, from two float64 (BLAS) products.
+def _reduce(x: np.ndarray, p: int) -> None:
+    """x mod p, in place, for an int64 array x, as x - (x // p) * p: numpy's
+    floor division by a scalar is about four times as fast as its
+    remainder, so on large arrays these three passes cost less than one
+    `%`."""
+    q = x // p
+    q *= p
+    x -= q
+
+
+def _split_matmul(L: np.ndarray, Uf: np.ndarray, p: int) -> np.ndarray:
+    """An int64 matrix congruent to L @ U mod p, with entries in
+    [0, 2^47 + 2^53), for L an int64 matrix with entries in [0, p),
+    p < 2^31, and at most 64 columns, and Uf = U as float64 with entries
+    in [0, p): two float64 (BLAS) products.
 
     L is split into 16-bit halves, L = Lhi * 2^16 + Llo.  Each term of
     Lhi @ U and Llo @ U is below 2^16 * 2^31 = 2^47, so every partial sum of
     at most 64 terms stays below 2^53: both products are exact in any
     summation order, with or without fused multiply-add.  They are combined
-    in int64 as (Lhi @ U mod p) * 2^16 + Llo @ U < 2^47 + 2^53.
+    in int64 as (Lhi @ U mod p) * 2^16 + Llo @ U.
     """
-    Uf = U.astype(np.float64)
     out = ((L >> 16).astype(np.float64) @ Uf).astype(np.int64)
-    out %= p
+    _reduce(out, p)
     out <<= 16
     out += ((L & 0xFFFF).astype(np.float64) @ Uf).astype(np.int64)
-    out %= p
+    return out
+
+
+def _split_matmul_mod_p(L: np.ndarray, U: np.ndarray, p: int) -> np.ndarray:
+    """L @ U mod p for int64 matrices with entries in [0, p), p < 2^31, and
+    at most 64 columns in L, by `_split_matmul`."""
+    out = _split_matmul(L, U.astype(np.float64), p)
+    _reduce(out, p)
     return out
 
 
@@ -158,15 +183,21 @@ def _echelon_mod_p(A: np.ndarray, p: int) -> tuple[list[int], np.ndarray, list[i
     must already lie in [0, p), so every product stays below 2^62.
 
     The columns are taken in panels of PANEL, c0 <= c < c1, starting at row
-    r0.  The panel's rows from r0 down are copied out (to their left, M is
-    zero there) and eliminated in the panel's columns only: each pivot
-    swaps rows, scales its row and clears the rows below.  The multiplier
-    of every row it clears, and its own inverse on the pivot row, go into a
-    rows x PANEL array L whose rows swap with the panel's and with M's
-    trailing columns.  Those columns then catch up: the k pivot rows by one
-    product with the inverse of their lower-triangular factor L11, and the
-    rows below all at once, M[r:, c1:] -= L21 @ U12 mod p, as one exact
-    `_split_matmul_mod_p` product per ROW_CHUNK rows.
+    r0.  Only the panel's top block, its first TOP_ROWS rows from r0 down
+    (to their left, M is zero there), is eliminated pivot by pivot, by
+    `_panel_echelon`; a row that is zero in a pivot column sinks inside the
+    block, whose row order then reaches M's trailing columns and the row
+    order once per panel.  The rows below the block take their multipliers
+    all at once, L21 = A21 @ U11^-1 mod p by `_lower_multipliers`, and
+    become zero in the panel's columns.  That is pivot-by-pivot elimination
+    unless a row below the block is nonzero in a column where the block has
+    no pivot, the one case in which a row below would have been the first
+    nonzero; the whole panel is then eliminated pivot by pivot instead.
+    The trailing columns catch up: the k pivot rows by one product with
+    the inverse of their lower-triangular factor L11, and the rows below
+    them all at once, M[r:, c1:] -= L21 @ U12 mod p, as one exact
+    `_split_matmul` product per ROW_CHUNK rows on U12 converted to float64
+    once per panel, with one reduction mod p after the subtraction.
     """
     M = A.copy()
     rows, cols = M.shape
@@ -178,56 +209,106 @@ def _echelon_mod_p(A: np.ndarray, p: int) -> tuple[list[int], np.ndarray, list[i
             break
         c1 = min(c0 + PANEL, cols)
         r0 = r
-        P = M[r0:, c0:c1].copy()
-        L = np.zeros_like(P)
-        k = 0
-        for c in range(c1 - c0):
-            if k == len(P):
+        top = min(rows - r0, TOP_ROWS)
+        while True:
+            P = M[r0 : r0 + top, c0:c1].copy()
+            piv, d, perm = _panel_echelon(P, p)
+            k = len(piv)
+            L = np.tril(P[:, piv], -1)
+            P[:, piv] -= L
+            L21 = _lower_multipliers(M[r0 + top :, c0:c1], P[:k], piv, p)
+            if L21 is not None:
                 break
-            if not P[k, c]:
-                nz = np.flatnonzero(P[k:, c])
-                if nz.size == 0:
-                    continue
-                i = k + int(nz[0])
-                P[[k, i]] = P[[i, k]]
-                L[[k, i]] = L[[i, k]]
-                M[[r0 + k, r0 + i], c1:] = M[[r0 + i, r0 + k], c1:]
-                order[[r0 + k, r0 + i]] = order[[r0 + i, r0 + k]]
-            inv = pow(int(P[k, c]), -1, p)
-            L[k, k] = inv
-            P[k, c:] = P[k, c:] * inv % p
-            L[k + 1 :, k] = P[k + 1 :, c]
-            P[k + 1 :, c:] -= np.outer(L[k + 1 :, k], P[k, c:])
-            P[k + 1 :, c:] %= p
-            pivots.append(c0 + c)
-            k += 1
-        M[r0:, c0:c1] = P
+            top = rows - r0
+        M[r0 : r0 + top, c0:c1] = P
+        M[r0 + top :, c0:c1] = 0
+        M[r0 : r0 + top, c1:] = M[r0 : r0 + top, c1:][perm]
+        order[r0 : r0 + top] = order[r0 : r0 + top][perm]
+        pivots += [c0 + c for c in piv]
         r = r0 + k
         if k == 0 or c1 == cols:
             continue
         U = M[r0:r, c1:]
-        U[:] = _split_matmul_mod_p(_lower_inverse_mod_p(L[:k], p), U, p)
+        U[:] = _split_matmul_mod_p(_lower_inverse_mod_p(L[:k], d, p), U, p)
+        Uf = U.astype(np.float64)
+        L21 = np.concatenate([L[k:], L21])
         for i in range(r, rows, ROW_CHUNK):
             block = M[i : i + ROW_CHUNK, c1:]
-            block -= _split_matmul_mod_p(L[i - r0 : i - r0 + ROW_CHUNK, :k], U, p)
-            block %= p
+            block -= _split_matmul(L21[i - r : i - r + ROW_CHUNK], Uf, p)
+            _reduce(block, p)
     return pivots, M[:r], order[:r].tolist()
 
 
-def _lower_inverse_mod_p(L: np.ndarray, p: int) -> np.ndarray:
-    """L11^-1 mod p for a panel's k pivot rows: L11 has the multipliers
-    L[:, :k] below its diagonal and the pivots 1 / diag(L) on it, so with
-    D = diag(L) and N = tril(L, -1) @ D, L11^-1 = D (I - N)(I + N^2)(I + N^4)..."""
-    k = len(L)
-    d = np.diagonal(L[:, :k])
-    S = (-np.tril(L[:, :k], -1) * d) % p
+def _panel_echelon(P: np.ndarray, p: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Pivot-by-pivot elimination, in place, of a panel's rows P in the
+    panel's columns: each column takes the first nonzero at or below the
+    current row k as pivot, swaps it up, scales it to 1 and clears the rows
+    below, which keep their multiplier in the pivot's column, as in LAPACK.
+    Returns (the pivot columns, the pivots' inverses, the order of P's rows
+    by their index at the start)."""
+    perm = np.arange(len(P))
+    piv: list[int] = []
+    d: list[int] = []
+    for c in range(P.shape[1]):
+        k = len(piv)
+        if k == len(P):
+            break
+        if not P[k, c]:
+            nz = np.flatnonzero(P[k:, c])
+            if nz.size == 0:
+                continue
+            i = k + int(nz[0])
+            P[[k, i]] = P[[i, k]]
+            perm[[k, i]] = perm[[i, k]]
+        d.append(pow(int(P[k, c]), -1, p))
+        P[k, c] = 1
+        row = P[k, c + 1 :]
+        row *= d[-1]
+        row %= p
+        rest = P[k + 1 :, c + 1 :]
+        rest -= P[k + 1 :, c, None] * row
+        rest %= p
+        piv.append(c)
+    return piv, np.array(d, dtype=np.int64), perm
+
+
+def _lower_multipliers(A21: np.ndarray, U: np.ndarray, piv: list[int], p: int):
+    """The multipliers L21 = A21[:, piv] @ U11^-1 mod p of the rows A21 below
+    a panel's top block, one column per pivot, where U holds the block's k
+    eliminated pivot rows in the panel's columns and U11 = U[:, piv] is unit
+    upper triangular.  None if A21 - L21 @ U is nonzero, which it can only
+    be in a column of the panel that is not in `piv`."""
+    if not len(A21):
+        return np.zeros((0, len(piv)), dtype=np.int64)
+    U11 = U[:, piv]
+    L21 = _split_matmul_mod_p(A21[:, piv], _unipotent_inverse_mod_p(np.triu(U11, 1), p), p)
+    free = [c for c in range(U.shape[1]) if c not in piv]
+    if free and (_split_matmul_mod_p(L21, U[:, free], p) != A21[:, free]).any():
+        return None
+    return L21
+
+
+def _lower_inverse_mod_p(L: np.ndarray, d: np.ndarray, p: int) -> np.ndarray:
+    """L11^-1 mod p for a panel's k pivot rows, whose factor L11 has the
+    multipliers L (k x k, strictly lower) below its diagonal and the pivots
+    1 / d on it: with D = diag(d), L11 = (I + L D) D^-1, so
+    L11^-1 = D (I + L D)^-1."""
+    return _unipotent_inverse_mod_p(L * d % p, p) * d[:, None] % p
+
+
+def _unipotent_inverse_mod_p(N: np.ndarray, p: int) -> np.ndarray:
+    """(I + N)^-1 mod p for a strictly triangular k x k matrix N with
+    entries in [0, p): since N^k = 0, it is (I - N)(I + N^2)(I + N^4)..."""
+    k = len(N)
+    S = -N % p
     X = np.eye(k, dtype=np.int64) + S
     span = 2
     while span < k:
         S = _split_matmul_mod_p(S, S, p)
-        X = (X + _split_matmul_mod_p(X, S, p)) % p
+        X += _split_matmul(X, S.astype(np.float64), p)
+        X %= p
         span *= 2
-    return X * d[:, None] % p
+    return X
 
 
 def nullspace_mod_p(A: np.ndarray, p: int) -> tuple[list[int], list, list[int]]:

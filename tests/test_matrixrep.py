@@ -745,8 +745,16 @@ class TestInterpolationOracle:
             interpolation_oracle(segre_F, 0)
 
     def test_sample_matrix_matches_exact_values(self):
+        # coordinates that are zero, past int64 and within 2^20 of +-2^70;
+        # each monomial is one product of a (T1, T2) and a (T3, T4) table
+        # entry mod p
         images = [(3, -7, 0, 1), (-(10**30), 2**70, 5, -1), (2**31 - 2, 1, -1, 9)]
-        for degree in (1, 3, 12):
+        rng = random.Random(3)
+        images += [
+            tuple(rng.choice((1, -1)) * (2**70 - rng.randrange(2**20)) for _ in range(4))
+            for _ in range(4)
+        ]
+        for degree in (1, 3, 8, 12):
             monos = matrixrep._degree_monomials(degree)
             exponents = np.array(monos, dtype=np.intp)
             for p in (7, 101, 2**31 - 1):

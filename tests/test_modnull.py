@@ -1,19 +1,26 @@
+import contextlib
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from math import gcd, isqrt, prod
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from biimplicit import modnull
+from biimplicit import matrixrep, modnull
 from biimplicit.modnull import (
     PANEL,
     ROW_CHUNK,
+    TOP_ROWS,
     _echelon_mod_p,
     _is_prime,
+    _reduce,
+    _split_matmul,
     _split_matmul_mod_p,
+    _unipotent_inverse_mod_p,
     crt_combine,
     det_mod_p,
     nullspace_mod_p,
@@ -300,11 +307,115 @@ def panel_matrices(draw):
     return A.astype(np.int64).reshape(nrows, cols), p
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(panel_matrices())
-def test_panel_elimination_agrees_with_pivot_by_pivot(case):
-    A, p = case
+@contextlib.contextmanager
+def _panel_paths():
+    """Counts the panels with rows below their top block: "fast" where
+    those rows took the block's pivots, "fallback" where one of them would
+    have taken a pivot and the whole panel went pivot by pivot."""
+    paths = Counter()
+    real = modnull._lower_multipliers
+
+    def spy(A21, *args):
+        L21 = real(A21, *args)
+        if len(A21):
+            paths["fallback" if L21 is None else "fast"] += 1
+        return L21
+
+    with mock.patch.object(modnull, "_lower_multipliers", spy):
+        yield paths
+
+
+def test_panel_elimination_agrees_with_pivot_by_pivot():
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(panel_matrices())
+    def check(case):
+        A, p = case
+        _check_against_reference_echelon(A, p)
+
+    # the examples reach both the top block's fast path and the fallback
+    with _panel_paths() as paths:
+        check()
+    assert paths["fast"] and paths["fallback"]
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_golden_first_sample_matrix(golden_F):
+    # golden's 515 x 455 sample matrix at its first prime: images of points
+    # with a zero coordinate are zero in whole runs of columns, so such rows
+    # keep reaching the current row where they are zero and sink below the
+    # next rows; they sink inside the top block, and no panel falls back
+    captured = []
+
+    def capture(A, p):
+        captured.append((A, p))
+        raise _Captured
+
+    with mock.patch.object(matrixrep, "nullspace_mod_p", capture), pytest.raises(_Captured):
+        matrixrep.interpolation_oracle(golden_F, 12, seed=0)
+    A, p = captured[0]
+    assert A.shape == (515, 455)
     _check_against_reference_echelon(A, p)
+    with _panel_paths() as paths:
+        kept = _echelon_mod_p(A, p)[2]
+    assert len(kept) == 454 and kept != sorted(kept)
+    assert paths["fast"] == 15 and not paths["fallback"]
+
+
+def test_zero_pivot_inside_the_top_block():
+    # row 10 repeats row 3, so it is zero at the first panel's eleventh
+    # pivot and sinks one row per pivot, inside each panel's top block
+    p = 101
+    A = np.random.default_rng(5).integers(0, p, size=(3 * TOP_ROWS, 2 * PANEL + 5))
+    A[10] = A[3]
+    _check_against_reference_echelon(A, p)
+    with _panel_paths() as paths:
+        kept = _echelon_mod_p(A, p)[2]
+    assert 10 not in kept and kept[10] == 11
+    assert paths == {"fast": 3}
+
+
+def test_zero_pivot_that_a_row_below_the_top_block_takes():
+    # in the top block column 10 is a combination of columns 0..9, so the
+    # block has no pivot there; the first row below the block has one, as
+    # pivot-by-pivot elimination finds, so the panel falls back
+    p = 101
+    rng = np.random.default_rng(6)
+    A = rng.integers(0, p, size=(3 * TOP_ROWS, 2 * PANEL + 5))
+    A[:TOP_ROWS, 10] = A[:TOP_ROWS, :10] @ rng.integers(0, p, size=10) % p
+    _check_against_reference_echelon(A, p)
+    with _panel_paths() as paths:
+        kept = _echelon_mod_p(A, p)[2]
+    assert kept[10] == TOP_ROWS
+    assert paths == {"fallback": 1, "fast": 2}
+
+
+@pytest.mark.parametrize(
+    "rows, cols", [(2 * PANEL + 5, 3 * PANEL), (PANEL + 3, 2 * PANEL + 7), (TOP_ROWS + 1, 3 * PANEL)]
+)
+def test_last_panel_with_fewer_rows_left_than_columns(rows, cols):
+    # full rank, and then with a repeated row: the last panel has fewer
+    # rows left than columns, and ends when its rows run out
+    p = 2**31 - 1
+    A = np.random.default_rng(rows).integers(0, p, size=(rows, cols))
+    _check_against_reference_echelon(A, p)
+    A[rows // 2] = A[1]
+    _check_against_reference_echelon(A, p)
+
+
+def test_panel_whose_lower_rows_are_all_zero():
+    # below the top block, rows zero in the first panel's columns and
+    # rows zero throughout: their multipliers are zero
+    p = 65521
+    A = np.random.default_rng(8).integers(0, p, size=(TOP_ROWS + 40, 3 * PANEL))
+    A[TOP_ROWS:, :PANEL] = 0
+    A[TOP_ROWS + 20 :] = 0
+    _check_against_reference_echelon(A, p)
+    with _panel_paths() as paths:
+        _echelon_mod_p(A, p)
+    assert paths == {"fast": 2}
 
 
 def test_split_matmul_at_its_limit():
@@ -319,6 +430,30 @@ def test_split_matmul_at_its_limit():
     U = rng.integers(p - 1000, p, size=(64, 30))
     want = [[sum(int(a) * int(b) for a, b in zip(row, col)) % p for col in U.T] for row in L]
     assert _split_matmul_mod_p(L, U, p).tolist() == want
+    # unreduced: congruent, and below 2^47 + 2^53
+    out = _split_matmul(L, U.astype(np.float64), p)
+    assert ((out - np.array(want)) % p == 0).all() and 0 <= out.min() and out.max() < 2**47 + 2**53
+
+
+def test_reduce_matches_remainder():
+    p = 2**31 - 1
+    x = np.random.default_rng(4).integers(-(2**62), 2**62, size=(50, 40))
+    x[0, :4] = [0, p, -p, -1]
+    want = x % p
+    _reduce(x, p)
+    assert x.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_unipotent_inverse(p):
+    # (I + N) X = I for strictly lower and upper N, sizes 0 to PANEL + 1
+    rng = np.random.default_rng(p % 1000)
+    for k in range(PANEL + 2):
+        entries = rng.integers(0, p, size=(k, k))
+        for N in (np.tril(entries, -1), np.triu(entries, 1)):
+            X = _unipotent_inverse_mod_p(N, p)
+            product = (np.eye(k, dtype=object) + N.astype(object)).dot(X.astype(object)) % p
+            assert (product == np.eye(k, dtype=int)).all()
 
 
 def test_large_entries_across_panels_and_row_chunks():
