@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 
 from .complexes import (
     ComplexSummary,
-    RegionSpec,
     complex_summary,
     in_good_region,
     region,
@@ -58,10 +57,10 @@ MAX_BIDEGREE = MAX_DEGREE
 
 # the most grid points x terms x degree that `verify` evaluates (the grid
 # runs only there and on `implicitize`'s gcd path): a degree-n
-# equation of a map of bidegree (e1, e2) is evaluated term by term at
-# (n*e1 + 1)(n*e2 + 1) points, and a term costs about n products.  Measured
-# at 57-70 ns a unit, the limit is about 9 s of checking; it admits rand33's
-# own equation (degree 18, 1330 terms, 72.4 million units).
+# equation of a map of bidegree (e1, e2) is evaluated at
+# (n*e1 + 1)(n*e2 + 1) points.  A dense equation costs 13-16 ns a unit, so
+# rand33's own (degree 18, 1330 terms, 72.4 million units) checks in about
+# 1 s; a sparse one of degree 128 near the limit takes 20-40 s.
 MAX_VERIFY_WORK = 2**27
 
 # the matrix-only report's warning, left out by `hilbert` and `matrix`
@@ -94,7 +93,7 @@ class InputSpec:
 @dataclass
 class OutputReport:
     bidegree: Bidegree
-    region: RegionSpec
+    region: tuple[Bidegree, Bidegree]
     nu_used: Bidegree
     summary: ComplexSummary
     matrix: MatrixRep
@@ -111,7 +110,7 @@ class OutputReport:
         S, M = self.summary, self.matrix
         builders = {
             "bidegree": lambda: list(self.bidegree),
-            "region": lambda: region_dict(self.region),
+            "region": lambda: region_dict(self.bidegree, self.region),
             "nu_used": lambda: list(self.nu_used),
             "summary": lambda: {
                 "nu": list(S.nu),
@@ -123,9 +122,7 @@ class OutputReport:
                 "nu": list(M.nu),
                 "rows": M.rows,
                 "cols": M.cols,
-                "row_basis": [
-                    str(BigradedPoly.monomial(m)) for m in M.row_basis.monomials
-                ],
+                "row_basis": [str(BigradedPoly.monomial(m)) for m in M.row_basis],
                 "entries": [[linear_form_str(e) for e in row] for row in M.coefficients],
             },
             "minor_columns": lambda: (
@@ -142,11 +139,8 @@ class OutputReport:
         return {key: build() for key, build in builders.items() if key in wanted}
 
 
-def region_dict(spec: RegionSpec) -> dict:
-    return {
-        "bidegree": list(spec.e),
-        "corners": [list(c) for c in spec.corners],
-    }
+def region_dict(e, corners) -> dict:
+    return {"bidegree": list(e), "corners": [list(c) for c in corners]}
 
 
 def load_input(path: str) -> InputSpec:
@@ -342,7 +336,7 @@ def _cmd_region(args) -> int:
     corners = region(e)
     if max(e) > MAX_BIDEGREE:
         raise InputError(f"--bidegree components must be at most {MAX_BIDEGREE}")
-    _emit({**region_dict(corners), "suggested_nu": list(suggested_nu(e))})
+    _emit({**region_dict(e, corners), "suggested_nu": list(suggested_nu(e))})
     return 0
 
 

@@ -1,6 +1,8 @@
 """Degree slices of the Koszul complex of a parametrization, syzygy bases,
 Hilbert-style dimension summaries, and the bidegree region where the
-determinant construction is valid.
+determinant construction is valid: `region(e)` is the pair of corners
+(2*e1-1, e2-1) and (e1-1, 2*e2-1), and nu is in the region when it
+dominates one of them.
 
 The Koszul complex on f1..f4 has K_p = sum of free summands e_I over the
 size-p subsets I of {1,2,3,4}, with differential
@@ -78,15 +80,6 @@ class KoszulSlice:
 
 
 @dataclass(frozen=True)
-class RegionSpec:
-    """Corners of the two shifted quadrants whose union is the set of
-    bidegrees where the determinant construction applies."""
-
-    e: Bidegree
-    corners: tuple[Bidegree, Bidegree]
-
-
-@dataclass(frozen=True)
 class ComplexSummary:
     nu: Bidegree
     dims: tuple[int, int, int, int]
@@ -117,12 +110,12 @@ def koszul_slice(F: Parametrization, p: int, target_degree) -> KoszulSlice:
     col_basis = graded_basis(col_deg)
     col_subsets = list(combinations((1, 2, 3, 4), p))
     row_subsets = list(combinations((1, 2, 3, 4), p - 1))
-    m, n = _dim(row_deg), col_basis.dim
+    m, n = _dim(row_deg), len(col_basis)
     small = all(type(c) is int and abs(c) < 2**63 for f in F.polys for c in f.terms.values())
     A = np.zeros((m * len(row_subsets), n * len(col_subsets)), np.int64 if small else object)
     # the target row of each term of f_i at each source column, and its coefficient
     k1, k2 = row_deg
-    index = np.array([(k1 - a) * (k2 + 1) + k2 - b for a, _, b, _ in col_basis.monomials], int)
+    index = np.array([(k1 - a) * (k2 + 1) + k2 - b for a, _, b, _ in col_basis], int)
     rows = [index - np.array([[a * (k2 + 1) + b] for a, _, b, _ in f.terms]) for f in F.polys]
     values = [np.array([[c] for c in f.terms.values()], A.dtype) for f in F.polys]
     for bj, I in enumerate(col_subsets):
@@ -147,31 +140,26 @@ def syzygy_basis(F: Parametrization, nu) -> list[list]:
     return rref_nullspace(koszul_slice(F, 1, as_bidegree(nu) + F.bidegree).matrix)[1]
 
 
-def region(e) -> RegionSpec:
-    """Corners (2*e1-1, e2-1) and (e1-1, 2*e2-1) bounding the two quadrants
-    of usable evaluation bidegrees for a parametrization of bidegree e."""
+def region(e) -> tuple[Bidegree, Bidegree]:
+    """Corners (2*e1-1, e2-1) and (e1-1, 2*e2-1) of the two shifted
+    quadrants whose union is the set of usable evaluation bidegrees for a
+    parametrization of bidegree e."""
     e = as_bidegree(e)
     if e.d1 < 1 or e.d2 < 1:
         raise InvalidBidegreeError(f"bidegree components must be >= 1, got {e}")
-    return RegionSpec(
-        e=e,
-        corners=(
-            Bidegree(2 * e.d1 - 1, e.d2 - 1),
-            Bidegree(e.d1 - 1, 2 * e.d2 - 1),
-        ),
-    )
+    return Bidegree(2 * e.d1 - 1, e.d2 - 1), Bidegree(e.d1 - 1, 2 * e.d2 - 1)
 
 
 def suggested_nu(e) -> Bidegree:
     """Default evaluation bidegree: the corner (2*e1-1, e2-1)."""
-    return region(e).corners[0]
+    return region(e)[0]
 
 
 def in_good_region(e, nu) -> bool:
     """True iff nu dominates one of the two corners, i.e. the degree-nu slice
     is outside the torsion-affected region."""
     nu = as_bidegree(nu)
-    return any(nu.dominates(c) for c in region(e).corners)
+    return any(nu.dominates(c) for c in region(e))
 
 
 def complex_summary(F: Parametrization, M) -> ComplexSummary:

@@ -1,7 +1,8 @@
 """Monomial bases of graded pieces and exact linear algebra over Q.
 
-A vector over a graded piece lists its coordinates in `graded_basis`
-order.
+The basis of the graded piece S_deg of k[s,u,t,v] is the plain tuple
+`graded_basis(deg)` of its monomials, exponent 4-tuples in descending lex
+order, and a vector over S_deg lists its coordinates in that order.
 
 Rank and nullspace come from one fraction-free elimination over Z.  Each
 row is divided by its rational content and stored as a sparse primitive
@@ -21,53 +22,22 @@ modular arithmetic are involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .poly import Bidegree, BigradedPoly, Monomial, as_bidegree, exact
+from .poly import BigradedPoly, Monomial, as_bidegree, exact
 from .poly import divide_content, integer_primitive, rational_content
 
 
-@dataclass(frozen=True)
-class GradedBasis:
-    """All monomials of one bidegree, in descending lex order."""
-
-    bidegree: Bidegree
-    monomials: tuple[Monomial, ...]
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def dim(self) -> int:
-        return len(self.monomials)
-
-    def index_of(self, mono: Monomial) -> int:
-        if not self._index:
-            self._index.update({m: i for i, m in enumerate(self.monomials)})
-        return self._index[mono]
-
-
 @lru_cache(maxsize=None)
-def _graded_basis_cached(d1: int, d2: int) -> GradedBasis:
-    deg = Bidegree(d1, d2)
-    if d1 < 0 or d2 < 0:
-        return GradedBasis(deg, ())
-    monos = tuple(
-        (i, d1 - i, j, d2 - j)
-        for i in range(d1, -1, -1)
-        for j in range(d2, -1, -1)
+def graded_basis(deg) -> tuple[Monomial, ...]:
+    """The monomials of bidegree `deg` in k[s,u,t,v], in descending lex
+    order: (d1+1)(d2+1) of them when both components are >= 0, else none."""
+    d1, d2 = deg
+    return tuple(
+        (i, d1 - i, j, d2 - j) for i in range(d1, -1, -1) for j in range(d2, -1, -1)
     )
-    return GradedBasis(deg, monos)
-
-
-def graded_basis(deg) -> GradedBasis:
-    """Basis of the graded piece of k[s,u,t,v] in the given bidegree.
-
-    Size (d1+1)(d2+1) when both components are >= 0, empty otherwise.
-    """
-    deg = as_bidegree(deg)
-    return _graded_basis_cached(deg.d1, deg.d2)
 
 
 class QMatrix:
@@ -308,17 +278,10 @@ def multiplication_matrix(f: BigradedPoly, src) -> QMatrix:
     """Matrix of m -> f*m from the graded piece `src` to `src + bidegree(f)`,
     in the canonical bases of both pieces."""
     src = as_bidegree(src)
-    delta = f.bidegree()
     source = graded_basis(src)
-    target = graded_basis(src + delta)
-    M = QMatrix.zeros(target.dim, source.dim)
-    for j, mono in enumerate(source.monomials):
+    row_of = {m: i for i, m in enumerate(graded_basis(src + f.bidegree()))}
+    M = QMatrix.zeros(len(row_of), len(source))
+    for j, mono in enumerate(source):
         for fm, c in f.terms.items():
-            prod = (
-                mono[0] + fm[0],
-                mono[1] + fm[1],
-                mono[2] + fm[2],
-                mono[3] + fm[3],
-            )
-            M.data[target.index_of(prod)][j] = c
+            M.data[row_of[tuple(x + y for x, y in zip(mono, fm))]][j] = c
     return M

@@ -31,14 +31,13 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import comb, gcd, isqrt, prod
 
 import numpy as np
 
 from .complexes import syzygy_basis
 from .linalg import (
-    GradedBasis,
     QMatrix,
     exact_rank,
     graded_basis,
@@ -80,6 +79,9 @@ CHECK_POINT = (2, -3, 5, 7)
 # about 2^-20
 ORACLE_DEN_BOUND = 2**16
 ORACLE_MARGIN_BITS = 20
+# grid points that verify_substitution evaluates at once; `evaluate_many`
+# holds one array of this length per power of T3 and T4 that it needs
+VERIFY_CHUNK = 1024
 
 
 class PipelineError(Exception):
@@ -116,7 +118,7 @@ class MatrixRep:
     i of syzygy column j.  Without columns, each row is an empty tuple."""
 
     nu: Bidegree
-    row_basis: GradedBasis
+    row_basis: tuple[Monomial, ...]
     coefficients: tuple[tuple[tuple, ...], ...]
 
     @property
@@ -192,7 +194,7 @@ def build_matrix(F: Parametrization, nu) -> MatrixRep:
     nu = as_bidegree(nu)
     vectors = syzygy_basis(F, nu)  # refuses an oversized strand before S_nu is listed
     basis = graded_basis(nu)
-    n, zero = basis.dim, (0, 0, 0, 0)
+    n, zero = len(basis), (0, 0, 0, 0)
     columns = [
         [e if any(e) else zero for e in zip(v[:n], v[n : 2 * n], v[2 * n : 3 * n], v[3 * n :])]
         for v in vectors
@@ -480,11 +482,10 @@ def certify_determinant(M: MatrixRep, F: Parametrization, columns, det: TPoly) -
     if M.rows < 1:
         raise PipelineError("the matrix has no rows, so its minors certify nothing")
     minor = M._minor(columns)
-    monomials = M.row_basis.monomials
     for j, column in enumerate(zip(*minor)):
         identity = BigradedPoly.zero()
         for i, f in enumerate(F.polys):
-            component = BigradedPoly({m: e[i] for m, e in zip(monomials, column)})
+            component = BigradedPoly({m: e[i] for m, e in zip(M.row_basis, column)})
             identity = identity + component * f
         if identity:
             raise PipelineError(
@@ -524,23 +525,25 @@ def verify_substitution(eq: TPoly, F: Parametrization) -> bool:
     g(s, t) = eq_n(f)(s, 1, t, 1) is.  g has degree at most n*e1 in s and
     n*e2 in t, so it is zero exactly when it vanishes on the integer grid
     {0..n*e1} x {0..n*e2} (Alon, Combinatorial Nullstellensatz, Lemma 2.1).
-    Parts of different degree are checked separately: dehomogenizing first
-    would let them cancel.
+    The f_i are evaluated once on the top degree's grid, and each part at
+    the images inside its own grid, by `evaluate_many` on VERIFY_CHUNK
+    points at a time.  Parts of different degree are checked separately:
+    dehomogenizing first would let them cancel.
     """
     parts: dict[int, dict[Monomial, object]] = {}
     for mono, coeff in eq.terms.items():
         parts.setdefault(sum(mono), {})[mono] = coeff
     if not parts:
         return True
-    forms = {n: TPoly(terms) for n, terms in parts.items()}
     e1, e2 = F.bidegree
-    top = max(forms)
-    for s in range(top * e1 + 1):
-        for t in range(top * e2 + 1):
-            values = [f.evaluate((s, 1, t, 1)) for f in F.polys]
-            for n, form in forms.items():
-                if s <= n * e1 and t <= n * e2 and form.evaluate(values):
-                    return False
+    top = max(parts)
+    grid = product(range(top * e1 + 1), (1,), range(top * e2 + 1), (1,))
+    while chunk := list(islice(grid, VERIFY_CHUNK)):
+        images = list(zip(*(evaluate_many(f.terms, chunk) for f in F.polys)))
+        for n, terms in parts.items():
+            inside = [T for (s, _, t, _), T in zip(chunk, images) if s <= n * e1 and t <= n * e2]
+            if any(evaluate_many(terms, inside)):
+                return False
     return True
 
 
@@ -594,7 +597,7 @@ def rank_drop_check(
         if not any(values):
             continue  # base point
         numeric = M.evaluate(values)
-        row = [prod(x**k for x, k in zip(pt, mono)) for mono in M.row_basis.monomials]
+        row = [prod(x**k for x, k in zip(pt, mono)) for mono in M.row_basis]
         in_kernel = any(row) and not any(
             sum(w * x for w, x in zip(row, column)) for column in zip(*numeric.data)
         )

@@ -119,7 +119,7 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
             f = A[below, c] * pow(int(A[i, c]), -1, p) % p
             block = A[below, c + 1 :]
             block -= f[:, None] * A[i, c + 1 :]
-            block %= p
+            _reduce(block, p)
             A[below, c + 1 :] = block
         A[i] = A[r]
         r += 1
@@ -382,7 +382,7 @@ def det_mod_p(chunks, p: int) -> np.ndarray:
                 rest = A[k + 1 :, k + 1 :]
                 rest *= piv
                 rest -= A[k + 1 :, k, None] * A[k, None, k + 1 :]
-                rest %= p
+                _reduce(rest, p)
         tops.append(prefix)
         bottoms.append(scaling)
         signs.append(negate)

@@ -132,6 +132,8 @@ def evaluate_many(terms: dict, points) -> list:
     sums over power tables of the third and fourth coordinates, combined by
     Horner's rule in the second coordinate, then the first."""
     x1, x2, x3, x4 = np.array(points, dtype=object).reshape(-1, 4).T
+    if not terms:
+        return [0] * len(x1)
     groups: dict[int, dict[int, list]] = {}
     for (a, b, c, d), coeff in terms.items():
         groups.setdefault(a, {}).setdefault(b, []).append((c, d, coeff))
@@ -139,15 +141,24 @@ def evaluate_many(terms: dict, points) -> list:
     for x, table, i in ((x3, p3, 2), (x4, p4, 3)):
         for _ in range(max((m[i] for m in terms), default=0)):
             table.append(table[-1] * x)
-    total = 0
-    for a in range(max(groups, default=0), -1, -1):
-        row = groups.get(a, {})
-        inner = 0
-        for b in range(max(row, default=0), -1, -1):
-            part = sum(k * p3[c] * p4[d] for c, d, k in row.get(b, ()))
-            inner = inner * x2 + part
-        total = total * x1 + inner
-    return [exact(x) for x in total]
+
+    def in_x2(row: dict):
+        descending = sorted(row.items(), reverse=True)
+        return _horner(((b, sum(k * p3[c] * p4[d] for c, d, k in g)) for b, g in descending), x2)
+
+    rows = ((a, in_x2(row)) for a, row in sorted(groups.items(), reverse=True))
+    return [exact(x) for x in _horner(rows, x1)]
+
+
+def _horner(pairs, x):
+    """The sum of v * x**k over (k, v) pairs in descending k, by Horner's
+    rule; a gap between exponents, as in a sparse high-degree form, is
+    crossed by one power instead of one product per missing exponent."""
+    total = last = None
+    for k, v in pairs:
+        total = v if total is None else total * (x if last - k == 1 else x ** (last - k)) + v
+        last = k
+    return total * x**last if last else total
 
 
 class _SparsePoly:

@@ -64,7 +64,7 @@ def segre_F():
 def syzygy_columns(vectors, nu) -> list[tuple]:
     """Each vector of `syzygy_basis(F, nu)` as its components (a1, a2, a3,
     a4), component i being v[i*n : (i+1)*n] over `graded_basis(nu)`."""
-    monomials = graded_basis(nu).monomials
+    monomials = graded_basis(nu)
     n = len(monomials)
     return [
         tuple(
@@ -81,7 +81,7 @@ def random_bipoly(rng: random.Random, deg, density=0.8, bound=9) -> BigradedPoly
     while True:
         terms = {
             m: rng.randint(-bound, bound)
-            for m in basis.monomials
+            for m in basis
             if rng.random() < density
         }
         p = BigradedPoly(terms)
@@ -115,7 +115,8 @@ def coefficient_rows(entries) -> tuple:
 def matrix_of(entries, nu=Bidegree(0, 0), row_basis=None) -> MatrixRep:
     """The MatrixRep whose entries are the given linear TPolys, rows over
     `row_basis` (the degree-nu basis by default)."""
-    return MatrixRep(nu, row_basis or graded_basis(nu), coefficient_rows(entries))
+    basis = graded_basis(nu) if row_basis is None else row_basis
+    return MatrixRep(nu, basis, coefficient_rows(entries))
 
 
 def identity(n: int) -> QMatrix:

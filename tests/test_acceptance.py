@@ -98,8 +98,8 @@ def test_criterion_1_golden_run(golden_run, golden_F):
 
 def test_criterion_2_region():
     start = time.perf_counter()
-    spec = region((2, 3))
-    assert {c.as_pair() for c in spec.corners} == {(3, 2), (1, 5)}
+    corners = region((2, 3))
+    assert {c.as_pair() for c in corners} == {(3, 2), (1, 5)}
 
     from biimplicit.complexes import in_good_region
 

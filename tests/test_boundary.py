@@ -412,7 +412,7 @@ class TestVerifyLimit:
         document = {"bidegree": list(bidegree), "polynomials": [str(f) for f in F.polys]}
         path, equation = tmp_path / "input.json", tmp_path / "equation.txt"
         path.write_text(json.dumps(document))
-        equation.write_text(f"(T1+T2+T3+T4)^{degree}")  # fails at the first grid point
+        equation.write_text(f"(T1+T2+T3+T4)^{degree}")  # does not vanish on the image
         code = cli.main(["verify", str(path), "--equation", str(equation)])
         out, err = capsys.readouterr()
         if admitted:

@@ -26,29 +26,29 @@ from conftest import golden_polys, gram_det, identity, matvec, random_bipoly
 
 class TestGradedBasis:
     def test_dimensions(self):
-        assert graded_basis((3, 2)).dim == 12
-        assert graded_basis((0, 0)).monomials == ((0, 0, 0, 0),)
-        assert graded_basis((5, 5)).dim == 36
+        assert len(graded_basis((3, 2))) == 12
+        assert graded_basis((0, 0)) == ((0, 0, 0, 0),)
+        assert len(graded_basis((5, 5))) == 36
 
     def test_negative_degree_is_empty(self):
-        assert graded_basis((-1, 2)).dim == 0
-        assert graded_basis((2, -3)).dim == 0
+        assert len(graded_basis((-1, 2))) == 0
+        assert len(graded_basis((2, -3))) == 0
 
     def test_exhaustive_sizes(self):
         for a in range(9):
             for b in range(9):
-                assert graded_basis((a, b)).dim == (a + 1) * (b + 1)
+                assert len(graded_basis((a, b))) == (a + 1) * (b + 1)
 
     def test_canonical_order(self):
         basis = graded_basis((1, 1))
         # descending lex on (a_s, a_u, a_t, a_v): st, sv, ut, uv
-        assert basis.monomials == (
+        assert basis == (
             (1, 0, 1, 0),
             (1, 0, 0, 1),
             (0, 1, 1, 0),
             (0, 1, 0, 1),
         )
-        assert list(basis.monomials) == sorted(basis.monomials, reverse=True)
+        assert list(basis) == sorted(basis, reverse=True)
 
 
 class TestMultiplicationMatrix:
@@ -75,10 +75,10 @@ class TestMultiplicationMatrix:
             M = multiplication_matrix(f, src)
             basis = graded_basis(src)
             target = graded_basis(src + fdeg)
-            for j, mono in enumerate(basis.monomials):
+            for j, mono in enumerate(basis):
                 col = [M.data[i][j] for i in range(M.rows)]
                 product = f * BigradedPoly.monomial(mono)
-                assert col == [product.coefficient(m) for m in target.monomials]
+                assert col == [product.coefficient(m) for m in target]
 
 
 def random_qmatrix(rng, rows, cols, lo=-9, hi=9, density=0.7):

@@ -22,6 +22,7 @@ from biimplicit.matrixrep import (
     AllZeroError,
     AmbiguousNullspaceError,
     MatrixRep,
+    VERIFY_CHUNK,
     NoEquationError,
     RankDeficientError,
     bareiss_det,
@@ -169,10 +170,8 @@ class TestBuildMatrix:
             "segre": (segre_F, (5, 5)),
         }[name]
         M = build_matrix(F, nu)
-        basis = M.row_basis
         for j, column in enumerate(syzygy_columns(syzygy_basis(F, nu), nu)):
-            for m in basis.monomials:
-                r = basis.index_of(m)
+            for r, m in enumerate(M.row_basis):
                 coefficients = tuple(a.coefficient(m) for a in column)
                 assert M.coefficients[r][j] == coefficients
                 assert M.entries[r][j] == lin(*coefficients)
@@ -190,7 +189,7 @@ class TestBuildMatrix:
     def test_single_component_column(self):
         # a column supported in one component contributes only that T variable
         v = parse_poly("t+2*v")
-        column = [lin(v.coefficient(m)) for m in graded_basis((0, 1)).monomials]
+        column = [lin(v.coefficient(m)) for m in graded_basis((0, 1))]
         assert [str(c) for c in column] == ["T1", "2*T1"]
 
 
@@ -253,7 +252,7 @@ class TestSelectMaxMinor:
         # the exact determinant of the minor is nonzero there; strands above
         # 12 rows take seconds per determinant
         F = random_parametrization(random.Random(map_seed), e)
-        M = build_matrix(F, region(e).corners[corner] + Bidegree(*offset))
+        M = build_matrix(F, region(e)[corner] + Bidegree(*offset))
         assume(0 < M.rows < M.cols and M.rows <= 12)
         for columns in islice(matrixrep._proposals(M, seed, shuffle), 2):
             assert not bareiss_det(minor_at(M, columns)).is_zero()
@@ -547,6 +546,25 @@ class TestVerifySubstitution:
             parse_poly(text) for text in ("u*v", "s*t", "s*v", "u*t")
         )
         assert not verify_substitution(tp("T1-T1^2"), F)
+
+    def test_part_that_vanishes_on_the_first_batch_only(self, segre_F):
+        # Segre's image at (s, 1, t, 1) is (s*t, s, t, 1), so this degree-33
+        # form gives s*(s-1)*...*(s-31): zero on the first 32 rows of the
+        # 34 x 34 grid, more than one batch, and nonzero on the last two
+        eq = lin(0, 0, 0, 1)
+        for k in range(32):
+            eq = eq * lin(0, 1, 0, -k)
+        assert 32 * 34 > VERIFY_CHUNK
+        assert not verify_substitution(eq, segre_F)
+
+    def test_sparse_form_of_high_degree(self):
+        # f1 = f2: T1^128 - T2^128 vanishes on the image, checked on a
+        # 129 x 129 grid, 17 batches, at values of up to 1800 bits
+        F = Parametrization.from_polys(
+            parse_poly(text) for text in ("s*t+u*v", "s*t+u*v", "s*v", "u*t")
+        )
+        assert verify_substitution(tp("T1^128-T2^128"), F)
+        assert not verify_substitution(tp("T1^128-T2^128+T3^64*T4^64"), F)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(verify_cases())
@@ -1148,7 +1166,7 @@ class TestEndToEndSmall:
             h0, h1, h2, h3 = summary.dims
             if summary.euler != 0 or h2 or h3:
                 continue
-            assert (M.rows, M.cols) == (graded_basis(nu).dim, graded_basis(nu).dim)
+            assert (M.rows, M.cols) == (len(graded_basis(nu)), len(graded_basis(nu)))
             checked += 1
 
     def test_random_surfaces_verify(self):
