@@ -448,10 +448,25 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+def _join_pairs(argv) -> list[str]:
+    """argv with '--nu -1,2' joined as '--nu=-1,2', and so for --bidegree
+    and abbreviations of both: argparse takes '-1,2' for an option and
+    reports a missing argument."""
+    joined: list[str] = []
+    for word in argv:
+        last = joined[-1] if joined else ""
+        pair = len(last) > 2 and ("--nu".startswith(last) or "--bidegree".startswith(last))
+        if pair and word[:1] == "-" and word[1:2].isdigit():
+            joined[-1] += "=" + word
+        else:
+            joined.append(word)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_pairs(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import islice, product
 from math import comb, gcd, isqrt, prod
@@ -46,6 +46,7 @@ from .linalg import (
     saturation,
 )
 from .modnull import (
+    _split_matmul_mod_p,
     crt_combine,
     det_mod_p,
     nullspace_mod_p,
@@ -250,25 +251,50 @@ def _primes_above(bits: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
+@lru_cache(maxsize=128)
+def _newton_maps(s: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Newton interpolation mod p on the nodes 1..s as two read-only s x s
+    matrices, each its loop of row operations run on the identity: divided
+    differences (the nodes are equally spaced, so level k divides by k),
+    then the change from the Newton basis to monomials."""
+    D = np.eye(s, dtype=np.int64)
+    for k in range(1, s):
+        D[k:] = (D[k:] - D[k - 1 : -1]) * pow(k, -1, p) % p
+    N = np.eye(s, dtype=np.int64)
+    for k in range(s - 2, -1, -1):
+        N[k:-1] = (N[k:-1] - (k + 1) * N[k + 1 :]) % p
+    D.flags.writeable = N.flags.writeable = False
+    return D, N
+
+
 def _interpolate(values: np.ndarray, inside: np.ndarray, p: int) -> np.ndarray:
-    """In place, the coefficients mod p of the polynomial with exponents in
-    the lower set `inside` whose value at the node alpha + 1 is
-    values[alpha] for each alpha in it; entries outside it are ignored and
-    come back 0.  Such nodes are unisolvent (Dyn and Floater, J. Approx.
-    Theory 2014).  Divided differences run along each axis; the nodes
-    1, 2, .. are equally spaced, so level k divides by k, and a difference
-    reads only lower indices, which the set holds.  The Newton basis is
-    then turned into monomials, axis by axis.  Products stay below 2^62."""
-    for axis in range(values.ndim):
-        line = np.moveaxis(values, axis, 0)
-        for k in range(1, line.shape[0]):
-            line[k:] = (line[k:] - line[k - 1 : -1]) * pow(k, -1, p) % p
-    values[~inside] = 0
-    for axis in range(values.ndim):
-        line = np.moveaxis(values, axis, 0)
-        for k in range(line.shape[0] - 2, -1, -1):
-            line[k:-1] = (line[k:-1] - (k + 1) * line[k + 1 :]) % p
+    """The coefficients mod p of the polynomial with exponents in the
+    lower set `inside` whose value at the node alpha + 1 is values[alpha]
+    for each alpha in it; entries outside it are ignored and come back 0.
+    Such nodes are unisolvent (Dyn and Floater, J. Approx. Theory 2014).
+    Each axis in turn takes one exact product and moves to the back: first
+    the divided differences (a difference reads only lower indices, which
+    the set holds), then, with the outside of the set zeroed, the change
+    to monomials."""
+    for phase in range(2):
+        if phase:
+            values[~inside] = 0
+        for _ in range(values.ndim):
+            s = values.shape[0]
+            out = _split_matmul_mod_p(_newton_maps(s, p)[phase], values.reshape(s, -1), p)
+            values = out.reshape(values.shape).transpose((*range(1, values.ndim), 0))
     return values
+
+
+def _torus_bound(A: np.ndarray) -> int:
+    """bareiss_det's coefficient bound, rounded up, for the core whose entry
+    (i, j) has the coefficients A[i, j] of an n x n x 4 integer array."""
+    squared = min(
+        prod(np.abs(B.transpose(0, 2, 1) @ B).sum(axis=(1, 2)).tolist())
+        for B in (A, A.transpose(1, 0, 2))
+    )
+    bound = isqrt(squared)
+    return bound + (bound * bound < squared)
 
 
 # matrices of one evaluation batch hold about this many int64 entries
@@ -281,13 +307,11 @@ def _core_det(core: list[list[tuple]], n: int) -> TPoly:
     rows of coefficient 4-tuples, by evaluation and interpolation
     modulo primes on the lower set of exponents that can carry a
     coefficient; see bareiss_det for the two bounds this relies on."""
-    degree_bounds = [
-        min(
-            sum(any(e[t] for e in row) for row in core),
-            sum(any(row[b][t] for row in core) for b in range(n)),
-        )
-        for t in range(4)
-    ]
+    top = max(abs(c) for row in core for e in row for c in e)
+    # int64 when every sum in _torus_bound fits
+    A = np.array(core, dtype=np.int64 if 16 * n * top * top < 2**63 else object)
+    held = A != 0
+    degree_bounds = np.minimum(held.any(axis=1).sum(axis=0), held.any(axis=0).sum(axis=0)).tolist()
     h = degree_bounds.index(max(degree_bounds))
     axes = [t for t in range(4) if t != h]
     shape = [degree_bounds[t] + 1 for t in axes]
@@ -295,14 +319,11 @@ def _core_det(core: list[list[tuple]], n: int) -> TPoly:
     exponents = np.array(np.nonzero(inside))
     points = exponents + 1
 
-    bound = prod(sum(abs(c) for e in row for c in e) for row in core)
-    primes = _primes_above((2 * bound).bit_length())
+    primes = _primes_above((2 * _torus_bound(A)).bit_length())
     batch = max(1, _BATCH_ENTRIES // (n * n))
     residues = np.empty((len(primes), points.shape[1]), dtype=np.int64)
     for q, p in enumerate(primes):
-        reduced = np.array(
-            [[[c % p for c in e] for e in row] for row in core], dtype=np.int64
-        )
+        reduced = (A % p).astype(np.int64)
         linear, constant = reduced[:, :, axes], reduced[:, :, h, None]
         chunks = (
             (linear @ points[:, start : start + batch] + constant) % p
@@ -344,12 +365,13 @@ def bareiss_det(matrix) -> TPoly:
       three lie in the lower set {alpha_t <= bound_t, sum alpha <= n}; the
       determinant at each node alpha + 1 comes from `modnull.det_mod_p` and
       the coefficients from Newton interpolation on that set.
-    * coefficient bound: every coefficient is at most
-      B = prod_i sum_j ||a_ij||_1 in absolute value, since the coefficients
-      of the permutation expansion sum in absolute value to at most the
-      permanent of (||a_ij||_1), which is at most the product of its row
-      sums.  Primes are taken until their product exceeds 2B, so CRT into
-      the symmetric range recovers every coefficient exactly.
+    * coefficient bound: every coefficient of D is at most max |D| on the
+      torus |T_t| = 1, where by Hadamard |D| <= prod_i ||row i||_2 and
+      ||row i||_2^2 <= sum_{t,u} |G_i[t,u]|, G_i = sum_j a_ij a_ij^T the
+      Gram matrix of row i's coefficients; B is the smaller of this bound
+      and its column version, never above prod_i sum_j ||a_ij||_1.  Primes
+      are taken until their product exceeds 2B, so CRT into the symmetric
+      range recovers every coefficient exactly.
 
     The result for an n x n matrix is 0 or homogeneous of degree n.  The
     nodes leave no surplus values to check the coefficients against; check

@@ -1,8 +1,10 @@
 """Arithmetic modulo word-sized primes: the nullspace of a matrix over a
 prime field (forward elimination to row echelon form, then back
 substitution) behind the interpolation cross-check, determinants of batches
-of matrices behind the minor determinants, and Chinese remaindering, all
-vectorized with numpy; rational reconstruction under separate numerator
+of matrices behind the minor determinants, division-free with all their
+scalings inverted at once on a product tree (Montgomery's trick), exact
+products mod p of any length on 16-bit halves, and Chinese remaindering,
+all vectorized with numpy; rational reconstruction under separate numerator
 and denominator bounds, so that the oracle recovers fractions with a small
 denominator from a smaller modulus than Wang's balanced bounds need; and
 the rank of an integer matrix mod p behind the Koszul-slice dimensions,
@@ -164,9 +166,13 @@ def _split_matmul(L: np.ndarray, Uf: np.ndarray, p: int) -> np.ndarray:
 
 
 def _split_matmul_mod_p(L: np.ndarray, U: np.ndarray, p: int) -> np.ndarray:
-    """L @ U mod p for int64 matrices with entries in [0, p), p < 2^31, and
-    at most 64 columns in L, by `_split_matmul`."""
-    out = _split_matmul(L, U.astype(np.float64), p)
+    """L @ U mod p for int64 matrices with entries in [0, p), p < 2^31, by
+    `_split_matmul` on each run of 64 columns of L: each run's product is
+    below 2^54, so the sum of up to 2^9 runs stays in int64."""
+    Uf = U.astype(np.float64)
+    out = _split_matmul(L[:, :64], Uf[:64], p)
+    for c in range(64, L.shape[1], 64):
+        out += _split_matmul(L[:, c : c + 64], Uf[c : c + 64], p)
     _reduce(out, p)
     return out
 
@@ -334,16 +340,19 @@ def nullspace_mod_p(A: np.ndarray, p: int) -> tuple[list[int], list, list[int]]:
     return pivots, list(X.T), rows
 
 
-def _pow_mod(base: np.ndarray, exponent: int, p: int) -> np.ndarray:
-    """Elementwise base^exponent mod p by square and multiply; p < 2^31."""
-    result = np.ones_like(base)
-    base = base % p
-    while exponent:
-        if exponent & 1:
-            result = result * base % p
-        base = base * base % p
-        exponent >>= 1
-    return result
+def _inverse_mod_p(x: np.ndarray, p: int) -> np.ndarray:
+    """Inverses mod p of the nonzero int64 residues x by Montgomery's trick
+    on a product tree: x padded with 1 to a power of two, each level the
+    products of pairs of the one below, one `pow` inverting the root, and a
+    node's inverse times its sibling the inverse of its child."""
+    pad = np.ones((1 << (len(x) - 1).bit_length()) - len(x), dtype=np.int64)
+    tree = [np.concatenate([x, pad])]
+    while len(tree[-1]) > 1:
+        tree.append(tree[-1][0::2] * tree[-1][1::2] % p)
+    inverse = np.array([pow(int(tree.pop()[0]), -1, p)], dtype=np.int64)
+    for level in reversed(tree):
+        inverse = (inverse[:, None] * level.reshape(-1, 2)[:, ::-1] % p).ravel()
+    return inverse[: len(x)]
 
 
 def det_mod_p(chunks, p: int) -> np.ndarray:
@@ -357,9 +366,10 @@ def det_mod_p(chunks, p: int) -> np.ndarray:
     is zero, then replaces each row i below the pivot row by
     piv * row_i - a_ik * row_k, which multiplies the determinant by
     piv^(m-1-k).  With P_k the product of the first k + 1 pivots the
-    determinant is +-P_(m-1) / (P_0 * ... * P_(m-2)), so one Fermat inverse
-    per matrix, taken for all chunks at once, undoes the scaling.  A zero
-    pivot after the swap makes P_(m-1), and so the result, zero.
+    determinant is +-P_(m-1) / (P_0 * ... * P_(m-2)), and the inverses of
+    the scalings of all chunks, taken at once by `_inverse_mod_p`, undo
+    them.  A zero pivot after the swap makes P_(m-1), and so the result,
+    zero; such a matrix's zero scaling is taken as 1.
     """
     tops, bottoms, signs = [], [], []
     for A in chunks:
@@ -386,7 +396,7 @@ def det_mod_p(chunks, p: int) -> np.ndarray:
         tops.append(prefix)
         bottoms.append(scaling)
         signs.append(negate)
-    det = np.concatenate(tops) * _pow_mod(np.concatenate(bottoms), p - 2, p) % p
+    det = np.concatenate(tops) * _inverse_mod_p(np.maximum(np.concatenate(bottoms), 1), p) % p
     return np.where(np.concatenate(signs) & (det != 0), p - det, det)
 
 

@@ -305,12 +305,23 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["implicitize", "hilbert", "matrix"])
     def test_negative_nu_flag_rejected(self, capsys, tmp_path, command):
-        code, out, err = run_main(
-            capsys, [command, write_input(tmp_path), "--nu=0,-1"]
-        )
-        assert code == 1
-        assert err.startswith("error:") and "nonnegative" in err
-        assert out == ""
+        # a value after a space that starts with '-' gets the same range
+        # error as the joined spelling, not argparse's missing argument
+        for flag in (["--nu=0,-1"], ["--nu=-1,2"], ["--nu", "-1,2"]):
+            code, out, err = run_main(capsys, [command, write_input(tmp_path), *flag])
+            assert code == 1
+            assert err.startswith("error:") and "nonnegative" in err
+            assert out == ""
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--bidegree=-1,2"], ["--bidegree", "-1,2"], ["--bid", "-1,2"]],
+        ids=["joined", "spaced", "abbreviated"],
+    )
+    def test_region_negative_bidegree(self, capsys, flag):
+        code, out, err = run_main(capsys, ["region", *flag])
+        assert (code, out) == (1, "")
+        assert err == "error: bidegree components must be >= 1, got (-1,2)\n"
 
     @pytest.mark.parametrize("where", ["input", "flag"])
     def test_minors_below_one_rejected(self, capsys, tmp_path, where):

@@ -343,12 +343,29 @@ class TestBareissDet:
         core = [[(c, 0, 0, 0), (0, 0, 0, 0)], [(0, 0, 0, 0), (0, sign * c, 0, 0)]]
         assert _core_det(core, 2) == TPoly({(1, 1, 0, 0): sign * c * c})
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False), st.integers(-3, 3), st.integers(1, 5))
+    def test_torus_bound_covers_exact_coefficients(self, rng, low, n):
+        # entries of both signs, so that terms of the permutation expansion
+        # cancel: the bound covers every coefficient of sympy's exact
+        # determinant, the same in int64 and in Python integers, and is never
+        # above prod_i sum_j ||a_ij||_1
+        core = [[tuple(rng.randint(low, 3) for _ in range(4)) for _ in range(n)] for _ in range(n)]
+        bound = matrixrep._torus_bound(np.array(core, dtype=object))
+        assert bound == matrixrep._torus_bound(np.array(core, dtype=np.int64))
+        det = _sympy_det([[lin(*e) for e in row] for row in core])
+        assert all(abs(c) <= bound for c in det.terms.values())
+        assert bound <= prod(sum(abs(c) for e in row for c in e) for row in core)
+
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(st.randoms(use_true_random=False))
-    def test_interpolate_lower_set(self, rng):
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_interpolate_lower_set(self, rng, long_axis):
         # coefficients supported on a lower set come back exactly from their
-        # values at the nodes alpha + 1, whatever the entries outside it hold
+        # values at the nodes alpha + 1, whatever the entries outside it hold;
+        # an axis longer than 64 takes its products in runs of 64
         shape = [rng.randint(1, 40) for _ in range(3)]
+        if long_axis:
+            shape[rng.randrange(3)] = rng.randint(65, 80)
         n = rng.randint(0, sum(shape) - 3)
         inside = np.indices(shape).sum(axis=0) <= n
         draw = np.random.default_rng(rng.getrandbits(64))
@@ -416,19 +433,26 @@ class TestBareissDet:
 
 
 @pytest.mark.parametrize(
-    "e, digest",
+    "e, digest, primes",
     [
-        ((3, 2), "33a1401e3eac3d5e39919ba2147e6214331a4b1a578a7c65ed06751a7f3dedc6"),
-        ((3, 3), "788078965afa4ffa739aa0badad1046f5df7c22c096073fb1fb0b753ccfa1f35"),
+        ((3, 2), "33a1401e3eac3d5e39919ba2147e6214331a4b1a578a7c65ed06751a7f3dedc6", 5),
+        ((3, 3), "788078965afa4ffa739aa0badad1046f5df7c22c096073fb1fb0b753ccfa1f35", 8),
     ],
     ids=["rand32", "rand33"],
 )
-def test_ladder_equation_pinned(e, digest):
+def test_ladder_equation_pinned(e, digest, primes, monkeypatch):
     # the 12x12 and 18x18 square strands of the first (3,2) and (3,3) draws
-    # at the default nu, pinned by the sha256 of the equation's text
+    # at the default nu, pinned by the sha256 of the equation's text, and
+    # the primes their one core's torus bound takes
+    taken = []
+    primes_above = matrixrep._primes_above
+    monkeypatch.setattr(
+        matrixrep, "_primes_above", lambda b: taken.append(primes_above(b)) or taken[-1]
+    )
     F = random_parametrization(random.Random(7), e)
     report = run_implicitize(InputSpec(Bidegree(*e), tuple(str(f) for f in F.polys)))
     assert hashlib.sha256(str(report.equation).encode()).hexdigest() == digest
+    assert [len(t) for t in taken] == [primes]
 
 
 class TestReduceEquation:
@@ -1138,6 +1162,8 @@ class TestLatticeBasis:
         report = run_implicitize(spec, verify=False)
         assert report.equation.total_degree() == 12
         assert bits and max(bits) <= 100
+        # the torus bound of the one 12 x 12 core takes two primes
+        assert [len(primes_above(b)) for b in bits] == [2]
 
 
 class TestEndToEndSmall:

@@ -16,6 +16,7 @@ from biimplicit.modnull import (
     ROW_CHUNK,
     TOP_ROWS,
     _echelon_mod_p,
+    _inverse_mod_p,
     _is_prime,
     _reduce,
     _split_matmul,
@@ -602,6 +603,30 @@ def test_det_mod_p_agrees_with_gaussian_elimination(p, matrices, split):
     got = det_mod_p([A[:, :, :split], A[:, :, split:]], p)
     assert [int(d) for d in got] == [_reference_det(rows, p) for rows in matrices]
     assert all(0 <= int(d) < p for d in got)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_inverse_mod_p_agrees_with_pow(p):
+    # every length up to 70: the tree pads all but the powers of two
+    rng = np.random.default_rng(p)
+    for length in range(1, 71):
+        x = rng.integers(1, p, length)
+        assert _inverse_mod_p(x, p).tolist() == [pow(int(v), -1, p) for v in x]
+
+
+def test_det_mod_p_singular_among_nonsingular():
+    # singular matrices, whose scaling is zero (a zero first column, two
+    # equal rows) or whose last pivot alone is zero (a zero last row), sit
+    # between nonsingular ones in a chunk; each keeps its own determinant
+    p = 2**31 - 1
+    A = np.random.default_rng(9).integers(0, p, size=(12, 5, 5), dtype=np.int64)
+    A[1, :, 0] = 0
+    A[4, 3] = A[4, 1]
+    A[7, 4] = 0
+    want = [_reference_det(m.tolist(), p) for m in A]
+    assert [k for k, d in enumerate(want) if d == 0] == [1, 4, 7]
+    A = np.ascontiguousarray(A.transpose(1, 2, 0))
+    assert det_mod_p([A[:, :, :6], A[:, :, 6:]], p).tolist() == want
 
 
 def test_det_mod_p_needs_no_headroom():
