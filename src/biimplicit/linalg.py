@@ -22,6 +22,7 @@ modular arithmetic are involved.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -178,31 +179,46 @@ def independent_columns(M: QMatrix, order=None) -> list[int]:
     return sorted(order[k] for k in _echelon(permuted, len(order))[1])
 
 
+def _lone_coordinates(rows: list[dict[int, int]]) -> list[int] | None:
+    """For each sparse row, its first coordinate at which every other row
+    is zero; None when some row has no such coordinate."""
+    held = Counter(c for row in rows for c in row)
+    lone = [next((c for c in row if held[c] == 1), None) for row in rows]
+    return None if None in lone else lone
+
+
 def saturation(vectors: list[list[int]]) -> list[list[int]]:
     """A basis of the integer points of the Q-span of integer vectors: the
     saturation of the lattice they generate.
 
-    RREF row j scaled to 1 in its pivot coordinate P_j is rho_j = row_j / a_j.
-    A point of the span is sum_j z_j rho_j, z_j its P_j coordinate, and it
-    is integral exactly when z is integral with <g_c, z> integral for every
-    coordinate c, g_c = (rho_j[c])_j: z lies in the dual of
-    G = Z^k + sum_c Z g_c.  The rows are primitive, so D = lcm(a_j) clears
-    every denominator, and D*G is an integer lattice that contains D*Z^k.
-    Its Hermite form H, upper triangular, comes from Euclid's algorithm on
-    rows with entries reduced mod D; the columns of D*H^-1 span the dual.
+    Each of k independent rows has a pivot coordinate P_j at which it is
+    a_j != 0 and every other row is 0: its first coordinate of that kind
+    when every vector has one, as each of K1's canonical nullspace vectors
+    does at its free coordinate, else the pivot of its RREF row.  Row j
+    scaled to 1 in P_j is rho_j = row_j / a_j.  A point of the span is
+    sum_j z_j rho_j, z_j its P_j coordinate, and it is integral exactly when
+    z is integral with <g_c, z> integral for every coordinate c,
+    g_c = (rho_j[c])_j: z lies in the dual of G = Z^k + sum_c Z g_c.
+    D = lcm(a_j) clears every denominator, and D*G is an integer lattice
+    that contains D*Z^k.  Its Hermite form H, upper triangular, comes from
+    Euclid's algorithm on rows with entries reduced mod D; the columns of
+    D*H^-1 span the dual.
     """
     N = len(vectors[0]) if vectors else 0
-    rows, pivots = _rref(vectors, N)
+    rows = [{c: x for c, x in enumerate(v) if x} for v in vectors]
+    pivots = _lone_coordinates(rows)
+    if pivots is None:
+        rows, pivots = _rref(vectors, N)
     k = len(rows)
     D = lcm(*(row[c] for row, c in zip(rows, pivots)))
     scales = [D // row[c] for row, c in zip(rows, pivots)]
     H = [[D * (i == j) for j in range(k)] for i in range(k)]
     for c in sorted(set().union(*rows) - set(pivots)):
         v = [s * row.get(c, 0) % D for s, row in zip(scales, rows)]
-        for i in range(k):
+        for i in range(k):  # H[i] and v are 0 before i
             while v[i]:
                 q = H[i][i] // v[i]
-                H[i], v = v, [(x - q * y) % D for x, y in zip(H[i], v)]
+                H[i], v = v, v[:i] + [(x - q * y) % D for x, y in zip(H[i][i:], v[i:])]
     dual = [[0] * k for _ in range(k)]  # D * H^-1 by back substitution
     for j in range(k):
         dual[j][j] = D // H[j][j]
@@ -212,9 +228,11 @@ def saturation(vectors: list[list[int]]) -> list[list[int]]:
     basis = []
     for i in range(k):
         x = [0] * N
-        for j, (s, row) in enumerate(zip(scales, rows)):
-            for c, y in row.items():
-                x[c] += dual[j][i] * s * y
+        for j in range(i + 1):  # dual is upper triangular
+            if dual[j][i]:
+                t = dual[j][i] * scales[j]
+                for c, y in rows[j].items():
+                    x[c] += t * y
         basis.append([t // D for t in x])
     return basis
 

@@ -46,6 +46,7 @@ from .linalg import (
     saturation,
 )
 from .modnull import (
+    _reduce,
     _split_matmul_mod_p,
     crt_combine,
     det_mod_p,
@@ -55,7 +56,6 @@ from .modnull import (
 )
 from .poly import (
     Bidegree,
-    BigradedPoly,
     Monomial,
     Parametrization,
     TPoly,
@@ -302,6 +302,21 @@ def _torus_bound(A: np.ndarray) -> int:
 _BATCH_ENTRIES = 2**15
 
 
+def _node_values(A: np.ndarray, h: int, axes: list, nodes: np.ndarray, p: int, batch: int):
+    """The core of coefficients A modulo p at T_h = 1 and T_axes = each
+    node, in (n, n, batch) int64 chunks with entries in [0, p).  `nodes`
+    holds each node with a fourth coordinate 1, as float64.  Each chunk is
+    one float64 (BLAS) product, which is exact: a node's coordinates are at
+    most n + 1, so every sum of four products stays below
+    4 * 2^31 * (n + 1) < 2^53."""
+    n = len(A)
+    coefficients = (A % p)[:, :, axes + [h]].reshape(n * n, 4).astype(np.float64)
+    for start in range(0, nodes.shape[1], batch):
+        chunk = (coefficients @ nodes[:, start : start + batch]).astype(np.int64)
+        _reduce(chunk, p)
+        yield chunk.reshape(n, n, -1)
+
+
 def _core_det(core: list[list[tuple]], n: int) -> TPoly:
     """Determinant of an n x n matrix of integer linear forms, given as
     rows of coefficient 4-tuples, by evaluation and interpolation
@@ -317,20 +332,15 @@ def _core_det(core: list[list[tuple]], n: int) -> TPoly:
     shape = [degree_bounds[t] + 1 for t in axes]
     inside = np.indices(shape).sum(axis=0) <= n
     exponents = np.array(np.nonzero(inside))
-    points = exponents + 1
+    nodes = np.ones((4, exponents.shape[1]))
+    nodes[:3] += exponents
 
     primes = _primes_above((2 * _torus_bound(A)).bit_length())
     batch = max(1, _BATCH_ENTRIES // (n * n))
-    residues = np.empty((len(primes), points.shape[1]), dtype=np.int64)
+    residues = np.empty((len(primes), nodes.shape[1]), dtype=np.int64)
     for q, p in enumerate(primes):
-        reduced = (A % p).astype(np.int64)
-        linear, constant = reduced[:, :, axes], reduced[:, :, h, None]
-        chunks = (
-            (linear @ points[:, start : start + batch] + constant) % p
-            for start in range(0, points.shape[1], batch)
-        )
         values = np.zeros(shape, dtype=np.int64)
-        values[inside] = det_mod_p(chunks, p)
+        values[inside] = det_mod_p(_node_values(A, h, axes, nodes, p, batch), p)
         residues[q] = _interpolate(values, inside, p)[inside]
 
     support = np.flatnonzero(residues.any(axis=0))
@@ -504,12 +514,20 @@ def certify_determinant(M: MatrixRep, F: Parametrization, columns, det: TPoly) -
     if M.rows < 1:
         raise PipelineError("the matrix has no rows, so its minors certify nothing")
     minor = M._minor(columns)
+    # the terms of m*f_i for row monomial m, shared by every column
+    shifted = [
+        [[((m[0] + a, m[1] + b, m[2] + c, m[3] + d), k) for (a, b, c, d), k in f.terms.items()]
+         for f in F.polys]
+        for m in M.row_basis
+    ]
     for j, column in enumerate(zip(*minor)):
-        identity = BigradedPoly.zero()
-        for i, f in enumerate(F.polys):
-            component = BigradedPoly({m: e[i] for m, e in zip(M.row_basis, column)})
-            identity = identity + component * f
-        if identity:
+        identity: dict = {}  # sum_i a_ij*f_i, one term at a time
+        for products, e in zip(shifted, column):
+            for x, terms in zip(e, products):
+                if x:
+                    for mono, k in terms:
+                        identity[mono] = identity.get(mono, 0) + x * k
+        if any(identity.values()):
             raise PipelineError(
                 f"column {j} of the determinant's matrix is not a syzygy of the map"
             )

@@ -6,19 +6,21 @@ written explicitly ("s*t", never "st"); exponents are non-negative integer
 literals.  The same grammar serves both k[s,u,t,v] and k[T1..T4].
 Parentheses and unary minus signs may nest at most MAX_NESTING deep.
 
-Products and powers are checked before they are expanded: each result's
-total degree is at most MAX_DEGREE, the sum of the absolute values of its
-coefficients at most 2**MAX_COEFF_BITS, and one parse multiplies at most
-MAX_TERM_PRODUCTS pairs of terms.  The three limits together bound the time
-of a parse by a second or so plus the time to read the text.
+The text is split into tokens once, and the descent keeps every
+intermediate value as a plain term dict; the polynomial is built once, at
+the end.  Products and powers are checked before they are expanded: each
+result's total degree is at most MAX_DEGREE, the sum of the absolute
+values of its coefficients at most 2**MAX_COEFF_BITS, and one parse
+multiplies at most MAX_TERM_PRODUCTS pairs of terms.  The three limits
+together bound the time of a parse by a second or so plus the time to read
+the text.
 """
 
 from __future__ import annotations
 
-from .poly import BigradedPoly, InputError, TPoly, _SparsePoly
+import re
 
-# str.isdigit also accepts superscripts and non-ASCII decimal digits
-_DIGITS = frozenset("0123456789")
+from .poly import SOURCE_VARS, TARGET_VARS, BigradedPoly, InputError, Monomial, TPoly
 
 # Deepest nesting of parentheses and unary minus signs accepted.  Each level
 # costs the descent a few stack frames, so deeper input would otherwise end
@@ -44,6 +46,21 @@ MAX_TERM_PRODUCTS = 2**19
 
 _SIGNS = {"+": 1, "-": -1}
 
+# One token per match: a run of ASCII digits, a run of letters and digits
+# (a name when it starts with a letter), or any other single character, each
+# after optional whitespace; \s is str.isspace and [^\W_] is str.isalnum.
+_TOKEN = re.compile(r"\s*([0-9]+|[^\W_]+|\S)")
+_DIGITS = frozenset("0123456789")
+
+# A monomial x1^a x2^b x3^c x4^d of total degree g is the key with fields
+# g, a, b, c, d of _FIELD bits each, g highest: a product of monomials is
+# one integer sum, and the largest key of a term dict has its largest total
+# degree.  Every value is checked to total degree at most MAX_DEGREE before
+# it is built, so no field carries into the next.
+_FIELD = 16
+_MASK = (1 << _FIELD) - 1
+_ONE = 0
+
 
 class ParseError(InputError):
     """Malformed expression; `position` is the 0-based offset in the input."""
@@ -58,162 +75,183 @@ class UnknownVariableError(ParseError):
 
 
 class _Parser:
-    def __init__(self, text: str, poly_cls: type[_SparsePoly], var_names):
+    """The descent over the tokens of one text, ended by "".  A token is
+    read by its text alone: an integer starts with a digit, a name with a
+    letter, and anything else is compared as it is.  Where a token starts
+    in the text is found again only for an error.  Every value is a fresh
+    {monomial key: nonzero int} dict that its caller owns."""
+
+    def __init__(self, text: str, var_names):
         self.text = text
-        self.pos = 0
-        self.cls = poly_cls
-        self.vars = {name: i for i, name in enumerate(var_names)}
+        self.tokens = _TOKEN.findall(text) + [""]
+        self.i = 0
+        self.vars = {
+            name: 1 << 4 * _FIELD | 1 << (3 - i) * _FIELD for i, name in enumerate(var_names)
+        }
         self.depth = 0
         self.term_products = 0
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _expect(self, ch: str):
-        if self._peek() != ch:
-            raise ParseError(f"expected '{ch}'", self.pos)
-        self.pos += 1
+    def _error(self, message: str, index: int, offset: int = 0, cls=ParseError):
+        """The error at `offset` characters into the token at `index`."""
+        starts = [match.start(1) for match in _TOKEN.finditer(self.text)]
+        position = starts[index] if index < len(starts) else len(self.text)
+        return cls(message, position + offset)
 
     def _nested(self, parse):
+        # the token before self.i is the '(' or '-' that opens this level
         if self.depth == MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.pos)
+            raise self._error(f"nesting deeper than {MAX_NESTING} levels", self.i - 1, 1)
         self.depth += 1
         value = parse()
         self.depth -= 1
         return value
 
-    def parse(self):
-        result = self._expression()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError(
-                f"unexpected character {self.text[self.pos]!r}", self.pos
-            )
-        return result
+    def parse(self) -> dict[Monomial, int]:
+        terms = self._expression()
+        token = self.tokens[self.i]
+        if token:
+            raise self._error(f"unexpected character {token[0]!r}", self.i)
+        return {
+            (k >> 3 * _FIELD & _MASK, k >> 2 * _FIELD & _MASK, k >> _FIELD & _MASK, k & _MASK): c
+            for k, c in terms.items()
+        }
 
-    def _expression(self):
-        # one term dict for the whole sum: `a + b` copies a, so a long sum of
-        # distinct terms would take quadratic time
-        terms = dict(self._term().terms)
-        while (sign := _SIGNS.get(self._peek())) is not None:
-            self.pos += 1
-            for mono, c in self._term().terms.items():
+    def _expression(self) -> dict:
+        # one term dict for the whole sum, so a long sum of distinct terms
+        # takes linear time
+        terms = self._term()
+        while (sign := _SIGNS.get(self.tokens[self.i])) is not None:
+            self.i += 1
+            for mono, c in self._term().items():
                 c = terms.pop(mono, 0) + sign * c
                 if c:
                     terms[mono] = c
-        return self.cls(terms)
+        return terms
 
-    def _term(self):
+    def _term(self) -> dict:
         value = self._factor()
-        while self._peek() == "*":
-            position = self.pos
-            self.pos += 1
-            value = self._product(value, self._factor(), position)
+        while self.tokens[self.i] == "*":
+            index = self.i
+            self.i += 1
+            value = self._product(value, self._factor(), index)
         return value
 
-    def _product(self, a, b, position: int):
+    def _product(self, a: dict, b: dict, index: int) -> dict:
         """a * b, refused before it is expanded when it passes a limit."""
+        if len(a) == 1 == len(b):  # a monomial times a monomial
+            ((ma, ca),), ((mb, cb),) = a.items(), b.items()
+            mono = ma + mb
+            bits = (abs(ca) - 1).bit_length() + (abs(cb) - 1).bit_length()
+            self._check(mono >> 4 * _FIELD, bits, index)
+            self._count(1, index)
+            return {mono: ca * cb}
         (da, ba), (db, bb) = _size(a), _size(b)
-        _check(da + db, ba + bb, position)
-        return self._multiply(a, b, position)
+        self._check(da + db, ba + bb, index)
+        return self._multiply(a, b, index)
 
-    def _multiply(self, a, b, position: int):
-        self.term_products += len(a.terms) * len(b.terms)
+    def _check(self, degree: int, bits: int, index: int):
+        if degree > MAX_DEGREE:
+            raise self._error(f"total degree above {MAX_DEGREE}", index)
+        if bits > MAX_COEFF_BITS:
+            raise self._error(f"coefficients above {MAX_COEFF_BITS} bits", index)
+
+    def _count(self, products: int, index: int):
+        self.term_products += products
         if self.term_products > MAX_TERM_PRODUCTS:
-            raise ParseError(
-                f"more than {MAX_TERM_PRODUCTS} term products", position
-            )
-        return a * b
+            raise self._error(f"more than {MAX_TERM_PRODUCTS} term products", index)
 
-    def _factor(self):
-        if self._peek() == "-":
-            self.pos += 1
-            return -self._nested(self._factor)
+    def _multiply(self, a: dict, b: dict, index: int) -> dict:
+        self._count(len(a) * len(b), index)
+        out: dict[int, int] = {}
+        get = out.get
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                mono = m1 + m2
+                c = get(mono, 0) + c1 * c2
+                if c:
+                    out[mono] = c
+                else:
+                    del out[mono]
+        return out
+
+    def _factor(self) -> dict:
+        if self.tokens[self.i] == "-":
+            self.i += 1
+            return {m: -c for m, c in self._nested(self._factor).items()}
         return self._power()
 
-    def _power(self):
+    def _power(self) -> dict:
         base = self._atom()
-        if self._peek() != "^":
+        if self.tokens[self.i] != "^":
             return base
-        position = self.pos
-        self.pos += 1
+        index = self.i
+        self.i += 1
         n = self._integer("exponent")
         degree, bits = _size(base)
-        _check(n * degree, n * bits, position)
-        result = self.cls.constant(1)
+        self._check(n * degree, n * bits, index)
+        if len(base) == 1:
+            # what the loop below counts: one product of one term by one
+            # term per step, and the powers of a nonzero term never vanish
+            self._count(n.bit_count() + n.bit_length() - 1 if n else 0, index)
+            ((mono, c),) = base.items()
+            return {mono * n: c**n}
+        result = {_ONE: 1}
         # square and multiply: each intermediate is base^k with k <= n, which
         # the check above covers, and each product is counted
         while n:
             if n & 1:
-                result = self._multiply(result, base, position)
+                result = self._multiply(result, base, index)
             n >>= 1
             if n:
-                base = self._multiply(base, base, position)
+                base = self._multiply(base, base, index)
         return result
 
-    def _atom(self):
-        ch = self._peek()
-        if ch == "(":
-            self.pos += 1
+    def _atom(self) -> dict:
+        token = self.tokens[self.i]
+        if token == "(":
+            self.i += 1
             inner = self._nested(self._expression)
-            self._expect(")")
+            if self.tokens[self.i] != ")":
+                raise self._error("expected ')'", self.i)
+            self.i += 1
             return inner
-        if ch in _DIGITS:
-            return self.cls.constant(self._integer("integer literal"))
-        if ch.isalpha():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isalnum():
-                self.pos += 1
-            name = self.text[start : self.pos]
-            if name not in self.vars:
-                raise UnknownVariableError(
-                    f"unknown variable {name!r}", start
-                )
-            return self.cls.variable(self.vars[name])
-        if ch == "":
-            raise ParseError("unexpected end of input", self.pos)
-        raise ParseError(f"unexpected character {ch!r}", self.pos)
+        if token[:1] in _DIGITS:
+            c = self._integer("integer literal")
+            return {_ONE: c} if c else {}
+        if token[:1].isalpha():
+            if token not in self.vars:
+                raise self._error(f"unknown variable {token!r}", self.i, cls=UnknownVariableError)
+            self.i += 1
+            return {self.vars[token]: 1}
+        if not token:
+            raise self._error("unexpected end of input", self.i)
+        raise self._error(f"unexpected character {token[0]!r}", self.i)
 
     def _integer(self, what: str) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError(f"expected {what}", start)
+        token = self.tokens[self.i]
+        if token[:1] not in _DIGITS:
+            raise self._error(f"expected {what}", self.i)
         try:
-            return int(self.text[start : self.pos])
+            value = int(token)
         except ValueError as err:  # more digits than int() converts
-            raise ParseError(
-                f"integer literal of {self.pos - start} digits is too long", start
-            ) from err
+            raise self._error(f"integer literal of {len(token)} digits is too long", self.i) from err
+        self.i += 1
+        return value
 
 
-def _check(degree: int, bits: int, position: int):
-    if degree > MAX_DEGREE:
-        raise ParseError(f"total degree above {MAX_DEGREE}", position)
-    if bits > MAX_COEFF_BITS:
-        raise ParseError(f"coefficients above {MAX_COEFF_BITS} bits", position)
-
-
-def _size(p) -> tuple[int, int]:
+def _size(terms: dict) -> tuple[int, int]:
     """Total degree and ceil(log2) of the sum of the absolute coefficients.
     Both are subadditive under products, so a power's are at most n times
     its base's."""
-    norm = sum(map(abs, p.terms.values()))
-    return max(map(sum, p.terms), default=0), max(norm - 1, 0).bit_length()
+    norm = sum(map(abs, terms.values()))
+    return max(terms, default=0) >> 4 * _FIELD, max(norm - 1, 0).bit_length()
 
 
 def parse_poly(text: str) -> BigradedPoly:
     """Parse an expression in s, u, t, v."""
-    return _Parser(text, BigradedPoly, BigradedPoly._var_names).parse()
+    return BigradedPoly._raw(_Parser(text, SOURCE_VARS).parse())
 
 
 def parse_tpoly(text: str) -> TPoly:
     """Parse an expression in T1..T4."""
-    return _Parser(text, TPoly, TPoly._var_names).parse()
+    return TPoly._raw(_Parser(text, TARGET_VARS).parse())

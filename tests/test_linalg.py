@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from biimplicit import linalg
+from biimplicit.complexes import region
 from biimplicit.linalg import (
     QMatrix,
     _integer_row,
@@ -18,10 +21,18 @@ from biimplicit.linalg import (
     rref_nullspace,
     saturation,
 )
+from biimplicit.matrixrep import _integer_det, build_matrix
 from biimplicit.parser import parse_poly
 from biimplicit.poly import Bidegree, BigradedPoly
 
-from conftest import golden_polys, gram_det, identity, matvec, random_bipoly
+from conftest import (
+    golden_polys,
+    gram_det,
+    identity,
+    matvec,
+    random_bipoly,
+    random_parametrization,
+)
 
 
 class TestGradedBasis:
@@ -376,6 +387,87 @@ def test_saturation_small():
     assert saturation([[2, 4, 6]]) in ([[1, 2, 3]], [[-1, -2, -3]])
     assert gram_det(saturation([[2, 0, 0], [0, 3, 0]])) == 1
     assert saturation([[2, 4], [3, 6]]) in ([[1, 2]], [[-1, -2]])
+
+
+def _strand_vectors(F, nu):
+    """The integer columns of the strand at nu, each a vector with entry m
+    at 4m..4m+3, as `MatrixRep._reduced_basis` hands them to saturation."""
+    M = build_matrix(F, nu)
+    return [[c for e in column for c in e] for column in zip(*M._integer_coefficients)]
+
+
+def _rref_saturation(vectors):
+    """saturation by the RREF of the vectors, as for a set without lone
+    coordinates."""
+    with mock.patch.object(linalg, "_lone_coordinates", lambda rows: None):
+        return saturation(vectors)
+
+
+def _coordinates(basis, targets):
+    """The rational x with sum_j x_j * basis[j] = t for each target t, by
+    Gauss-Jordan on the transposed system; the basis is independent."""
+    k = len(basis)
+    A = [
+        [Fraction(x) for x in row] + [Fraction(t[i]) for t in targets]
+        for i, row in enumerate(zip(*basis))
+    ]
+    for c in range(k):
+        p = next(i for i in range(c, len(A)) if A[i][c])
+        A[c], A[p] = A[p], A[c]
+        A[c] = [x / A[c][c] for x in A[c]]
+        for i in range(len(A)):
+            f = A[i][c]
+            if i != c and f:
+                A[i] = [x - f * y if y else x for x, y in zip(A[i], A[c])]
+    assert not any(x for row in A[k:] for x in row)
+    return [[A[i][k + j] for i in range(k)] for j in range(len(targets))]
+
+
+def _assert_same_lattice(a, b):
+    """Equal Gram determinants, and each basis integral in the other."""
+    gram = [[[sum(x * y for x, y in zip(u, v)) for v in B] for u in B] for B in (a, b)]
+    assert _integer_det(gram[0]) == _integer_det(gram[1])
+    for basis, targets in ((a, b), (b, a)):
+        assert all(x.denominator == 1 for row in _coordinates(basis, targets) for x in row)
+
+
+class TestSaturationPaths:
+    """saturation takes each canonical nullspace vector's free coordinate as
+    its pivot and skips the RREF; the lattice must be the RREF path's."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+        st.integers(0, 1),
+        st.integers(0, 2**32),
+    )
+    def test_random_strands(self, e, corner, seed):
+        F = random_parametrization(random.Random(seed), e)
+        vectors = _strand_vectors(F, region(e)[corner])
+        with mock.patch.object(linalg, "_rref") as rref:
+            basis = saturation(vectors)
+        rref.assert_not_called()
+        _assert_same_lattice(basis, _rref_saturation(vectors))
+
+    def test_segre_at_nu55(self, segre_F):
+        vectors = _strand_vectors(segre_F, (5, 5))
+        assert len(vectors) == 95
+        with mock.patch.object(linalg, "_rref") as rref:
+            basis = saturation(vectors)
+        rref.assert_not_called()
+        _assert_same_lattice(basis, _rref_saturation(vectors))
+
+    def test_without_lone_coordinates_takes_the_rref(self, monkeypatch):
+        # the second vector is nonzero only where the first is, so it has no
+        # coordinate of its own; the span is {(x, y, z): z = x + y}
+        vectors = [[1, 1, 2], [1, -1, 0]]
+        assert linalg._lone_coordinates([{0: 1, 1: 1, 2: 2}, {0: 1, 1: -1}]) is None
+        rref = []
+        real = linalg._rref
+        monkeypatch.setattr(linalg, "_rref", lambda *args: rref.append(args) or real(*args))
+        basis = saturation(vectors)
+        assert len(rref) == 1
+        _assert_same_lattice(basis, [[1, 0, 1], [0, 1, 1]])
 
 
 def _gram_schmidt(vectors):

@@ -6,7 +6,8 @@ between runs.
 segre.json is the Segre map, rand11.json, rand12.json and rand22.json the
 first (1,1), (1,2) and (2,2) maps drawn by
 conftest.random_parametrization(random.Random(7), e),
-golden.json the golden bidegree-(2,3) map, point.json (st, 2st, 3st, 4st)
+golden.json the golden bidegree-(2,3) map (golden.factored.json the same
+map written with parentheses and powers of sums), point.json (st, 2st, 3st, 4st)
 and line.json (uv, -2uv, -4uv, -2uv-2sv) two maps whose polynomials share a
 common factor; each expected file was written by running the
 argv of its case through `main` and dumping the parsed report, minus
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from biimplicit.cli import main
+from biimplicit.parser import parse_poly
 
 DATA = Path(__file__).parent / "data"
 
@@ -65,15 +67,46 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("expected", sorted(CASES))
-def test_pinned_report(expected, capsys):
-    command, input_name, *options = CASES[expected]
+def _report_text(command, input_name, options, capsys) -> str:
     assert main([command, str(DATA / input_name), *options]) == 0
     doc = json.loads(capsys.readouterr().out)
     if command == "implicitize":
         del doc["timings"]
-    text = json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("expected", sorted(CASES))
+def test_pinned_report(expected, capsys):
+    command, input_name, *options = CASES[expected]
+    text = _report_text(command, input_name, options, capsys)
     assert text == (DATA / expected).read_text(encoding="utf-8")
+
+
+def _inputs(name):
+    return json.loads((DATA / name).read_text(encoding="utf-8"))["polynomials"]
+
+
+# golden.factored.json is golden's map written with parentheses, powers of
+# sums, unary minus and irregular whitespace: the parser must expand it to
+# golden's polynomials, and the pipeline must print golden's report
+def test_factored_golden_parses_to_golden():
+    for factored, plain in zip(_inputs("golden.factored.json"), _inputs("golden.json")):
+        assert factored != plain
+        assert parse_poly(factored) == parse_poly(plain)
+
+
+def test_factored_golden_expands_alike_in_sympy():
+    sympy = pytest.importorskip("sympy")
+    for factored, plain in zip(_inputs("golden.factored.json"), _inputs("golden.json")):
+        difference = sympy.sympify(factored.replace("^", "**")) - sympy.sympify(
+            plain.replace("^", "**")
+        )
+        assert sympy.expand(difference) == 0
+
+
+def test_factored_golden_report(capsys):
+    text = _report_text("implicitize", "golden.factored.json", [], capsys)
+    assert text == (DATA / "golden.nu32.implicitize.json").read_text(encoding="utf-8")
 
 
 # the `matrix` reports of perfbench's two strands, 30x56 and 35x77, pinned
