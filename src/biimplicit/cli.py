@@ -41,7 +41,7 @@ from .poly import (
     Parametrization,
     TPoly,
     as_bidegree,
-    linear_form_str,
+    linear_form_rows,
 )
 
 INPUT_KEYS = {"bidegree", "polynomials", "nu", "seed", "minors"}
@@ -123,7 +123,7 @@ class OutputReport:
                 "rows": M.rows,
                 "cols": M.cols,
                 "row_basis": [str(BigradedPoly.monomial(m)) for m in M.row_basis],
-                "entries": [[linear_form_str(e) for e in row] for row in M.coefficients],
+                "entries": linear_form_rows(M.integer_coefficients, M.column_contents),
             },
             "minor_columns": lambda: (
                 list(self.minor_columns) if self.minor_columns is not None else None

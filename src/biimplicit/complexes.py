@@ -16,15 +16,15 @@ every coefficient fits, by index arithmetic: s^a u^(k-a) t^b v^(l-b) is entry
 (k-a)*(l+1) + l-b of the basis of bidegree (k, l).  Elimination over Q reads
 the slice as rows of Python numbers, rank mod p as int64 residues.
 
-A run builds each slice once.  K1 is eliminated over Q in `syzygy_basis`,
-whose canonical nullspace vectors are the only form in which the syzygies
-are held: `build_matrix` writes the matrix columns from them.  `complex_summary`
-reads dim Z3 off the bidegree of gcd(f1..f4) and builds no K3.  It ranks K2,
-a slice of the f_i's primitive parts, modulo a word-sized prime, which can
-only underestimate a rank, and keeps the rank when it meets an upper bound
-that the complex gives (a differential's image lies in the kernel of the
-next one down), building K1 at nu+2d for the second; otherwise fraction-free
-elimination over Z finds it.
+A run builds each slice once.  K1 is eliminated over Z in `syzygy_basis`,
+whose primitive integer nullspace vectors are the only form in which the
+syzygies are held: `build_matrix` writes the matrix columns from them.
+`complex_summary` reads dim Z3 off the bidegree of gcd(f1..f4) and builds
+no K3.  It ranks K2, a slice of the f_i's primitive parts, modulo a
+word-sized prime, which can only underestimate a rank, and keeps the rank
+when it meets an upper bound that the complex gives (a differential's
+image lies in the kernel of the next one down), building K1 at nu+2d for
+the second; otherwise fraction-free elimination over Z finds it.
 """
 
 from __future__ import annotations
@@ -130,9 +130,11 @@ def _dim(deg: Bidegree) -> int:
     return (deg.d1 + 1) * (deg.d2 + 1) if min(deg) >= 0 else 0
 
 
-def syzygy_basis(F: Parametrization, nu) -> list[list]:
-    """Canonical basis of the degree-nu syzygies of f1..f4: the canonical
-    nullspace vectors of the first Koszul slice.
+def syzygy_basis(F: Parametrization, nu) -> list[list[int]]:
+    """Basis of the degree-nu syzygies of f1..f4: the integer nullspace
+    vectors of the first Koszul slice from `rref_nullspace`, each the
+    primitive multiple of a canonical vector, positive at its free
+    coordinate, its last nonzero one.
 
     Component i of a vector v is v[i*n : (i+1)*n], the coordinates of a_i in
     `graded_basis(nu)`, n = dim S_nu; sum(a_i * f_i) = 0 exactly.

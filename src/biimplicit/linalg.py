@@ -14,8 +14,9 @@ integer combination of itself and the pivot row, which bounds its entries
 by minors of the input (Bareiss, Math. Comp. 1968).  `exact_rank` and
 `independent_columns` stop after this forward phase and read off the
 number of pivots and the pivot columns; `rref_nullspace` also clears each
-pivot column above its pivot and reads the unique RREF off as exact
-rationals.  `saturation` and `lll_reduce` turn independent integer vectors
+pivot column above its pivot and reads each kernel vector off the reduced
+integer rows as its primitive integer multiple, with no rational in
+between.  `saturation` and `lll_reduce` turn independent integer vectors
 into a short basis of every integer point of their span.  No floats and no
 modular arithmetic are involved.
 """
@@ -23,11 +24,10 @@ modular arithmetic are involved.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .poly import BigradedPoly, Monomial, as_bidegree, exact
+from .poly import BigradedPoly, Monomial, as_bidegree
 from .poly import divide_content, integer_primitive, rational_content
 
 
@@ -65,9 +65,12 @@ def _integer_row(row) -> dict[int, int]:
     """Sparse primitive integer multiple of one rational row: {col: int}.
 
     Dividing by the rational content changes no row space, so neither the
-    rank nor the RREF moves.
+    rank nor the RREF moves.  An integer row goes through `integer_primitive`,
+    which keeps a row of content 1 as it stands.
     """
     entries = {j: x for j, x in enumerate(row) if x}
+    if all(type(x) is int for x in entries.values()):
+        return integer_primitive(entries)[1]
     content = rational_content(entries.values())
     return {j: divide_content(x, content) for j, x in entries.items()}
 
@@ -136,25 +139,37 @@ def _rref(data: list[list], cols: int) -> tuple[list[dict], list[int]]:
     return rows, pivots
 
 
-def rref_nullspace(M: QMatrix) -> tuple[int, list[list]]:
-    """Exact rank and canonical nullspace basis of M over Q.
+def rref_nullspace(M: QMatrix) -> tuple[int, list[list[int]]]:
+    """Exact rank and an integer nullspace basis of M over Q.
 
-    The basis has one vector per free column, in ascending free-column order;
-    each vector carries 1 in its own free coordinate, the negated reduced
-    entries in the pivot coordinates, and 0 elsewhere.  M v = 0 exactly.
+    The basis has one vector per free column fc, in ascending order: the
+    primitive integer multiple, positive at fc, of the canonical vector
+    that is 1 at fc, 0 at the other free columns and -row[fc]/row[pc] at
+    the pivot column pc of each reduced row.  With g = gcd(row[fc],
+    row[pc]) that entry is -(row[fc]/g)/(row[pc]/g) in lowest terms, so
+    the vector is L at fc, L the lcm of the |row[pc]/g|, and
+    -(row[fc]/g)*(L/(row[pc]/g)) at pc.  It is primitive: for each prime
+    q dividing L, some row[pc]/g holds all of L's factors q, and its
+    entry is then prime to q, as row[fc]/g is.  A row is zero before its
+    pivot, so fc is the vector's last nonzero coordinate.  M v = 0 exactly.
     """
     rows, pivots = _rref(M.data, M.cols)
+    meets: list[list[tuple[int, int, int]]] = [[] for _ in range(M.cols)]
+    for row, pc in zip(rows, pivots):
+        p = row[pc]
+        for fc, f in row.items():
+            if fc != pc:
+                g = gcd(f, p)
+                meets[fc].append((pc, f // g, p // g))
     pivot_set = set(pivots)
-    basis: list[list] = []
+    basis: list[list[int]] = []
     for fc in range(M.cols):
         if fc in pivot_set:
             continue
         vec = [0] * M.cols
-        vec[fc] = 1
-        for row, pc in zip(rows, pivots):
-            val = row.get(fc)
-            if val:
-                vec[pc] = exact(Fraction(-val, row[pc]))
+        L = vec[fc] = lcm(*(d for _, _, d in meets[fc]))
+        for pc, f, d in meets[fc]:
+            vec[pc] = -f * (L // d)
         basis.append(vec)
     return len(pivots), basis
 
@@ -193,11 +208,11 @@ def saturation(vectors: list[list[int]]) -> list[list[int]]:
 
     Each of k independent rows has a pivot coordinate P_j at which it is
     a_j != 0 and every other row is 0: its first coordinate of that kind
-    when every vector has one, as each of K1's canonical nullspace vectors
-    does at its free coordinate, else the pivot of its RREF row.  Row j
-    scaled to 1 in P_j is rho_j = row_j / a_j.  A point of the span is
-    sum_j z_j rho_j, z_j its P_j coordinate, and it is integral exactly when
-    z is integral with <g_c, z> integral for every coordinate c,
+    when every vector has one, as each of K1's nullspace vectors from
+    `rref_nullspace` does at its free coordinate, else the pivot of its
+    RREF row.  Row j scaled to 1 in P_j is rho_j = row_j / a_j.  A point of
+    the span is sum_j z_j rho_j, z_j its P_j coordinate, and it is integral
+    exactly when z is integral with <g_c, z> integral for every coordinate c,
     g_c = (rho_j[c])_j: z lies in the dual of G = Z^k + sum_c Z g_c.
     D = lcm(a_j) clears every denominator, and D*G is an integer lattice
     that contains D*Z^k.  Its Hermite form H, upper triangular, comes from

@@ -1,16 +1,19 @@
 """Matrix representations of the image surface and their determinants.
 
 The degree-nu syzygies of the parametrization are rewritten as a matrix of
-linear forms in T1..T4, each entry held as its four coefficients, over the
-monomial basis of the degree-nu graded piece.
+linear forms in T1..T4 over the monomial basis of the degree-nu graded
+piece.  Each column is held as it comes from K1's elimination, a primitive
+integer syzygy with each entry's four integer coefficients, plus one
+positive rational content that gives the exact entries when they are
+printed or asked for.
 A square matrix is its own maximal minor; for a rectangular one a minor is
 proposed by evaluating the matrix at a random point and taking the pivot
 columns of the integer elimination in `linalg`, so its determinant is
 nonzero at that point.  A determinant is taken on one integer matrix per
 minor, in the layout of the entries, rows of coefficient 4-tuples: the
-minor's columns divided by their rational contents, or, for a square
-matrix, an LLL-reduced basis of the integer points of its columns' span,
-which drops integer content the coefficient bound would pay primes for.
+minor's integer columns, or, for a square matrix, an LLL-reduced basis of
+the integer points of its columns' span, which drops integer content the
+coefficient bound would pay primes for.
 It is computed exactly: rows and columns with a single nonzero entry are
 peeled off, and the rest is evaluated modulo primes on the lower set of
 exponents its determinant can carry, interpolated by Newton differences,
@@ -62,6 +65,7 @@ from .poly import (
     as_bidegree,
     divide_content,
     evaluate_many,
+    exact,
     rational_content,
     # unused here; kept because perfbench/spans.py wraps matrixrep.substitute_T
     substitute_T,  # noqa: F401
@@ -113,28 +117,46 @@ _T_MONOMIALS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 @dataclass(frozen=True)
 class MatrixRep:
-    """Rows indexed by the degree-nu monomial basis, columns by the canonical
-    syzygy basis; entry (m, j) is c1*T1 + .. + c4*T4 with (c1, .., c4) =
-    coefficients[m][j], c_i the exact coefficient of monomial m in component
-    i of syzygy column j.  Without columns, each row is an empty tuple."""
+    """Rows indexed by the degree-nu monomial basis, columns by the syzygy
+    basis; entry (m, j) is k_j*(c1*T1 + .. + c4*T4) with the integers
+    (c1, .., c4) = integer_coefficients[m][j] and the positive rational
+    k_j = column_contents[j].  In a matrix from `build_matrix`, c_i is the
+    coefficient of monomial m in component i of the primitive integer
+    syzygy j, and k_j is one over its value at its free coordinate, so the
+    exact entries are those of K1's canonical nullspace vector.  Without
+    columns, each row is an empty tuple."""
 
     nu: Bidegree
     row_basis: tuple[Monomial, ...]
-    coefficients: tuple[tuple[tuple, ...], ...]
+    integer_coefficients: tuple[tuple[tuple[int, int, int, int], ...], ...]
+    column_contents: tuple[Fraction, ...]
 
     @property
     def rows(self) -> int:
-        return len(self.coefficients)
+        return len(self.integer_coefficients)
 
     @property
     def cols(self) -> int:
-        return len(self.coefficients[0]) if self.coefficients else 0
+        return len(self.integer_coefficients[0]) if self.integer_coefficients else 0
+
+    @cached_property
+    def coefficients(self) -> tuple[tuple[tuple, ...], ...]:
+        """The exact coefficients (k_j*c1, .., k_j*c4) of every entry, built
+        on first use for tests and library callers.  Rank queries, minors
+        and determinants take the integer columns, and reports print each
+        entry from its integers and k_j."""
+        return tuple(
+            tuple(
+                e if k == 1 or not any(e) else tuple(exact(k * c) for c in e)
+                for e, k in zip(row, self.column_contents)
+            )
+            for row in self.integer_coefficients
+        )
 
     @cached_property
     def entries(self) -> tuple[tuple[TPoly, ...], ...]:
-        """The entries as linear TPolys, for tests and library callers;
-        zeros share one TPoly.  Reports print `coefficients` directly, and
-        `bareiss_det` takes them as they are."""
+        """The exact entries as linear TPolys, for tests and library
+        callers; zeros share one TPoly."""
         zero, T, raw = TPoly.zero(), _T_MONOMIALS, TPoly._raw
         return tuple(
             tuple(raw({m: c for m, c in zip(T, e) if c}) if any(e) else zero for e in row)
@@ -142,28 +164,12 @@ class MatrixRep:
         )
 
     @cached_property
-    def _integer_coefficients(self) -> tuple[tuple[tuple, ...], ...]:
-        """The coefficients with each column divided by its positive
-        rational content, which keeps the rank and the independent column
-        sets at every point.  A column of content 1 is integral already."""
-        columns = []
-        for column in zip(*self.coefficients):
-            content = rational_content(c for e in column for c in e)
-            if content and content != 1:
-                column = [
-                    tuple(divide_content(c, content) for c in e) if any(e) else e
-                    for e in column
-                ]
-            columns.append(column)
-        return tuple(zip(*columns)) or self.coefficients
-
-    @cached_property
     def _reduced_basis(self) -> tuple[tuple[int, ...], ...]:
         """An LLL-reduced basis of the integer points of the span of the
         integer columns, each a vector with entry m at 4m..4m+3.  For a
         matrix from `build_matrix` these points are the integer syzygies.
         Dependent columns raise RankDeficientError."""
-        columns = [[c for e in column for c in e] for column in zip(*self._integer_coefficients)]
+        columns = [[c for e in column for c in e] for column in zip(*self.integer_coefficients)]
         basis = lll_reduce(saturation(columns))
         if len(basis) < self.cols:
             raise RankDeficientError("the columns of the matrix are dependent")
@@ -177,7 +183,7 @@ class MatrixRep:
         if self.rows == self.cols:
             basis = self._reduced_basis
             return tuple(tuple(v[4 * r : 4 * r + 4] for v in basis) for r in range(self.rows))
-        return tuple(tuple(row[j] for j in columns) for row in self._integer_coefficients)
+        return tuple(tuple(row[j] for j in columns) for row in self.integer_coefficients)
 
     def evaluate(self, values) -> QMatrix:
         """The integer columns at T = values: the rank and independent column
@@ -185,13 +191,15 @@ class MatrixRep:
         t1, t2, t3, t4 = values
         data = [
             [a * t1 + b * t2 + c * t3 + d * t4 for a, b, c, d in row]
-            for row in self._integer_coefficients
+            for row in self.integer_coefficients
         ]
         return QMatrix(self.rows, self.cols, data)
 
 
 def build_matrix(F: Parametrization, nu) -> MatrixRep:
-    """Entry (m, j) is (v[m], v[n+m], v[2n+m], v[3n+m]), v syzygy vector j."""
+    """Integer entry (m, j) is (v[m], v[n+m], v[2n+m], v[3n+m]), v syzygy
+    vector j, and column j's content is one over v's last nonzero
+    coordinate, its free coordinate."""
     nu = as_bidegree(nu)
     vectors = syzygy_basis(F, nu)  # refuses an oversized strand before S_nu is listed
     basis = graded_basis(nu)
@@ -200,7 +208,8 @@ def build_matrix(F: Parametrization, nu) -> MatrixRep:
         [e if any(e) else zero for e in zip(v[:n], v[n : 2 * n], v[2 * n : 3 * n], v[3 * n :])]
         for v in vectors
     ]
-    return MatrixRep(nu, basis, tuple(zip(*columns)) if columns else ((),) * n)
+    contents = tuple(Fraction(1, next(x for x in reversed(v) if x)) for v in vectors)
+    return MatrixRep(nu, basis, tuple(zip(*columns)) if columns else ((),) * n, contents)
 
 
 def _linear_form(coefficients) -> TPoly:
@@ -362,10 +371,10 @@ def bareiss_det(matrix) -> TPoly:
     exact numbers, entry c1*T1 + .. + c4*T4, the layout of
     `MatrixRep.coefficients`; a non-square matrix or an entry that is not a
     4-tuple raises ValueError.  Each row's rational content is pulled out
-    first, leaving integer coefficients.  Rows and columns with a single
-    nonzero entry are peeled off by Laplace expansion (a zero row or column
-    gives 0), and the remaining core is evaluated modulo primes and
-    interpolated:
+    first, leaving integer coefficients; a row of content 1 is kept as it
+    stands.  Rows and columns with a single nonzero entry are peeled off by
+    Laplace expansion (a zero row or column gives 0), and the remaining
+    core is evaluated modulo primes and interpolated:
 
     * degree bound: deg_Tt det <= min(rows, columns of the core holding Tt),
       since each term of the permutation expansion takes one entry from
@@ -402,14 +411,10 @@ def bareiss_det(matrix) -> TPoly:
         content = rational_content(c for coeffs in row for c in coeffs)
         if not content:
             return TPoly.zero()
-        scale *= content
-        grid.append(
-            {
-                j: tuple(divide_content(c, content) for c in coeffs)
-                for j, coeffs in enumerate(row)
-                if any(coeffs)
-            }
-        )
+        if content != 1:
+            scale *= content
+            row = [tuple(divide_content(c, content) for c in coeffs) for coeffs in row]
+        grid.append({j: coeffs for j, coeffs in enumerate(row) if any(coeffs)})
 
     peeled = _peel(grid, n)
     if peeled is None:
@@ -461,7 +466,7 @@ def minor_determinants(M: MatrixRep, seed: int, count: int):
     """
     if M.rows == 0:
         return [], [TPoly.constant(1)]
-    if not any(any(e) for row in M._integer_coefficients for e in row):
+    if not any(any(e) for row in M.integer_coefficients for e in row):
         raise RankDeficientError("matrix of linear forms is zero")
     if M.rows == M.cols:
         det = bareiss_det(M._minor(range(M.cols)))

@@ -320,9 +320,28 @@ def _join_terms(terms) -> str:
     return "".join(chunks) or "0"
 
 
-def linear_form_str(coefficients) -> str:
-    """str(TPoly) of c1*T1 + .. + c4*T4, from (c1, c2, c3, c4) alone."""
-    return _join_terms((c, name) for c, name in zip(coefficients, TARGET_VARS) if c)
+def linear_form_rows(rows, contents) -> list[list[str]]:
+    """str(TPoly) of every entry k_j*(a1*T1 + .. + a4*T4) of a matrix given
+    as rows of integer 4-tuples (a1, .., a4), k_j = contents[j] > 0 the
+    rational content of column j.  Each coefficient k_j*a_i is printed as
+    str(Fraction) prints it, from its numerator and denominator divided by
+    their gcd, with no Fraction built."""
+    scales = [(k.numerator, k.denominator) for k in contents]
+    return [
+        [
+            _join_terms([(_quotient_str(a * p, q), x) for a, x in zip(e, TARGET_VARS) if a])
+            if any(e)
+            else "0"
+            for e, (p, q) in zip(row, scales)
+        ]
+        for row in rows
+    ]
+
+
+def _quotient_str(a: int, b: int) -> str:
+    """str(Fraction(a, b)) for integers a and b > 0."""
+    g = gcd(a, b)
+    return str(a // g) if g == b else f"{a // g}/{b // g}"
 
 
 class BigradedPoly(_SparsePoly):

@@ -9,6 +9,7 @@ from biimplicit.matrixrep import MatrixRep
 from biimplicit.modnull import _echelon_mod_p
 from biimplicit.parser import parse_poly
 from biimplicit.poly import Bidegree, BigradedPoly, Parametrization, TPoly
+from biimplicit.poly import divide_content, rational_content
 from biimplicit.linalg import QMatrix, graded_basis
 
 # one-line descriptions registered by test_acceptance, printed per criterion
@@ -114,9 +115,17 @@ def coefficient_rows(entries) -> tuple:
 
 def matrix_of(entries, nu=Bidegree(0, 0), row_basis=None) -> MatrixRep:
     """The MatrixRep whose entries are the given linear TPolys, rows over
-    `row_basis` (the degree-nu basis by default)."""
+    `row_basis` (the degree-nu basis by default): each column is held as
+    its primitive integer multiple and its positive rational content, 1
+    for a zero column."""
     basis = graded_basis(nu) if row_basis is None else row_basis
-    return MatrixRep(nu, basis, coefficient_rows(entries))
+    rows = coefficient_rows(entries)
+    columns, contents = [], []
+    for column in zip(*rows):
+        content = rational_content(c for e in column for c in e) or Fraction(1)
+        columns.append([tuple(divide_content(c, content) for c in e) for e in column])
+        contents.append(content)
+    return MatrixRep(nu, basis, tuple(zip(*columns)) or rows, tuple(contents))
 
 
 def identity(n: int) -> QMatrix:

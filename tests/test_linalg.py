@@ -5,7 +5,7 @@ from math import gcd, lcm
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from biimplicit import linalg
@@ -23,12 +23,15 @@ from biimplicit.linalg import (
 )
 from biimplicit.matrixrep import _integer_det, build_matrix
 from biimplicit.parser import parse_poly
-from biimplicit.poly import Bidegree, BigradedPoly
+from biimplicit.poly import Bidegree, BigradedPoly, Parametrization
+from biimplicit.poly import linear_form_rows
 
+import reference_nullspace
 from conftest import (
     golden_polys,
     gram_det,
     identity,
+    lin,
     matvec,
     random_bipoly,
     random_parametrization,
@@ -151,7 +154,9 @@ class TestRrefNullspace:
         M = QMatrix(1, 2, [[Fraction(1, 2), Fraction(1, 3)]])
         rank, basis = rref_nullspace(M)
         assert rank == 1
-        assert basis == [[Fraction(-2, 3), 1]]
+        assert basis == [[-2, 3]]
+        # divided by its free coordinate, the canonical vector
+        assert [Fraction(x, basis[0][1]) for x in basis[0]] == [Fraction(-2, 3), 1]
         assert matvec(M, basis[0]) == [0]
 
     def test_rank_nullity_and_kernel(self):
@@ -174,7 +179,7 @@ class TestRrefNullspace:
             free = [c for c in range(M.cols) if c not in pivots]
             assert len(basis) == len(free)
             for vec, fc in zip(basis, free):
-                assert vec[fc] == 1
+                assert vec[fc] > 0
                 for other in free:
                     if other != fc:
                         assert vec[other] == 0
@@ -246,10 +251,54 @@ def test_kernel_agrees_with_sympy_rref(M):
     rank, basis = rref_nullspace(M)
     assert rank == len(pivots)
     assert exact_rank(M) == len(pivots)
-    assert basis == expected
-    assert all(type(x) in (int, Fraction) for vec in basis for x in vec)
-    assert all(not isinstance(x, Fraction) or x.denominator > 1 for vec in basis for x in vec)
+    free = [c for c in range(M.cols) if c not in pivots]
+    # each vector divided by its free coordinate is the canonical one
+    assert [[Fraction(x, vec[fc]) for x in vec] for vec, fc in zip(basis, free)] == expected
+    assert all(type(x) is int for vec in basis for x in vec)
     assert _pivots_of(M)[1] == list(pivots)
+
+
+class TestIntegerNullspace:
+    """rref_nullspace reads each kernel vector off the reduced integer rows
+    as a primitive integer vector; the old canonical-rational function in
+    tests/reference_nullspace.py is the reference for both it and the
+    matrices and report entries built from it."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rational_matrices())
+    @example(QMatrix.zeros(0, 3))
+    @example(QMatrix.zeros(3, 0))
+    def test_primitive_multiples_of_the_canonical_vectors(self, M):
+        rank, basis = rref_nullspace(M)
+        reference_rank, reference = reference_nullspace.rref_nullspace(M)
+        assert rank == reference_rank
+        pivots = set(_pivots_of(M)[1])
+        free = [c for c in range(M.cols) if c not in pivots]
+        assert len(basis) == len(reference) == len(free)
+        for vec, canonical, fc in zip(basis, reference, free):
+            assert all(type(x) is int for x in vec)
+            assert gcd(*vec) == 1 and vec[fc] > 0
+            assert vec == [vec[fc] * x for x in canonical]
+            assert max(c for c, x in enumerate(vec) if x) == fc
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.integers(0, 2**32),
+        st.sampled_from([1, 1, Fraction(2, 3), Fraction(-7, 5)]),
+    )
+    def test_matrix_and_report_entries_match_the_reference(self, bidegree, nu, seed, scale):
+        # f1 times `scale`: a rational map's K1 slice has Fraction rows
+        F = random_parametrization(random.Random(seed), bidegree)
+        F = Parametrization.from_polys([F.polys[0] * scale, *F.polys[1:]])
+        M = build_matrix(F, nu)
+        reference = reference_nullspace.reference_coefficients(F, nu)
+        assert repr(M.coefficients) == repr(reference)
+        assert all(type(c) is int for row in M.integer_coefficients for e in row for c in e)
+        assert linear_form_rows(M.integer_coefficients, M.column_contents) == [
+            [str(lin(*e)) for e in row] for row in reference
+        ]
 
 
 @pytest.mark.parametrize("deficient", [False, True])
@@ -393,7 +442,7 @@ def _strand_vectors(F, nu):
     """The integer columns of the strand at nu, each a vector with entry m
     at 4m..4m+3, as `MatrixRep._reduced_basis` hands them to saturation."""
     M = build_matrix(F, nu)
-    return [[c for e in column for c in e] for column in zip(*M._integer_coefficients)]
+    return [[c for e in column for c in e] for column in zip(*M.integer_coefficients)]
 
 
 def _rref_saturation(vectors):

@@ -170,9 +170,16 @@ class TestBuildMatrix:
             "segre": (segre_F, (5, 5)),
         }[name]
         M = build_matrix(F, nu)
-        for j, column in enumerate(syzygy_columns(syzygy_basis(F, nu), nu)):
+        vectors = syzygy_basis(F, nu)
+        for j, column in enumerate(syzygy_columns(vectors, nu)):
+            # the integer syzygy, and the exact entries it divided by its
+            # free coordinate, its last nonzero one
+            free = next(x for x in reversed(vectors[j]) if x)
+            assert M.column_contents[j] == Fraction(1, free)
             for r, m in enumerate(M.row_basis):
-                coefficients = tuple(a.coefficient(m) for a in column)
+                integers = tuple(a.coefficient(m) for a in column)
+                coefficients = tuple(Fraction(c, free) for c in integers)
+                assert M.integer_coefficients[r][j] == integers
                 assert M.coefficients[r][j] == coefficients
                 assert M.entries[r][j] == lin(*coefficients)
         zeros = [entry for row in M.entries for entry in row if entry.is_zero()]
@@ -601,6 +608,32 @@ class TestVerifySubstitution:
 
 
 class TestMatrixEvaluate:
+    @pytest.mark.parametrize("name, nu", [("golden", (5, 4)), ("rand22", (6, 4))])
+    def test_strand_takes_no_rational_content(self, golden_F, monkeypatch, name, nu):
+        # perfbench's two strands: K1's primitive integer nullspace vectors
+        # are the matrix columns as they stand, so building the matrix,
+        # evaluating it and minor_determinants' zero check take no content
+        from biimplicit import linalg, poly
+
+        F = golden_F if name == "golden" else random_parametrization(random.Random(7), (2, 2))
+        calls = []
+        for attribute in ("rational_content", "divide_content"):
+            real = getattr(poly, attribute)
+
+            def counted(*args, real=real, attribute=attribute):
+                calls.append(attribute)
+                return real(*args)
+
+            for module in (poly, linalg, matrixrep):
+                monkeypatch.setattr(module, attribute, counted)
+        M = build_matrix(F, nu)
+        assert M.rows < M.cols
+        M.evaluate((2, -3, 5, 7))
+        monkeypatch.setattr(matrixrep, "_proposals", lambda *args, **kwargs: iter(()))
+        with pytest.raises(RankDeficientError, match="no nonsingular"):
+            minor_determinants(M, 0, 1)
+        assert calls == []
+
     @pytest.mark.parametrize("nu", [(3, 2), (4, 3)])
     def test_column_scaled_integers_keep_rank_and_columns(self, golden_F, nu):
         M = build_matrix(golden_F, nu)
@@ -1077,7 +1110,7 @@ class TestImplicitEquation:
         assert len({tuple(c) for c in column_sets}) == 3
         # each determinant is taken on the minor's integer columns
         assert dets == [
-            bareiss_det([[row[j] for j in c] for row in M._integer_coefficients])
+            bareiss_det([[row[j] for j in c] for row in M.integer_coefficients])
             for c in column_sets
         ]
 

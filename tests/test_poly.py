@@ -17,10 +17,12 @@ from biimplicit.poly import (
     Parametrization,
     TPoly,
     ZeroPolynomialError,
+    divide_content,
     evaluate_many,
     exact,
     integer_primitive,
-    linear_form_str,
+    linear_form_rows,
+    rational_content,
     substitute_T,
 )
 from biimplicit.matrixrep import build_matrix
@@ -324,8 +326,8 @@ class TestParametrization:
             )
 
 
-# coefficients of linear forms as MatrixRep holds them: exact ints and
-# Fractions, with zeros, units, ints past 2^64 and unit numerators
+# exact coefficients of linear forms: ints and Fractions, with zeros, units,
+# ints past 2^64 and unit numerators
 linear_coeffs = st.one_of(
     st.sampled_from([0, 0, 1, -1]),
     st.integers(-(2**70), 2**70),
@@ -341,14 +343,20 @@ class TestLinearFormStr:
     @example((1, -1, Fraction(-1, 2), Fraction(1, 3)))
     @example((0, 0, 0, -(2**65)))
     def test_matches_tpoly_text(self, coefficients):
-        assert linear_form_str(coefficients) == str(lin(*coefficients))
+        # the form as an integer 4-tuple times its rational content, 1 for
+        # zero, as a MatrixRep column holds it
+        content = rational_content(coefficients) or Fraction(1)
+        integers = tuple(divide_content(c, content) for c in coefficients)
+        assert linear_form_rows([[integers]], [content]) == [[str(lin(*coefficients))]]
 
     @pytest.mark.parametrize("name, nu", [("golden", (5, 4)), ("rand22", (6, 4))])
     def test_every_strand_entry(self, golden_F, name, nu):
         # perfbench's two strands: the report prints each entry from its
-        # coefficients, and must print what str of its TPoly prints
+        # integer coefficients and its column's content, and must print what
+        # str of its TPoly prints
         F = golden_F if name == "golden" else random_parametrization(random.Random(7), (2, 2))
         M = build_matrix(F, nu)
         assert any(type(c) is Fraction for row in M.coefficients for e in row for c in e)
-        for coefficients, entries in zip(M.coefficients, M.entries):
-            assert [linear_form_str(e) for e in coefficients] == [str(e) for e in entries]
+        assert linear_form_rows(M.integer_coefficients, M.column_contents) == [
+            [str(e) for e in row] for row in M.entries
+        ]
