@@ -7,14 +7,18 @@ Monomials are exponent 4-tuples; coefficients are exact, ints or Fractions,
 with integral values kept as ints for the integer fast paths.  The content
 and primitive part of a polynomial or an integer row are computed here once
 (`rational_content`, `divide_content`, `integer_primitive`), and so is the
-gcd over Z (`tpoly_gcd`, see the comment above `exact_div`).
+gcd over Z (`tpoly_gcd`, see the comment above `exact_div`: homogeneous
+inputs lose a variable, and the trial division packs each monomial in an int).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, isqrt, lcm
+from operator import lshift
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -277,6 +281,8 @@ class _SparsePoly:
         cont = self.content()
         if self.terms[max(self.terms)] < 0:
             cont = -cont
+        elif cont == 1:
+            return self
         return self._raw({m: divide_content(c, cont) for m, c in self.terms.items()})
 
     def sorted_terms(self) -> list[tuple[Monomial, object]]:
@@ -466,6 +472,15 @@ class Parametrization:
 # primitive part is G.  One gcd of large integers thus replaces the remainder
 # sequences of a classical method; the trial division is the only polynomial
 # arithmetic left.
+#
+# For homogeneous f, g (the determinants, in T1..T4) the last variable is
+# dropped, not evaluated (which makes inner integers deg + 1 times longer):
+# gcd commutes with dehomogenizing for polynomials x_last does not divide.
+# The trial division packs each monomial into one int, w-bit fields from the
+# first variable down, w - 1 the bit length of the largest exponent, so each
+# field's top bit is a guard bit (Monagan and Pearce, CASC 2007) that a
+# negative exponent borrows into and that a term leaving a's exponent box
+# sets; an exact quotient does neither (supp b + supp q lies in Newt(a)).
 
 
 def exact_div(a: dict, b: dict) -> dict:
@@ -473,26 +488,43 @@ def exact_div(a: dict, b: dict) -> dict:
     order; raises ArithmeticError when b does not divide a over Z."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = dict(a)
-    quo: dict = {}
+    w = max(chain.from_iterable(chain(a, b)), default=0).bit_length() + 1
+    shifts = range(w * len(next(iter(b))) - w, -1, -w)
+    guard = sum(1 << (s + w - 1) for s in shifts)
+
+    def pack(m):
+        return sum(map(lshift, m, shifts))
+
+    rem = {pack(m): c for m, c in a.items()}
+    heap = [-m for m in rem]  # a max-heap of rem's keys; stale ones are skipped
+    heapify(heap)
     lead_b = max(b)
-    lb = b[lead_b]
-    rest = [(m, c) for m, c in b.items() if m != lead_b]
+    lb, top = b[lead_b], pack(lead_b)
+    rest = [(pack(m), c) for m, c in b.items() if m != lead_b]
+    quo: dict = {}
     while rem:
-        lead = max(rem)
-        mono = tuple(x - y for x, y in zip(lead, lead_b))
+        lead = -heappop(heap)
+        if lead not in rem:
+            continue
+        mono = lead - top  # a borrow, a negative exponent, sets a guard bit
         c, r = divmod(rem.pop(lead), lb)
-        if r or min(mono) < 0:
+        if r or mono & guard:
             raise ArithmeticError("inexact polynomial division")
         quo[mono] = c
         for mb, cb in rest:
-            m = tuple(x + y for x, y in zip(mono, mb))
-            val = rem.get(m, 0) - c * cb
-            if val:
+            m = mono + mb
+            if m & guard:  # outside a's exponent box, so outside Newt(a)
+                raise ArithmeticError("inexact polynomial division")
+            val = rem.get(m)
+            if val is None:
+                rem[m] = -c * cb
+                heappush(heap, -m)
+            elif val := val - c * cb:
                 rem[m] = val
             else:
                 del rem[m]
-    return quo
+    mask = (1 << w) - 1
+    return {tuple(m >> s & mask for s in shifts): c for m, c in quo.items()}
 
 
 def _evaluate_last(p: dict, xi: int, degree: int) -> dict:
@@ -540,12 +572,15 @@ def _gcd(f: dict, g: dict) -> dict:
     content = gcd(cf, cg)
     df = max(m[-1] for m in f)
     dg = max(m[-1] for m in g)
-    if df == dg == 0:
-        # the last variable is absent: drop it rather than evaluate
+    homogeneous = len(set(map(sum, f))) == len(set(map(sum, g))) == 1
+    if df == dg == 0 or homogeneous:
+        # the last variable is absent, or follows from the others: drop it,
+        # then put back x^(n - |m|), n the top degree plus min(ord f, ord g)
         h = _gcd(
             {m[:-1]: c for m, c in f.items()}, {m[:-1]: c for m, c in g.items()}
         )
-        return {m + (0,): c * content for m, c in h.items()}
+        n = max(map(sum, h)) + min(min(m[-1] for m in f), min(m[-1] for m in g))
+        return {m + (homogeneous * (n - sum(m)),): c * content for m, c in h.items()}
     norm = min(max(map(abs, f.values())), max(map(abs, g.values())))
     xi = 2 * norm + 2
     while True:

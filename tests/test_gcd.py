@@ -1,11 +1,15 @@
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_division
+from biimplicit import poly
 from biimplicit.parser import parse_tpoly
-from biimplicit.poly import TPoly, exact_div, tpoly_gcd
+from biimplicit.poly import TPoly, _gcd, exact_div, tpoly_gcd
 
 
 def tp(text):
@@ -50,6 +54,98 @@ class TestExactDiv:
         # each quotient exists over Q but not over Z
         with pytest.raises(ArithmeticError):
             exact_div(tp(a).terms, tp(b).terms)
+
+
+def _outcome(divide, a, b):
+    """The quotient, or ArithmeticError when `divide` refuses."""
+    try:
+        return divide(a, b)
+    except ArithmeticError:
+        return ArithmeticError
+
+
+def _random_terms(rng, nvars, top, count, bound=2**40) -> dict:
+    """Up to `count` terms with exponents in [0, top], one of them reaching
+    top in every variable (so the product of two such has top exponents
+    that are exactly the sums)."""
+    terms = {(top,) * nvars: rng.choice([-1, 1]) * rng.randint(1, bound)}
+    for _ in range(count - 1):
+        mono = tuple(rng.randint(0, top) for _ in range(nvars))
+        terms[mono] = rng.randint(-bound, bound)
+    return {m: c for m, c in terms.items() if c}
+
+
+def _times(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+class TestPackedDivision:
+    """`exact_div` packs each monomial into one int; the tuple-keyed
+    division it replaced, tests/reference_division.py, is the reference."""
+
+    @pytest.mark.parametrize("nvars", [1, 3, 4])
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_agrees_with_reference_at_field_widths(self, nvars, k):
+        # the largest exponent of a is 2^k - 1 (k bits) or 2^k (k + 1 bits)
+        rng = random.Random(100 * k + nvars)
+        for top in (2**k - 1, 2**k):
+            for _ in range(6):
+                b = _random_terms(rng, nvars, top // 2, rng.randint(1, 4))
+                q = _random_terms(rng, nvars, top - top // 2, rng.randint(1, 4))
+                a = _times(b, q)
+                assert max(max(m) for m in a) == top
+                assert exact_div(a, b) == reference_division.exact_div(a, b) == q
+                r = _random_terms(rng, nvars, top, rng.randint(1, 3), bound=5)
+                changed = {m: a.get(m, 0) + r.get(m, 0) for m in {*a, *r}}
+                changed = {m: c for m, c in changed.items() if c}
+                want = _outcome(reference_division.exact_div, changed, b)
+                assert _outcome(exact_div, changed, b) == want
+                # an inexact integer quotient: b times 2 divides a over Q
+                doubled = {m: 2 * c for m, c in b.items()}
+                assert _outcome(exact_div, a, doubled) == _outcome(
+                    reference_division.exact_div, a, doubled
+                )
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_remainder_leaving_the_exponent_box(self, k, monkeypatch):
+        # x^e*y^e / (x + y^e): the first step would leave x^(e-1)*y^(2e),
+        # whose y exponent sets the guard bit of its field, so the division
+        # stops there, before that term enters the remainder
+        pushed = []
+        monkeypatch.setattr(poly, "heappush", lambda heap, key: pushed.append(key))
+        for e in (2**k - 1, 2**k):
+            a, b = {(e, e): 1}, {(1, 0): 1, (0, e): 1}
+            assert _outcome(reference_division.exact_div, a, b) is ArithmeticError
+            assert _outcome(exact_div, a, b) is ArithmeticError
+        assert pushed == []
+
+    def test_negative_exponents(self):
+        # x*y^2 over x^2 goes negative in the first (top) field; over y^3,
+        # and x^3*z over y, a lower field borrows from the one above it
+        assert _outcome(exact_div, {(1, 2): 1}, {(2, 0): 1}) is ArithmeticError
+        assert _outcome(exact_div, {(1, 2): 1}, {(0, 3): 1}) is ArithmeticError
+        assert _outcome(exact_div, {(3, 0, 1): 1}, {(0, 1, 0): 1}) is ArithmeticError
+
+    def test_keys_of_length_zero(self):
+        # integer division; the reference stops at min(()) here
+        assert exact_div({(): 6}, {(): -2}) == {(): -3}
+        assert _outcome(exact_div, {(): 6}, {(): 4}) is ArithmeticError
+
+    def test_empty_dividend_and_divisor(self):
+        for b in ({(): 3}, {(1,): 2}, {(5, 0, 1, 2): -7}):
+            assert exact_div({}, b) == reference_division.exact_div({}, b) == {}
+        with pytest.raises(ZeroDivisionError):
+            exact_div({(1, 2, 3): 4}, {})
+
+    def test_quotient_keys_are_tuples(self):
+        q = exact_div(tp("T1^2*T4-T2^2*T4").terms, tp("T1-T2").terms)
+        assert q == {(1, 0, 0, 1): 1, (0, 1, 0, 1): 1}
+        assert all(type(m) is tuple for m in q)
 
 
 class TestTPolyGcd:
@@ -153,3 +249,81 @@ def test_common_factor_that_is_a_unit_below_the_bound(var, n):
     x = tp(var)
     f = x - TPoly.constant(n)
     assert tpoly_gcd(f, f * (x + TPoly.constant(5))) == f
+
+
+@st.composite
+def homogeneous_gcd_cases(draw):
+    """(a, b) = (c1*G*U, c2*G*V) with G, U, V homogeneous of degrees 0-3 in
+    T1..T4, contents and coefficients up to 2^100, and a power of T4 planted
+    in G only, in U only, in both or in neither."""
+    big = st.integers(-(2**100), 2**100).filter(bool)
+    coeffs = st.one_of(st.integers(-9, 9).filter(bool), big)
+
+    def form():
+        degree = draw(st.integers(0, 3))
+        mono = st.lists(st.integers(0, 3), min_size=degree, max_size=degree).map(
+            lambda vs: tuple(Counter(vs)[i] for i in range(4))
+        )
+        return TPoly(draw(st.dictionaries(mono, coeffs, min_size=1, max_size=4)))
+
+    G, U, V = form(), form(), form()
+    planted = draw(st.sampled_from(["G", "U", "both", "neither"]))
+    if planted in ("G", "both"):
+        G = G * TPoly.monomial((0, 0, 0, draw(st.integers(1, 3))))
+    if planted in ("U", "both"):
+        U = U * TPoly.monomial((0, 0, 0, draw(st.integers(1, 3))))
+    return G * U * draw(big), G * V * draw(big)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(homogeneous_gcd_cases())
+def test_homogeneous_gcd_agrees_with_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    a, b = pair
+    gens = sympy.symbols("T1:5")
+    expected = sympy.gcd(
+        sympy.Poly.from_dict(a.terms, gens), sympy.Poly.from_dict(b.terms, gens)
+    )
+    want = TPoly({m: int(c) for m, c in expected.as_dict().items()}).primitive()
+    g = tpoly_gcd(a, b)
+    assert g == want
+    exact_div(a.primitive().terms, g.terms)
+    exact_div(b.primitive().terms, g.terms)
+
+
+def test_homogeneous_inputs_never_evaluate_the_last_variable(monkeypatch):
+    # T4's exponent follows from T1..T3's, so the gcd drops it: the first
+    # evaluation is of T3, on exponent tuples of length 3
+    lengths = []
+    evaluate = poly._evaluate_last
+
+    def spy(p, xi, degree):
+        lengths.append(len(next(iter(p))))
+        return evaluate(p, xi, degree)
+
+    monkeypatch.setattr(poly, "_evaluate_last", spy)
+    G = tp("3*T1^2*T4-T2*T3*T4+5*T4^3")
+    u, v = tp("T1*T4^2-7*T2^3"), tp("T3^3+2*T1*T2*T4-T4^3")
+    assert tpoly_gcd(G * u * tp("T4"), G * v) == G
+    assert lengths and max(lengths) == 3
+
+
+def test_dense_bivariate_common_factor():
+    # two (60,60) polynomials in (s, t), as complex_summary takes the gcd of
+    # f1..f4 at u = v = 1, with a dense (30,30) common factor g: the trial
+    # divisions of each attempt make about 900,000 term updates each
+    rng = np.random.default_rng(20)
+    g, u, v = (rng.integers(-99, 100, size=(31, 31)) for _ in range(3))
+
+    def terms(array):
+        return {(i, j): int(c) for (i, j), c in np.ndenumerate(array) if c}
+
+    def times(p, q):
+        out = np.zeros((61, 61), dtype=np.int64)
+        for (i, j), c in np.ndenumerate(p):
+            out[i : i + 31, j : j + 31] += c * q
+        return terms(out)
+
+    G = terms(g)
+    h = _gcd(times(g, u), times(g, v))
+    assert h == G or h == {m: -c for m, c in G.items()}

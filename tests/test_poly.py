@@ -252,6 +252,12 @@ class TestTPoly:
         neg = parse_tpoly("-3*T1*T4+3*T2*T3")
         assert neg.primitive() == parse_tpoly("T1*T4-T2*T3")
 
+    def test_primitive_keeps_a_primitive_positive_polynomial(self):
+        p = parse_tpoly("T1*T4-2*T2*T3")
+        assert p.primitive() is p
+        assert (-p).primitive() == p
+        assert (p * 3).primitive() == p
+
     def test_primitive_fractions(self):
         q = TPoly({(1, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0): Fraction(3, 4)})
         assert q.primitive() == TPoly({(1, 0, 0, 0): 2, (0, 1, 0, 0): 3})
