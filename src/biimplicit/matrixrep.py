@@ -11,9 +11,9 @@ proposed by evaluating the matrix at a random point and taking the pivot
 columns of the integer elimination in `linalg`, so its determinant is
 nonzero at that point.  A determinant is taken on one integer matrix per
 minor, in the layout of the entries, rows of coefficient 4-tuples: the
-minor's integer columns, or, for a square matrix, an LLL-reduced basis of
-the integer points of its columns' span, which drops integer content the
-coefficient bound would pay primes for.
+minor's integer columns, of which those left after peeling are replaced by
+an LLL-reduced basis of the integer points of their span, which drops
+integer content the coefficient bound would pay primes for.
 It is computed exactly: rows and columns with a single nonzero entry are
 peeled off, and the rest is evaluated modulo primes on the lower set of
 exponents its determinant can carry, interpolated by Newton differences,
@@ -164,26 +164,29 @@ class MatrixRep:
         )
 
     @cached_property
-    def _reduced_basis(self) -> tuple[tuple[int, ...], ...]:
-        """An LLL-reduced basis of the integer points of the span of the
-        integer columns, each a vector with entry m at 4m..4m+3.  For a
-        matrix from `build_matrix` these points are the integer syzygies.
-        Dependent columns raise RankDeficientError."""
-        columns = [[c for e in column for c in e] for column in zip(*self.integer_coefficients)]
-        basis = lll_reduce(saturation(columns))
-        if len(basis) < self.cols:
-            raise RankDeficientError("the columns of the matrix are dependent")
-        return tuple(tuple(v) for v in basis)
+    def _minors(self) -> dict:
+        return {}
 
     def _minor(self, columns) -> tuple[tuple[tuple, ...], ...]:
-        """The integer matrix that a determinant on `columns` is taken on,
-        as rows of coefficient 4-tuples: the reduced basis for a square M,
-        else the integer coefficients at `columns`.  Its columns span the
-        same Q-space as M's at `columns`."""
-        if self.rows == self.cols:
-            basis = self._reduced_basis
-            return tuple(tuple(v[4 * r : 4 * r + 4] for v in basis) for r in range(self.rows))
-        return tuple(tuple(row[j] for j in columns) for row in self.integer_coefficients)
+        """The integer matrix a determinant on the rows-many `columns` is
+        taken on, as rows of coefficient 4-tuples: M's integer columns, with
+        those in `_peel`'s core replaced at full length by an LLL-reduced
+        basis of the integer points of their span, integer syzygies for a
+        matrix from `build_matrix`.  Built once per column set; dependent
+        core columns raise RankDeficientError."""
+        key = tuple(columns)
+        if key not in self._minors:
+            minor = [[row[j] for j in key] for row in self.integer_coefficients]
+            peeled = _peel([{b: e for b, e in enumerate(row) if any(e)} for row in minor], len(key))
+            core = peeled[3] if peeled else []
+            basis = lll_reduce(saturation([[c for row in minor for c in row[b]] for b in core]))
+            if len(basis) < len(core):
+                raise RankDeficientError("the columns of the matrix are dependent")
+            for b, v in zip(core, basis):
+                for r, row in enumerate(minor):
+                    row[b] = tuple(v[4 * r : 4 * r + 4])
+            self._minors[key] = tuple(map(tuple, minor))
+        return self._minors[key]
 
     def evaluate(self, values) -> QMatrix:
         """The integer columns at T = values: the rank and independent column
@@ -226,26 +229,27 @@ def _peel(grid: list[dict], n: int):
     when a row or column is zero.
     """
     rows, cols = list(range(n)), list(range(n))
+    row_support = [set(row) for row in grid]
+    col_support = [{i for i in rows if j in grid[i]} for j in cols]
     sign, peeled = 1, []
     while rows:
-        position = {j: b for b, j in enumerate(cols)}
-        row_support = [[position[j] for j in grid[i] if j in position] for i in rows]
-        col_support = [[] for _ in cols]
-        for a, support in enumerate(row_support):
-            for b in support:
-                col_support[b].append(a)
-        if not all(row_support) or not all(col_support):
+        if not all(row_support[i] for i in rows) or not all(col_support[j] for j in cols):
             return None
-        hit = next(((a, s[0]) for a, s in enumerate(row_support) if len(s) == 1), None)
+        hit = next(((i, *row_support[i]) for i in rows if len(row_support[i]) == 1), None)
         if hit is None:
-            hit = next(((s[0], b) for b, s in enumerate(col_support) if len(s) == 1), None)
+            hit = next(((*col_support[j], j) for j in cols if len(col_support[j]) == 1), None)
         if hit is None:
             break
-        a, b = hit
-        peeled.append(grid[rows[a]][cols[b]])
+        i, j = hit
+        peeled.append(grid[i][j])
+        a, b = rows.index(i), cols.index(j)
         if (a + b) % 2:
             sign = -sign
         del rows[a], cols[b]
+        for k in row_support[i]:
+            col_support[k].discard(i)
+        for k in col_support[j]:
+            row_support[k].discard(j)
     return sign, peeled, rows, cols
 
 
@@ -451,12 +455,11 @@ def minor_determinants(M: MatrixRep, seed: int, count: int):
     minors; returns (columns of the first minor, list of determinants).
 
     Every determinant is `bareiss_det` of `MatrixRep._minor` at the
-    minor's columns, integer columns of the same Q-span as the minor's, so
-    it is the minor's determinant times a nonzero constant, which
-    `reduce_equation`'s primitive part removes.  A square matrix has only
-    the one minor, all of its columns, and `_minor` gives the LLL-reduced
-    basis of its integer syzygies, which lacks the integer content of the
-    canonical columns that the coefficient bound would pay primes for.
+    minor's columns, whose core columns are replaced by integer columns of
+    the same Q-span, so it is the minor's determinant times a nonzero
+    constant, which `reduce_equation`'s primitive part removes.  A matrix
+    with fewer columns than rows has no maximal minor, and a square one has
+    only the one, all of its columns.
 
     Otherwise the first minor is the first proposal, and each extra minor
     is the first proposal of a shuffled scan under its own seed; repeated
@@ -468,6 +471,8 @@ def minor_determinants(M: MatrixRep, seed: int, count: int):
         return [], [TPoly.constant(1)]
     if not any(any(e) for row in M.integer_coefficients for e in row):
         raise RankDeficientError("matrix of linear forms is zero")
+    if M.cols < M.rows:
+        raise RankDeficientError(f"the {M.rows}x{M.cols} matrix has fewer columns than rows")
     if M.rows == M.cols:
         det = bareiss_det(M._minor(range(M.cols)))
         if det.is_zero():

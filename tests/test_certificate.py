@@ -81,12 +81,14 @@ def assert_changed_minor_is_caught(monkeypatch, spec):
 class TestNegative:
     @pytest.mark.parametrize("spec", [GOLDEN, RAND22], ids=["golden", "rand22"])
     def test_changed_reduced_column_is_not_a_syzygy(self, monkeypatch, spec):
-        # a square strand's minor is the reduced basis of its integer syzygies
+        # a square strand peels nothing, so its minor is a reduced basis of
+        # its integer syzygies
         assert_changed_minor_is_caught(monkeypatch, spec)
 
     @pytest.mark.parametrize("name", sorted(RECT_SINGLE))
     def test_changed_integer_column_is_not_a_syzygy(self, monkeypatch, name):
-        # a rectangular strand's minor is its integer columns at the proposal
+        # a rectangular strand's minor is its integer columns at the
+        # proposal, with the core columns left by peeling reduced
         assert_changed_minor_is_caught(monkeypatch, RECT_SINGLE[name])
 
     def test_changed_reduced_column_exits_2(self, tmp_path, capsys):

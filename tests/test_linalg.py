@@ -440,7 +440,8 @@ def test_saturation_small():
 
 def _strand_vectors(F, nu):
     """The integer columns of the strand at nu, each a vector with entry m
-    at 4m..4m+3, as `MatrixRep._reduced_basis` hands them to saturation."""
+    at 4m..4m+3, as `MatrixRep._minor` hands a minor's core columns to
+    saturation."""
     M = build_matrix(F, nu)
     return [[c for e in column for c in e] for column in zip(*M.integer_coefficients)]
 

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from biimplicit import matrixrep
 from biimplicit.cli import InputSpec, run_implicitize
-from biimplicit.complexes import region, suggested_nu, syzygy_basis
+from biimplicit.complexes import koszul_slice, region, suggested_nu, syzygy_basis
 from biimplicit.linalg import (
     QMatrix,
     exact_rank,
     graded_basis,
     independent_columns,
+    saturation,
 )
 from biimplicit.matrixrep import (
     AllZeroError,
@@ -1108,9 +1109,10 @@ class TestImplicitEquation:
         column_sets = [scan(1000 * i, i > 0) for i in range(3)]
         assert cols == column_sets[0]
         assert len({tuple(c) for c in column_sets}) == 3
-        # each determinant is taken on the minor's integer columns
-        assert dets == [
-            bareiss_det([[row[j] for j in c] for row in M.integer_coefficients])
+        # each determinant is that of the minor's integer columns, up to a
+        # constant factor
+        assert [d.primitive() for d in dets] == [
+            bareiss_det([[row[j] for j in c] for row in M.integer_coefficients]).primitive()
             for c in column_sets
         ]
 
@@ -1159,29 +1161,60 @@ def euclidean_kernel(A: list[list[int]], ncols: int) -> list[list[int]]:
     return [cols[j][m:] for j in active]
 
 
+def assert_reduced_minor(F, M, columns) -> list[int]:
+    """M._minor(columns) keeps the columns that `_peel` takes off the raw
+    integer minor, its other columns span the same lattice as the
+    saturation of the raw core columns, every column is in K1's integer
+    kernel, and its determinant's primitive part is the raw minor's.
+    Returns the core columns."""
+    n = M.rows
+    raw = [[row[j] for j in columns] for row in M.integer_coefficients]
+    minor = M._minor(columns)
+    core = matrixrep._peel([{b: e for b, e in enumerate(row) if any(e)} for row in raw], n)[3]
+    # coordinate i*n + m of K1's source is coefficient i of entry m
+    K1 = koszul_slice(F, 1, M.nu + F.bidegree).matrix
+    for b in range(n):
+        v = [minor[m][b][i] for i in range(4) for m in range(n)]
+        assert all(type(x) is int for x in v)
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in K1.data)
+        if b not in core:
+            assert [row[b] for row in minor] == [row[b] for row in raw]
+
+    def core_vectors(rows):
+        return [[c for row in rows for c in row[b]] for b in core]
+
+    assert gram_det(core_vectors(minor)) == gram_det(saturation(core_vectors(raw)))
+    assert reduce_equation([bareiss_det(minor)]) == bareiss_det(raw).primitive()
+    return core
+
+
 class TestLatticeBasis:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("e", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_reduced_basis_spans_the_integer_syzygies(self, e, seed):
-        from biimplicit.complexes import koszul_slice
-
+        # a square strand does not peel, so its minor is a reduced basis of
+        # all of its integer syzygies
         F = random_parametrization(random.Random(seed), e)
-        nu = suggested_nu(e)
-        M = build_matrix(F, nu)
-        n = M.rows
-        basis = M._reduced_basis
-        assert all(type(x) is int for v in basis for x in v)
-        # coordinate 4*m + i of the basis is coordinate i*n + m of K1's source
-        K1 = koszul_slice(F, 1, nu + F.bidegree).matrix
-        syzygies = [[v[4 * m + i] for i in range(4) for m in range(n)] for v in basis]
-        for v in syzygies:
-            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in K1.data)
+        M = build_matrix(F, suggested_nu(e))
+        assert M.rows == M.cols
+        assert assert_reduced_minor(F, M, range(M.cols)) == list(range(M.cols))
+        K1 = koszul_slice(F, 1, M.nu + F.bidegree).matrix
+        minor = M._minor(range(M.cols))
+        syzygies = [[row[b][i] for i in range(4) for row in minor] for b in range(M.cols)]
         kernel = euclidean_kernel(K1.data, K1.cols)
-        assert len(kernel) == len(basis)
+        assert len(kernel) == M.cols
         assert gram_det(syzygies) == gram_det(kernel)
-        if M.rows == M.cols:
-            canonical = bareiss_det(M.coefficients)
-            assert reduce_equation(minor_determinants(M, seed, 1)[1]) == canonical.primitive()
+
+    @pytest.mark.parametrize(
+        "e, nu", [((1, 2), (2, 2)), ((1, 1), (3, 2)), (None, (5, 5))],
+        ids=["rand12 nu=(2,2)", "rand11 nu=(3,2)", "segre nu=(5,5)"],
+    )
+    def test_rectangular_minor_reduces_its_core(self, e, nu, segre_F):
+        F = segre_F if e is None else random_parametrization(random.Random(7), e)
+        M = build_matrix(F, nu)
+        assert M.rows < M.cols
+        core = assert_reduced_minor(F, M, next(matrixrep._proposals(M, 0)))
+        assert 0 < len(core) < M.rows
 
     def test_golden_bound_shrinks(self, monkeypatch):
         # the primes the determinant evaluates follow its coefficient bound:
@@ -1197,6 +1230,37 @@ class TestLatticeBasis:
         assert bits and max(bits) <= 100
         # the torus bound of the one 12 x 12 core takes two primes
         assert [len(primes_above(b)) for b in bits] == [2]
+
+    @pytest.mark.parametrize(
+        "e, nu, max_bits, primes, digest",
+        [
+            # 21 x 34: 1765 bits and 57 primes on the minor's integer columns
+            ((3, 2), (6, 2), 250, 7,
+             "ed9646054df871b4e159b39e25dd235377afad0d8d75d6a14fc2c28e28b1fcb0"),
+            # 9 x 16: 210 bits and 7 primes on the minor's integer columns
+            ((1, 2), (2, 2), 100, 3,
+             "cd5500b8a315ebe96689d9f89af8911173ec95be0871b8636f6f018336663362"),
+        ],
+        ids=["rand32 nu=(6,2)", "rand12 nu=(2,2)"],
+    )
+    def test_rectangular_bound_shrinks(self, monkeypatch, e, nu, max_bits, primes, digest):
+        # a rectangular minor's core is reduced as well, so its bound drops
+        # the integer content of the raw columns
+        bits = []
+        primes_above = matrixrep._primes_above
+        monkeypatch.setattr(
+            matrixrep, "_primes_above", lambda b: bits.append(b) or primes_above(b)
+        )
+        F = random_parametrization(random.Random(7), e)
+        spec = InputSpec(
+            bidegree=Bidegree(*e), polynomials=tuple(str(f) for f in F.polys), nu=Bidegree(*nu)
+        )
+        report = run_implicitize(spec)
+        assert report.matrix.rows < report.matrix.cols
+        assert report.verified is True
+        assert hashlib.sha256(str(report.equation).encode()).hexdigest() == digest
+        assert len(bits) == 1 and bits[0] <= max_bits
+        assert len(primes_above(bits[0])) == primes
 
 
 class TestEndToEndSmall:

@@ -18,14 +18,17 @@ in the table's diff.  rand22's 36 cells (about 11 s) are left out.
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
 
+from biimplicit import matrixrep
 from biimplicit.cli import InputSpec, run_implicitize
 from biimplicit.matrixrep import (
     NoEquationError,
     PipelineError,
+    RankDeficientError,
     interpolation_oracle,
     verify_substitution,
 )
@@ -112,3 +115,32 @@ def test_table_covers_the_sweep(table):
 @pytest.mark.parametrize("name", list(SWEEP_MAPS))
 def test_each_cell_keeps_its_class(name, table):
     assert sweep(name) == table[name]
+
+
+# the exit-2 cells whose matrix has fewer columns than rows; the ninth cell
+# that finds no nonsingular minor, the power map at nu=(2,2), is 9x11
+NARROW_CELLS = [
+    ("rand12", (0, 2)),
+    ("rand12", (3, 0)),
+    ("rand21", (0, 3)),
+    ("rand21", (2, 0)),
+    ("power", (0, 2)),
+    ("power", (1, 2)),
+    ("power", (2, 0)),
+    ("power", (2, 1)),
+]
+
+
+@pytest.mark.parametrize("name, nu", NARROW_CELLS, ids=[f"{n} nu={nu}" for n, nu in NARROW_CELLS])
+def test_narrow_matrix_is_refused_by_its_shape(name, nu, table, monkeypatch):
+    def propose(*args, **kwargs):
+        raise AssertionError("a minor was proposed")
+
+    monkeypatch.setattr(matrixrep, "_proposals", propose)
+    bidegree, polynomials = SWEEP_MAPS[name]
+    message = r"^the (\d+)x(\d+) matrix has fewer columns than rows$"
+    with pytest.raises(RankDeficientError, match=message) as refusal:
+        run_implicitize(InputSpec(bidegree, tuple(polynomials), nu=nu))
+    rows, cols = map(int, re.match(message, str(refusal.value)).groups())
+    assert rows > cols
+    assert table[name][f"{nu[0]},{nu[1]}"] == "exit 2"
