@@ -58,9 +58,10 @@ MAX_BIDEGREE = MAX_DEGREE
 # the most grid points x terms x degree that `verify` evaluates (the grid
 # runs only there and on `implicitize`'s gcd path): a degree-n
 # equation of a map of bidegree (e1, e2) is evaluated at
-# (n*e1 + 1)(n*e2 + 1) points.  A dense equation costs 13-16 ns a unit, so
-# rand33's own (degree 18, 1330 terms, 72.4 million units) checks in about
-# 1 s; a sparse one of degree 128 near the limit takes 20-40 s.
+# (n*e1 + 1)(n*e2 + 1) points.  A dense equation costs 12-15 ns a unit on
+# a 2-core x86-64 host, so rand33's own (degree 18, 1330 terms, 72.4
+# million units) checks in about 0.9 s; a sparse one of degree 128 near the
+# limit takes about 20 s.
 MAX_VERIFY_WORK = 2**27
 
 # the matrix-only report's warning, left out by `hilbert` and `matrix`

@@ -85,7 +85,9 @@ CHECK_POINT = (2, -3, 5, 7)
 ORACLE_DEN_BOUND = 2**16
 ORACLE_MARGIN_BITS = 20
 # grid points that verify_substitution evaluates at once; `evaluate_many`
-# holds one array of this length per power of T3 and T4 that it needs
+# holds one row per (c, d) pair of T3^c*T4^d that the equation uses, of
+# this length or shorter, since its table stays within
+# `poly._EVALUATE_ENTRIES` entries by taking the points in slices
 VERIFY_CHUNK = 1024
 
 
@@ -374,11 +376,13 @@ def bareiss_det(matrix) -> TPoly:
     The matrix is given as rows of coefficient 4-tuples (c1, .., c4) of
     exact numbers, entry c1*T1 + .. + c4*T4, the layout of
     `MatrixRep.coefficients`; a non-square matrix or an entry that is not a
-    4-tuple raises ValueError.  Each row's rational content is pulled out
-    first, leaving integer coefficients; a row of content 1 is kept as it
-    stands.  Rows and columns with a single nonzero entry are peeled off by
-    Laplace expansion (a zero row or column gives 0), and the remaining
-    core is evaluated modulo primes and interpolated:
+    4-tuple raises ValueError.  Rows and columns with a single nonzero
+    entry are peeled off by Laplace expansion on the supports alone (a zero
+    row or column gives 0), and each peeled entry is multiplied back as its
+    exact linear form.  Each row of the remaining core has its rational
+    content pulled out, leaving integer coefficients (a row of content 1 is
+    kept as it stands), and the core is evaluated modulo primes and
+    interpolated:
 
     * degree bound: deg_Tt det <= min(rows, columns of the core holding Tt),
       since each term of the permutation expansion takes one entry from
@@ -409,28 +413,26 @@ def bareiss_det(matrix) -> TPoly:
             if not isinstance(entry, tuple) or len(entry) != 4:
                 raise ValueError(f"matrix entries must be coefficient 4-tuples, got {entry!r}")
 
-    scale = Fraction(1)
-    grid: list[dict] = []
-    for row in matrix:
-        content = rational_content(c for coeffs in row for c in coeffs)
-        if not content:
-            return TPoly.zero()
-        if content != 1:
-            scale *= content
-            row = [tuple(divide_content(c, content) for c in coeffs) for coeffs in row]
-        grid.append({j: coeffs for j, coeffs in enumerate(row) if any(coeffs)})
-
+    grid = [{j: coeffs for j, coeffs in enumerate(row) if any(coeffs)} for row in matrix]
     peeled = _peel(grid, n)
     if peeled is None:
         return TPoly.zero()
     sign, factors, core_rows, core_cols = peeled
+    scale = Fraction(sign)
     det = TPoly.constant(1)
     if core_rows:
-        core = [[grid[i].get(j, (0, 0, 0, 0)) for j in core_cols] for i in core_rows]
+        core = []
+        for i in core_rows:
+            row = [grid[i].get(j, (0, 0, 0, 0)) for j in core_cols]
+            content = rational_content(c for coeffs in row for c in coeffs)
+            if content != 1:
+                scale *= content
+                row = [tuple(divide_content(c, content) for c in coeffs) for coeffs in row]
+            core.append(row)
         det = _core_det(core, len(core))
     for coeffs in factors:
         det = det * _linear_form(coeffs)
-    return det * (scale * sign)
+    return det * scale
 
 
 def _proposals(M: MatrixRep, seed: int, shuffle: bool = False):
@@ -830,15 +832,19 @@ def _sample_matrix_mod_p(images, exponents: np.ndarray, degree: int, p: int):
     """Monomial values at the image points modulo p, one row per point, one
     column per row of `exponents`.  Each point's products T1^a T2^b and
     T3^c T4^d mod p, a, b, c, d <= degree, fill two tables, so a monomial is
-    one product of an entry of each; every product stays below 2^62."""
+    one product of an entry of each; every product stays below 2^62 and is
+    reduced by `modnull._reduce`."""
     V = np.array([[x % p for x in T] for T in images], dtype=np.int64)
     P = np.ones((len(images), 4, degree + 1), dtype=np.int64)
     for k in range(1, degree + 1):
-        P[:, :, k] = P[:, :, k - 1] * V % p
+        np.multiply(P[:, :, k - 1], V, out=P[:, :, k])
+        _reduce(P[:, :, k], p)
     n = degree + 1
-    T12 = (P[:, 0, :, None] * P[:, 1, None, :] % p).reshape(len(images), n * n)
-    T34 = (P[:, 2, :, None] * P[:, 3, None, :] % p).reshape(len(images), n * n)
-    A = T12[:, exponents[:, 0] * n + exponents[:, 1]]
-    A *= T34[:, exponents[:, 2] * n + exponents[:, 3]]
-    A %= p
+    T12 = P[:, 0, :, None] * P[:, 1, None, :]
+    T34 = P[:, 2, :, None] * P[:, 3, None, :]
+    _reduce(T12, p)
+    _reduce(T34, p)
+    A = T12.reshape(len(images), n * n)[:, exponents[:, 0] * n + exponents[:, 1]]
+    A *= T34.reshape(len(images), n * n)[:, exponents[:, 2] * n + exponents[:, 3]]
+    _reduce(A, p)
     return A

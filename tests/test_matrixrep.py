@@ -285,6 +285,23 @@ class TestBareissDet:
         ]
         assert bareiss_det(coefficient_rows(M)) == tp("T1*T4") * Fraction(5, 2) - tp("T2*T3")
 
+    def test_fractional_peeled_and_core_rows(self):
+        # row 0 and column 4 peel with Fraction entries, and the 3x3 core
+        # left after them has Fraction rows whose contents differ from
+        # those of the full rows (rows 1 and 3 also hold Fractions in the
+        # peeled column 0, which the core does not see)
+        h = Fraction(1, 2)
+        M = [
+            [lin(c1=h, c3=Fraction(-3, 4)), lin(), lin(), lin(), lin()],
+            [lin(c2=Fraction(1, 3)), lin(c1=Fraction(2, 3), c4=2), lin(c3=Fraction(4, 9)), lin(c2=-2), lin()],
+            [lin(), lin(c3=6), lin(c1=Fraction(5, 7), c2=h), lin(c4=Fraction(-10, 7)), lin()],
+            [lin(c4=Fraction(7, 5)), lin(c2=3), lin(c1=-9), lin(c3=Fraction(3, 5), c4=Fraction(6, 5)), lin()],
+            [lin(c1=1), lin(c2=Fraction(5, 6)), lin(), lin(c3=4), lin(c2=Fraction(-2, 11), c4=3)],
+        ]
+        det = bareiss_det(coefficient_rows(M))
+        assert det == _sympy_det(M)
+        assert not det.is_zero() and any(type(c) is Fraction for c in det.terms.values())
+
     def test_matches_naive_expansion(self):
         rng = random.Random(12)
         for _ in range(40):

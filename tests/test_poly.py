@@ -3,12 +3,14 @@ import math
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import biimplicit
+import biimplicit.poly as poly_module
 from biimplicit.parser import parse_poly, parse_tpoly
 from biimplicit.poly import (
     Bidegree,
@@ -28,6 +30,7 @@ from biimplicit.poly import (
 from biimplicit.matrixrep import build_matrix
 
 from conftest import golden_polys, lin, random_parametrization
+from reference_evaluate import evaluate_many as reference_evaluate_many
 
 
 def bp(text):
@@ -39,6 +42,30 @@ coeffs = st.integers(min_value=-20, max_value=20) | st.fractions(
 )
 monos = st.tuples(*([st.integers(min_value=0, max_value=3)] * 4))
 bipolys = st.dictionaries(monos, coeffs, max_size=6).map(BigradedPoly)
+_wide_ints = st.integers(-(2**80), 2**80)
+_coordinates = st.one_of(
+    st.sampled_from([0, -1, 2**70, -(2**70)]),
+    st.integers(-10, 10),
+    st.integers(-(2**70), 2**70),
+)
+# exponents with gaps, as in the sparse forms of high degree
+_sparse_monos = st.tuples(*[st.sampled_from([0, 1, 2, 7, 64])] * 4)
+
+
+def _dense_forms(degree: int):
+    """Every monomial in T1..T4 of total degree at most `degree`, each with
+    a nonzero coefficient."""
+    monomials = [
+        (a, b, c, d)
+        for a in range(degree + 1)
+        for b in range(degree + 1 - a)
+        for c in range(degree + 1 - a - b)
+        for d in range(degree + 1 - a - b - c)
+    ]
+    nonzero = coeffs.filter(bool) | _wide_ints.filter(bool)
+    return st.lists(nonzero, min_size=len(monomials), max_size=len(monomials)).map(
+        lambda values: TPoly(dict(zip(monomials, values)))
+    )
 
 
 class TestBidegree:
@@ -162,6 +189,47 @@ class TestEvaluate:
         expected = [p.evaluate(x) for x in points]
         assert values == expected
         assert [type(v) for v in values] == [type(v) for v in expected]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            st.just(TPoly.zero()),
+            st.integers(0, 4).flatmap(_dense_forms),
+            st.dictionaries(_sparse_monos, coeffs | _wide_ints, max_size=10).map(TPoly),
+        ),
+        st.lists(st.tuples(*[_coordinates] * 4), min_size=1, max_size=9),
+        st.sampled_from([1, 2, 5, None]),
+    )
+    @example(parse_tpoly("T1^64*T3^64 - T2^64*T3^64"), [(3, -2, 5, 7), (0, 1, -1, 2**70)], None)
+    @example(parse_tpoly("T1^64*T3^64 - T2^64*T3^64"), [(1, 1, 2, 0)] * 3, 1)
+    @example(parse_tpoly("T4"), [(2**70, -(2**70), 0, -1)], None)
+    @example(TPoly.zero(), [(1, 2, 3, 4)], None)
+    def test_shared_rows_match_reference(self, p, points, cap):
+        # dense and sparse forms, exponent gaps, Fraction and wide
+        # coefficients, zero, negative and +-2^70 coordinates, and with
+        # `cap` entries a table of a few (c, d) rows already takes the
+        # points in slices (None keeps the module's cap): the values of
+        # the kernel the shared rows replaced, and of `evaluate`
+        with mock.patch.object(poly_module, "_EVALUATE_ENTRIES", cap or poly_module._EVALUATE_ENTRIES):
+            values = evaluate_many(p.terms, points)
+        expected = [p.evaluate(x) for x in points]
+        assert values == reference_evaluate_many(p.terms, points) == expected
+        assert [type(v) for v in values] == [type(v) for v in expected]
+
+    def test_slices_at_the_cap(self):
+        # a dense form in T3 and T4 with 861 (c, d) pairs, so the module's
+        # cap takes `step` points per slice: point counts on both sides of
+        # one and two slices
+        rng = random.Random(38)
+        p = TPoly(
+            {(1, 0, c, d): rng.randint(-(2**40), 2**40) for c in range(41) for d in range(41 - c)}
+        )
+        step = poly_module._EVALUATE_ENTRIES // len({m[2:] for m in p.terms})
+        assert step > 1
+        for count in (1, step - 1, step, step + 1, 2 * step + 1):
+            points = [tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(count)]
+            assert evaluate_many(p.terms, points) == reference_evaluate_many(p.terms, points)
+        assert evaluate_many(p.terms, []) == []
 
 
 class TestSubstituteT:
